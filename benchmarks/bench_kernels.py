@@ -28,25 +28,31 @@ def _best_of(fn, args, repeats):
     return best * 1e3
 
 
-def _phase_case(n):
+def _lattice(n, duration=40.0, substeps=1):
+    """Grid points, duration and step count on the grid lattice, as
+    ``propagate`` snaps them: tau = m dx and nsteps = m * substeps."""
     x = np.linspace(-96.0, 96.0, n, endpoint=False)
-    nsteps = n // 4
+    m = round(duration / (x[1] - x[0]))
+    return x, m * (x[1] - x[0]), m * substeps
+
+
+def _phase_case(n):
+    x, tau, nsteps = _lattice(n)
     amps = np.array([0.8, 0.3])
     centers = np.array([0.35, -1.0])
     widths = np.array([1.0, 0.7])
-    return (x, 40.0, 4.0, nsteps, amps, centers, widths,
+    return (x, tau, 4.0, nsteps, amps, centers, widths,
             *BUMP_ARGS, 0.1, 8.0)
 
 
 def _unitary_case(n):
-    x = np.linspace(-96.0, 96.0, n, endpoint=False)
-    nsteps = n // 4
+    x, tau, nsteps = _lattice(n)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
     mats = np.stack([0.7 * sx, 0.5 * sz])
     centers = np.array([-0.4, 0.5])
     widths = np.array([0.9, 1.1])
-    return (x, 40.0, 4.0, nsteps, mats, centers, widths,
+    return (x, tau, 4.0, nsteps, mats, centers, widths,
             *BUMP_ARGS, 0.1, 8.0)
 
 

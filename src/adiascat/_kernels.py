@@ -9,7 +9,9 @@ a missing numba install falls back to it silently.
 Kernels are deliberately dumb: they take flat arrays and scalars,
 return arrays, and never touch package dataclasses.  Callers own the
 snapping of durations to the grid lattice and the application of the
-returned factors to state amplitudes.
+returned factors to state amplitudes.  The numpy characteristic phase
+relies on that snapping: it needs tau = m dx and nsteps = |m| S for
+integers m != 0 and S >= 1, and raises ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -132,20 +134,51 @@ def _char_phase_py(x, tau, t1, nsteps, amps, centers, widths,
 
 def _char_phase_numpy(x, tau, t1, nsteps, amps, centers, widths,
                       kind, p0, p1, p2, p3, omega, rmax):
+    """Characteristic phase as one 1-D correlation.
+
+    Needs lattice-aligned inputs, as ``propagate`` and ``frozen_one_step``
+    produce them: tau = m dx and nsteps = |m| S, so |dt| = dx/S.  Then
+    every sample point x_j - tau + (k + 1/2) dt lies on the fine lattice
+    y_i = x_0 + (i + 1/2) dx/S, at i = jS - nsteps + k for tau > 0 and
+    at i = jS + nsteps - 1 - k for tau < 0.  The schedule is sampled once
+    on its nsteps midpoints, the profile once on the fine-lattice window
+    |y| <= rmax, and phase_j is every S-th output of their correlation.
+    Each output is a dot product over exactly the active substeps, taken
+    in the order of k, as the per-point loop of _char_phase_py takes it.
+    """
     n = x.shape[0]
+    dx = (x[-1] - x[0]) / (n - 1)
+    m = int(round(tau / dx))
+    if m == 0 or abs(tau - m * dx) > 1e-9 * abs(tau) or nsteps % abs(m):
+        raise ValueError(f"characteristic phase needs tau = m dx and nsteps "
+                         f"= |m| S; got tau={tau!r}, dx={dx!r}, "
+                         f"nsteps={nsteps!r}")
+    sub = nsteps // abs(m)
     dt = tau / nsteps
-    t0 = t1 - tau
+    h = abs(dt)
     out = np.zeros(n)
-    for j in range(n):
-        c0 = x[j] - tau + 0.5 * dt
-        klo, khi = _active_range(c0, dt, rmax, nsteps)
-        if khi < klo:
-            continue
-        ks = np.arange(klo, khi + 1)
-        u = c0 + ks * dt
-        tk = t0 + (ks + 0.5) * dt
-        f = _schedule_value_vec(kind, p0, p1, p2, p3, omega * tk)
-        out[j] = dt * np.dot(f, _mix_value_vec(amps, centers, widths, u))
+    # fine-lattice indices |y_i| <= rmax, clipped to the indices in use
+    imin = -nsteps if tau > 0.0 else 0
+    imax = imin + (n - 1) * sub + nsteps - 1
+    ilo = max(int(math.floor((-rmax - x[0]) / h - 0.5)), imin)
+    ihi = min(int(math.ceil((rmax - x[0]) / h - 0.5)), imax)
+    y = x[0] + (np.arange(ilo, ihi + 1) + 0.5) * h
+    inside = np.flatnonzero(np.abs(y) <= rmax)
+    if inside.size == 0:
+        return out
+    ilo, ihi = ilo + inside[0], ilo + inside[-1]
+    y = y[inside[0]:inside[-1] + 1]
+    if tau < 0.0:
+        y = y[::-1].copy()  # k ascending walks i descending
+    tk = (t1 - tau) + (np.arange(nsteps) + 0.5) * dt
+    f = _schedule_value_vec(kind, p0, p1, p2, p3, omega * tk)
+    full = np.correlate(_mix_value_vec(amps, centers, widths, y), f, "full")
+    if tau > 0.0:
+        idx = np.arange(n) * sub - 1 - ilo
+    else:
+        idx = ihi - np.arange(n) * sub
+    live = (idx >= 0) & (idx < full.shape[0])
+    out[live] = dt * full[idx[live]]
     return out
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .coherent import CoherentLabel, StateVector, braket, coherent_state
 from .numerics import Grid, central_derivative
@@ -200,7 +199,7 @@ def smeared_frozen_element(model: ScatterModel, s: float, e: float, eps: float,
     if isinstance(model.coupling, MatrixPotential):
         # energy independent by construction; the weight integrates to one
         return complex(on_shell_S(model, s, e, steps=steps).matrix[j, jp])
-    gl_x, gl_w = leggauss(n_nodes)
+    gl_x, gl_w = _network.gauss_legendre(n_nodes)
     half = 10.0 * eps
     energies = e + half * gl_x
     scalars = _network.rankone_scalar_amplitude(model.coupling, s, energies)

@@ -209,6 +209,12 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
                         "enlarge the grid or raise eps")})
     net = from_soluble(setup.model) \
         if isinstance(setup.model, SolubleModel) else setup.model
+    for name, index in (("j", setup.j), ("jp", setup.jp)):
+        if not 0 <= index < net.n_channels:
+            diagnostics.append({
+                "field": f"sweep.{name}",
+                "message": (f"channel index {name} = {index} is outside "
+                            f"[0, {net.n_channels}) for this model")})
     for e in setup.e_values:
         for eps in setup.epsilons:
             try:

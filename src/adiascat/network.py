@@ -544,6 +544,15 @@ def _matrix_transfer(model: ScatterModel, s: float,
     return ordered_exponential(gen, -radius, radius, steps=steps)
 
 
+@lru_cache(maxsize=8)
+def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once."""
+    gl_x, gl_w = leggauss(nodes)
+    gl_x.setflags(write=False)
+    gl_w.setflags(write=False)
+    return gl_x, gl_w
+
+
 def rankone_resolvent(form: GaussianMix, energies, nodes: int = 800):
     """Boundary value g(E) = <chi|(E - P + i0)^{-1}|chi> by quadrature.
 
@@ -553,7 +562,7 @@ def rankone_resolvent(form: GaussianMix, energies, nodes: int = 800):
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     band = form.fourier_band(1e-18)
     half = np.abs(energies) + band + 4.0
-    gl_x, gl_w = leggauss(nodes)
+    gl_x, gl_w = gauss_legendre(nodes)
     k = energies[:, None] + half[:, None] * gl_x[None, :]
     rho = np.abs(form.fourier(k)) ** 2
     rho_e = np.abs(form.fourier(energies)) ** 2
@@ -618,7 +627,15 @@ def on_shell_S(model: ScatterModel, s: float, energy: float = 0.0,
 
 def wigner_delay(model: ScatterModel, s: float, energy: float = 0.0,
                  h: float = 1e-3, steps: int | None = None) -> HermitianOnShell:
-    """Wigner delay matrix -i S'(E) S(E)^dagger, Hermitized with defect."""
+    """Wigner delay matrix -i S'(E) S(E)^dagger, Hermitized with defect.
+
+    The matrix backend is energy independent (see on_shell_S), so its
+    delay is exactly zero and no on-shell matrix is built for it.
+    """
+    if isinstance(model.coupling, MatrixPotential):
+        nc = model.n_channels
+        return HermitianOnShell(np.zeros((nc, nc), dtype=np.complex128), s,
+                                float(energy), 0.0)
     base = on_shell_S(model, s, energy, steps=steps).matrix
 
     def sfun(en: float) -> np.ndarray:

@@ -114,6 +114,38 @@ def test_validate_reports_cramped_response_window(tmp_path, capsys):
     assert any(d["field"] == "sweep.eps" for d in diagnostics)
 
 
+MATRIX_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
+                 / "epsilon-scaling-matrix.ini")
+
+
+@pytest.mark.parametrize("field,old,new", [
+    ("sweep.j", "j = 0", "j = 5"),
+    ("sweep.j", "j = 0", "j = -1"),
+    ("sweep.jp", "jp = 1", "jp = 2"),
+])
+def test_validate_rejects_out_of_range_channel(tmp_path, capsys,
+                                               field, old, new):
+    text = MATRIX_CONFIG.read_text(encoding="ascii")
+    assert f"\n{old}\n" in text
+    path = write_config(tmp_path, text.replace(f"\n{old}\n", f"\n{new}\n"))
+    rc = main(["validate", "--config", path])
+    assert rc == 1
+    diagnostics = json.loads(capsys.readouterr().out)
+    assert [d["field"] for d in diagnostics] == [field]
+
+
+def test_run_rejects_out_of_range_channel(tmp_path):
+    text = MATRIX_CONFIG.read_text(encoding="ascii")
+    path = write_config(tmp_path, text.replace("\nj = 0\n", "\nj = 5\n"))
+    out = tmp_path / "out"
+    rc = main(["run", "--config", path, "--out", str(out)])
+    assert rc == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "validation-error"
+    assert [d["field"] for d in summary["diagnostics"]] == ["sweep.j"]
+    assert not (out / "results.csv").exists()
+
+
 def test_run_writes_results_and_summary(tmp_path):
     path = write_config(tmp_path, GOOD_CONFIG)
     out = tmp_path / "out"

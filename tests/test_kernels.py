@@ -55,6 +55,31 @@ def test_characteristic_phase_backends_agree():
     np.testing.assert_allclose(a, b, atol=1e-13)
 
 
+@pytest.mark.parametrize("m", [64, -64, 3, -3])
+@pytest.mark.parametrize("sub", [1, 4])
+@pytest.mark.parametrize("kind", [_kernels.KIND_TANH, _kernels.KIND_BUMP])
+def test_characteristic_phase_numpy_matches_per_point_loop(m, sub, kind):
+    # _char_phase_py is the per-point reference loop, plain Python here
+    # when numba is absent; lattice-aligned inputs as propagate makes them
+    x, amps, centers, widths = _phase_inputs()
+    dx = (x[-1] - x[0]) / (x.shape[0] - 1)
+    args = (x, m * dx, 2.0, abs(m) * sub, amps, centers, widths,
+            kind, 1.0, 0.1, 1.3, 0.2, 0.25, PHASE_ARGS["rmax"])
+    got = _kernels.characteristic_phase_numpy(*args)
+    want = _kernels._char_phase_py(*args)
+    assert np.max(np.abs(want)) > 1e-2
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("tau,nsteps", [(40.0, 192), (6.0, 100)])
+def test_characteristic_phase_numpy_rejects_off_lattice(tau, nsteps):
+    x, amps, centers, widths = _phase_inputs()
+    with pytest.raises(ValueError, match="tau = m dx"):
+        _kernels.characteristic_phase_numpy(
+            x, tau, 2.0, nsteps, amps, centers, widths,
+            _kernels.KIND_TANH, 1.0, 0.0, 1.0, 0.0, 0.25, 9.0)
+
+
 def _unitary_inputs(nc):
     rng = np.random.default_rng(17)
     x = np.linspace(-10.0, 10.0, 129)

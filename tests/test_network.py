@@ -330,6 +330,26 @@ def test_wigner_delay_structure():
     assert abs(delay.matrix[0, 0]) > 1e-3
 
 
+@pytest.mark.parametrize("matrices", [(np.array([[1.0]]),), (SX, SZ)],
+                         ids=["one-channel", "two-channel"])
+def test_matrix_wigner_delay_matches_finite_difference(matrices):
+    # the shortcut against the route it replaces: differences of the
+    # on-shell matrix in energy, taken here outside wigner_delay
+    nc = matrices[0].shape[0]
+    model = ScatterModel(
+        nc, MatrixPotential(matrices, (MIX,) * len(matrices),
+                            Schedule("tanh", 0.7, 0.2, 1.1, 0.1)), 0.2)
+    s, e = 0.4, 0.8
+    delay = wigner_delay(model, s, e)
+    assert delay.matrix.shape == (nc, nc)
+    assert np.all(delay.matrix == 0.0)
+    assert delay.hermiticity_defect == 0.0
+    base = on_shell_S(model, s, e).matrix
+    ds = central_derivative(lambda en: on_shell_S(model, s, en).matrix, e,
+                            1e-3)
+    assert np.array_equal(delay.matrix, -1j * ds @ np.conj(base.T))
+
+
 def test_frozen_energy_shift_onshell_closed_form():
     sched = Schedule("tanh", 0.7, 0.2, 1.1, 0.1)
     soluble = SolubleModel(MIX, sched, 0.2)
