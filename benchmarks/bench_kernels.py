@@ -1,9 +1,4 @@
-"""Compare the jitted and pure-numpy transport kernels.
-
-Both flavours live in ``adiascat._kernels`` with identical signatures;
-the package picks one at import time (``ADIASCAT_NO_NUMBA=1`` forces
-numpy).  This script imports both explicitly, checks they agree, and
-times them on propagation-sized workloads.
+"""Time the transport kernels on propagation-sized workloads.
 
     python3 benchmarks/bench_kernels.py [--repeats 3] [--sizes 1024,4096]
 """
@@ -19,7 +14,7 @@ BUMP_ARGS = (K.KIND_BUMP, 1.0, 0.0, 1.0, 0.0)
 
 
 def _best_of(fn, args, repeats):
-    fn(*args)  # warm-up; first numba call compiles
+    fn(*args)  # warm-up
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -75,34 +70,17 @@ def main() -> None:
     cases = []
     for n in sizes:
         cases.append((f"characteristic_phase   n={n}",
-                      K.characteristic_phase_numpy,
-                      K.characteristic_phase_numba, _phase_case(n)))
+                      K.characteristic_phase, _phase_case(n)))
         cases.append((f"characteristic_unitary n={n}",
-                      K.characteristic_unitary_numpy,
-                      K.characteristic_unitary_numba, _unitary_case(n)))
+                      K.characteristic_unitary, _unitary_case(n)))
     cases.append((f"unitary_product     steps={args.product_steps}",
-                  K.unitary_product_numpy, K.unitary_product_numba,
-                  _product_case(args.product_steps)))
+                  K.unitary_product, _product_case(args.product_steps)))
 
-    if not K.HAS_NUMBA:
-        print("numba unavailable (or ADIASCAT_NO_NUMBA=1): "
-              "timing the numpy flavour only")
-    print(f"package default backend: {K.backend_name()}")
-    header = f"{'kernel':38s} {'numpy':>11s} {'numba':>11s} {'speedup':>8s}"
+    header = f"{'kernel':38s} {'best':>11s}"
     print(header)
     print("-" * len(header))
-    for name, fn_np, fn_nb, case in cases:
-        ms_np = _best_of(fn_np, case, args.repeats)
-        if fn_nb is None:
-            print(f"{name:38s} {ms_np:9.2f}ms {'-':>11s} {'-':>8s}")
-            continue
-        gap = float(np.max(np.abs(fn_np(*case) - fn_nb(*case))))
-        if gap > 1e-12:
-            raise SystemExit(f"flavours disagree on {name}: {gap:.2e}")
-        ms_nb = _best_of(fn_nb, case, args.repeats)
-        print(f"{name:38s} {ms_np:9.2f}ms {ms_nb:9.2f}ms "
-              f"{ms_np / ms_nb:7.1f}x")
-
+    for name, fn, case in cases:
+        print(f"{name:38s} {_best_of(fn, case, args.repeats):9.2f}ms")
 
 if __name__ == "__main__":
     main()

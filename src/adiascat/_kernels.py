@@ -1,36 +1,22 @@
-"""Hot transport kernels, in jitted and pure-numpy flavours.
-
-Every public function here has two implementations with identical
-signatures and semantics: a numba ``@njit`` version and a vectorized
-numpy version.  Selection happens once at import time.  Setting the
-environment variable ``ADIASCAT_NO_NUMBA=1`` forces the numpy path;
-a missing numba install falls back to it silently.
+"""Hot transport kernels, vectorized with numpy.
 
 Kernels are deliberately dumb: they take flat arrays and scalars,
 return arrays, and never touch package dataclasses.  Callers own the
 snapping of durations to the grid lattice and the application of the
-returned factors to state amplitudes.  The numpy characteristic phase
-relies on that snapping: it needs tau = m dx and nsteps = |m| S for
-integers m != 0 and S >= 1, and raises ValueError otherwise.
+returned factors to state amplitudes.  The characteristic phase relies
+on that snapping: it needs tau = m dx and nsteps = |m| S for integers
+m != 0 and S >= 1, and raises ValueError otherwise.
+
+_char_phase_py and its per-point helpers (_mix_value, _active_range)
+are the plain-Python reference the tests hold the vectorized phase
+kernel against.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-NUMBA_DISABLED = os.environ.get("ADIASCAT_NO_NUMBA", "") == "1"
-
-HAS_NUMBA = False
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        pass
 
 # Schedule kind ids shared with profiles.Schedule.
 KIND_CONSTANT = 0
@@ -57,7 +43,7 @@ def _schedule_value(kind, a, b, c, d, s):
 
 
 def _schedule_value_vec(kind, a, b, c, d, s):
-    """Vectorized twin of _schedule_value for ndarray s."""
+    """_schedule_value for ndarray s."""
     if kind == KIND_CONSTANT:
         return np.full_like(np.asarray(s, dtype=float), a)
     z = (np.asarray(s, dtype=float) - b) / c
@@ -115,6 +101,7 @@ def _active_range(c0, dt, rmax, nsteps):
 
 def _char_phase_py(x, tau, t1, nsteps, amps, centers, widths,
                    kind, p0, p1, p2, p3, omega, rmax):
+    """Per-point reference loop for characteristic_phase."""
     n = x.shape[0]
     dt = tau / nsteps
     t0 = t1 - tau
@@ -132,8 +119,8 @@ def _char_phase_py(x, tau, t1, nsteps, amps, centers, widths,
     return out
 
 
-def _char_phase_numpy(x, tau, t1, nsteps, amps, centers, widths,
-                      kind, p0, p1, p2, p3, omega, rmax):
+def characteristic_phase(x, tau, t1, nsteps, amps, centers, widths,
+                         kind, p0, p1, p2, p3, omega, rmax):
     """Characteristic phase as one 1-D correlation.
 
     Needs lattice-aligned inputs, as ``propagate`` and ``frozen_one_step``
@@ -186,89 +173,9 @@ def _char_phase_numpy(x, tau, t1, nsteps, amps, centers, widths,
 # Multi-channel characteristic unitaries
 # ---------------------------------------------------------------------------
 
-def _char_unitary_py(x, tau, t1, nsteps, mats, centers, widths,
-                     kind, p0, p1, p2, p3, omega, rmax):
-    n = x.shape[0]
-    nc = mats.shape[1]
-    ngauss = mats.shape[0]
-    dt = tau / nsteps
-    t0 = t1 - tau
-    out = np.zeros((n, nc, nc), dtype=np.complex128)
-    eye = np.eye(nc, dtype=np.complex128)
-    for j in range(n):
-        c0 = x[j] - tau + 0.5 * dt
-        klo, khi = _active_range(c0, dt, rmax, nsteps)
-        U = eye.copy()
-        if nc == 2:
-            u00 = U[0, 0]
-            u01 = U[0, 1]
-            u10 = U[1, 0]
-            u11 = U[1, 1]
-            for k in range(klo, khi + 1):
-                u = c0 + k * dt
-                tk = t0 + (k + 0.5) * dt
-                f = _schedule_value(kind, p0, p1, p2, p3, omega * tk)
-                scale = f * dt
-                h00 = 0.0 + 0.0j
-                h01 = 0.0 + 0.0j
-                h11 = 0.0 + 0.0j
-                for g in range(ngauss):
-                    z = (u - centers[g]) / widths[g]
-                    w = math.exp(-z * z) * scale
-                    h00 += mats[g, 0, 0] * w
-                    h01 += mats[g, 0, 1] * w
-                    h11 += mats[g, 1, 1] * w
-                # exp(-iH) for Hermitian 2x2 H, closed form
-                alpha = 0.5 * (h00.real + h11.real)
-                delta = 0.5 * (h00.real - h11.real)
-                theta = math.sqrt(delta * delta + (h01.real * h01.real
-                                                   + h01.imag * h01.imag))
-                ca = math.cos(alpha)
-                sa = math.sin(alpha)
-                ph = complex(ca, -sa)
-                ct = math.cos(theta)
-                if theta < 1e-30:
-                    snc = 1.0
-                else:
-                    snc = math.sin(theta) / theta
-                f00 = ph * complex(ct, -snc * delta)
-                f01 = ph * (-1j) * snc * h01
-                f10 = ph * (-1j) * snc * h01.conjugate()
-                f11 = ph * complex(ct, snc * delta)
-                n00 = f00 * u00 + f01 * u10
-                n01 = f00 * u01 + f01 * u11
-                n10 = f10 * u00 + f11 * u10
-                n11 = f10 * u01 + f11 * u11
-                u00, u01, u10, u11 = n00, n01, n10, n11
-            out[j, 0, 0] = u00
-            out[j, 0, 1] = u01
-            out[j, 1, 0] = u10
-            out[j, 1, 1] = u11
-        else:
-            H = np.zeros((nc, nc), dtype=np.complex128)
-            for k in range(klo, khi + 1):
-                u = c0 + k * dt
-                tk = t0 + (k + 0.5) * dt
-                f = _schedule_value(kind, p0, p1, p2, p3, omega * tk)
-                scale = f * dt
-                for a in range(nc):
-                    for b in range(nc):
-                        H[a, b] = 0.0
-                for g in range(ngauss):
-                    z = (u - centers[g]) / widths[g]
-                    w = math.exp(-z * z) * scale
-                    for a in range(nc):
-                        for b in range(nc):
-                            H[a, b] += mats[g, a, b] * w
-                evals, evecs = np.linalg.eigh(H)
-                F = (evecs * np.exp(-1j * evals)) @ np.conj(evecs.T)
-                U = F @ U
-            out[j] = U
-    return out
-
-
-def _char_unitary_numpy(x, tau, t1, nsteps, mats, centers, widths,
-                        kind, p0, p1, p2, p3, omega, rmax):
+def characteristic_unitary(x, tau, t1, nsteps, mats, centers, widths,
+                           kind, p0, p1, p2, p3, omega, rmax):
+    """Ordered characteristic unitaries, one nc x nc factor per grid point."""
     n = x.shape[0]
     nc = mats.shape[1]
     dt = tau / nsteps
@@ -303,18 +210,8 @@ def _char_unitary_numpy(x, tau, t1, nsteps, mats, centers, widths,
 # Ordered product of sampled Hermitian generators
 # ---------------------------------------------------------------------------
 
-def _unitary_product_py(ks, dt):
-    steps = ks.shape[0]
-    m = ks.shape[1]
-    U = np.eye(m, dtype=np.complex128)
-    for k in range(steps):
-        evals, evecs = np.linalg.eigh(ks[k] * dt)
-        F = (evecs * np.exp(-1j * evals)) @ np.conj(evecs.T)
-        U = F @ U
-    return U
-
-
-def _unitary_product_numpy(ks, dt):
+def unitary_product(ks, dt):
+    """exp(-i ks[-1] dt) ... exp(-i ks[0] dt), by pairwise reduction."""
     steps = ks.shape[0]
     m = ks.shape[1]
     if steps == 0:
@@ -331,28 +228,6 @@ def _unitary_product_numpy(ks, dt):
     return fs[0]
 
 
-characteristic_phase_numpy = _char_phase_numpy
-characteristic_unitary_numpy = _char_unitary_numpy
-unitary_product_numpy = _unitary_product_numpy
-
-if HAS_NUMBA:
-    _schedule_value = njit(cache=True)(_schedule_value)
-    _mix_value = njit(cache=True)(_mix_value)
-    _active_range = njit(cache=True)(_active_range)
-    characteristic_phase_numba = njit(cache=True)(_char_phase_py)
-    characteristic_unitary_numba = njit(cache=True)(_char_unitary_py)
-    unitary_product_numba = njit(cache=True)(_unitary_product_py)
-    characteristic_phase = characteristic_phase_numba
-    characteristic_unitary = characteristic_unitary_numba
-    unitary_product = unitary_product_numba
-else:
-    characteristic_phase_numba = None
-    characteristic_unitary_numba = None
-    unitary_product_numba = None
-    characteristic_phase = characteristic_phase_numpy
-    characteristic_unitary = characteristic_unitary_numpy
-    unitary_product = unitary_product_numpy
-
-
 def backend_name() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
+    """The kernel implementation, always "numpy"."""
+    return "numpy"

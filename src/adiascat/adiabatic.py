@@ -211,6 +211,19 @@ def smeared_frozen_element(model: ScatterModel, s: float, e: float, eps: float,
     return complex(np.sum(values * weight * gl_w) * half)
 
 
+def _smearing_bound(model: ScatterModel, s: float, e: float,
+                    eps: float) -> float:
+    """eps^2 (|tau_w|^2 + |dtau_w/dE|) from the Wigner delay matrix tau_w."""
+    tw = wigner_delay(model, s, e)
+
+    def tw_fun(en: float) -> np.ndarray:
+        return wigner_delay(model, s, en).matrix
+
+    dtw = central_derivative(tw_fun, e, 1e-2)
+    return eps ** 2 * (np.linalg.norm(tw.matrix, 2) ** 2
+                       + np.linalg.norm(dtw, 2))
+
+
 def onshell_vs_frozen(model: ScatterModel, s: float, e: float, eps: float,
                       j: int = 0, jp: int = 0,
                       n_nodes: int = 160) -> ErrorReport:
@@ -221,14 +234,7 @@ def onshell_vs_frozen(model: ScatterModel, s: float, e: float, eps: float,
     """
     exact = smeared_frozen_element(model, s, e, eps, j, jp, n_nodes=n_nodes)
     approx = complex(on_shell_S(model, s, e).matrix[j, jp])
-    tw = wigner_delay(model, s, e)
-
-    def tw_fun(en: float) -> np.ndarray:
-        return wigner_delay(model, s, en).matrix
-
-    dtw = central_derivative(tw_fun, e, 1e-2)
-    bound = eps ** 2 * (np.linalg.norm(tw.matrix, 2) ** 2
-                        + np.linalg.norm(dtw, 2))
+    bound = _smearing_bound(model, s, e, eps)
     return ErrorReport(exact, approx, float(bound),
                        params=dict(s=s, e=e, eps=eps, j=j, jp=jp))
 
@@ -250,18 +256,11 @@ def combined_report(model: ScatterModel, s: float, e: float, eps: float,
         T = clearance_T(model, ket)
     exact = braket(bra, dynamical_S(model, 0.0, ket, T=T, substeps=substeps))
     approx = complex(on_shell_S(model, s, e).matrix[j, jp])
-    tw = wigner_delay(model, s, e)
-
-    def tw_fun(en: float) -> np.ndarray:
-        return wigner_delay(model, s, en).matrix
-
-    dtw = central_derivative(tw_fun, e, 1e-2)
+    smearing = _smearing_bound(model, s, e, eps)
     if tau_value is None:
         tau_value = adiabatic_tau(model, s, e, eps, j, jp, grid=grid,
                                   substeps=substeps)
-    bound = (eps ** 2 * (np.linalg.norm(tw.matrix, 2) ** 2
-                         + np.linalg.norm(dtw, 2))
-             + model.omega * abs(tau_value))
+    bound = smearing + model.omega * abs(tau_value)
     return ErrorReport(exact, approx, float(bound),
                        params=dict(omega=model.omega, s=s, e=e, eps=eps,
                                    j=j, jp=jp))

@@ -165,22 +165,26 @@ def _build_setup(cfg: configparser.ConfigParser, args) -> tuple[str, Setup, str]
 
 def _resolved_config(experiment: str, setup: Setup, out_dir: str) -> dict:
     model = setup.model
+    coupling = {}
     if isinstance(model, SolubleModel):
         pot, schedule = model.potential, model.schedule
         kind = "soluble"
     elif isinstance(model.coupling, RankOne):
         pot, schedule = model.coupling.form, model.coupling.schedule
         kind = "rankone"
+        coupling["vector"] = [float(v.real) for v in model.coupling.vector]
     else:
         pot, schedule = model.coupling.profiles[0], model.coupling.schedule
         kind = "matrix"
+        coupling["channel_matrix"] = [
+            float(v.real) for v in model.coupling.matrices[0].ravel()]
     return {
         "model": {"kind": kind, "omega": model.omega,
                   "schedule": schedule.kind,
                   "schedule_a": schedule.a, "schedule_b": schedule.b,
                   "schedule_c": schedule.c, "schedule_d": schedule.d,
                   "amps": list(pot.amps), "centers": list(pot.centers),
-                  "widths": list(pot.widths)},
+                  "widths": list(pot.widths), **coupling},
         "grid": {"x_min": setup.grid.x_min, "x_max": setup.grid.x_max,
                  "n": setup.grid.n},
         "sweep": {"experiment": experiment, "omega": list(setup.omegas),

@@ -5,7 +5,7 @@ Two interaction backends share one model container:
 * ``MatrixPotential``: a Hermitian matrix-valued local potential built
   from Gaussian profiles.  Propagation is exact transport along
   characteristics with ordered local factors, so it is unconditionally
-  unitary and fast under the jitted kernels.
+  unitary.
 * ``RankOne``: a separable (form-factor) interaction coupling the
   channels through a fixed internal vector, propagated by a spectral
   RK4 stepper.  Its frozen scattering amplitude has a closed resolvent
@@ -166,29 +166,47 @@ def frozen(model: ScatterModel, s: float) -> ScatterModel:
 # Propagation
 # ---------------------------------------------------------------------------
 
-def _propagate_matrix(model: ScatterModel, state: StateVector,
-                      t0: float, tau_snapped: float, m: int,
-                      substeps: int) -> np.ndarray:
-    grid = state.grid
+def _matrix_transport(model: ScatterModel, grid: Grid, t0: float,
+                      tau: float, m: int, nsteps: int):
+    """Transport of a matrix coupling over tau = m dx, as an array map.
+
+    Builds the characteristic factors once (a phase for one channel,
+    unitaries otherwise); the map rolls amplitudes by m lattice steps
+    and applies them.
+    """
     coupling: MatrixPotential = model.coupling
-    rolled = np.roll(state.amplitudes, m, axis=-1)
-    if coupling.schedule.is_constant and coupling.schedule.a == 0.0:
-        return rolled
     mats, centers, widths = coupling.flattened()
     rmax = coupling.support_radius(1e-16)
-    nsteps = abs(m) * substeps
     kind, a, b, c, d = coupling.schedule.kernel_args()
-    t1 = t0 + tau_snapped
+    t1 = t0 + tau
     if model.n_channels == 1:
         flat_amps = np.array([mm[0, 0].real for mm in mats])
         phase = _kernels.characteristic_phase(
-            grid.points, tau_snapped, t1, nsteps, flat_amps, centers, widths,
+            grid.points, tau, t1, nsteps, flat_amps, centers, widths,
             kind, a, b, c, d, model.omega, rmax)
-        return rolled * np.exp(-1j * phase)
-    factors = _kernels.characteristic_unitary(
-        grid.points, tau_snapped, t1, nsteps, mats, centers, widths,
-        kind, a, b, c, d, model.omega, rmax)
-    return np.einsum("jab,bj->aj", factors, rolled)
+        factor = np.exp(-1j * phase)
+
+        def apply(amps: np.ndarray) -> np.ndarray:
+            return np.roll(amps, m, axis=-1) * factor
+    else:
+        factors = _kernels.characteristic_unitary(
+            grid.points, tau, t1, nsteps, mats, centers, widths,
+            kind, a, b, c, d, model.omega, rmax)
+
+        def apply(amps: np.ndarray) -> np.ndarray:
+            return np.einsum("jab,bj->aj", factors, np.roll(amps, m, axis=-1))
+    return apply
+
+
+def _propagate_matrix(model: ScatterModel, state: StateVector,
+                      t0: float, tau_snapped: float, m: int,
+                      substeps: int) -> np.ndarray:
+    schedule = model.coupling.schedule
+    if schedule.is_constant and schedule.a == 0.0:
+        return np.roll(state.amplitudes, m, axis=-1)
+    transport = _matrix_transport(model, state.grid, t0, tau_snapped, m,
+                                  abs(m) * substeps)
+    return transport(state.amplitudes)
 
 
 def _spectral_band(grid: Grid, amps: np.ndarray, floor: float = 1e-12) -> float:
@@ -278,28 +296,7 @@ def frozen_one_step(model: ScatterModel, grid: Grid, substeps: int = 1):
     if not model.schedule.is_constant:
         raise ValueError("frozen_one_step needs a constant schedule")
     if isinstance(model.coupling, MatrixPotential):
-        coupling = model.coupling
-        mats, centers, widths = coupling.flattened()
-        rmax = coupling.support_radius(1e-16)
-        kind, a, b, c, d = coupling.schedule.kernel_args()
-        if model.n_channels == 1:
-            flat_amps = np.array([mm[0, 0].real for mm in mats])
-            phase = _kernels.characteristic_phase(
-                grid.points, grid.dx, 0.0, substeps, flat_amps, centers,
-                widths, kind, a, b, c, d, model.omega, rmax)
-            factor = np.exp(-1j * phase)
-
-            def step(amps: np.ndarray) -> np.ndarray:
-                return np.roll(amps, 1, axis=-1) * factor
-        else:
-            factors = _kernels.characteristic_unitary(
-                grid.points, grid.dx, 0.0, substeps, mats, centers, widths,
-                kind, a, b, c, d, model.omega, rmax)
-
-            def step(amps: np.ndarray) -> np.ndarray:
-                return np.einsum("jab,bj->aj", factors,
-                                 np.roll(amps, 1, axis=-1))
-        return step
+        return _matrix_transport(model, grid, 0.0, grid.dx, 1, substeps)
 
     def step(amps: np.ndarray) -> np.ndarray:
         return _propagate_rankone(model, StateVector(grid, amps), 0.0, grid.dx)
@@ -309,8 +306,13 @@ def frozen_one_step(model: ScatterModel, grid: Grid, substeps: int = 1):
 
 def coupling_field_apply(model: ScatterModel, grid: Grid):
     """Unit-strength interaction field of a model, as an array map."""
+    return _coupling_map(model, grid, 1.0)
+
+
+def _coupling_map(model: ScatterModel, grid: Grid, scale: float):
+    """Interaction field of a model times scale, as an array map."""
     if isinstance(model.coupling, MatrixPotential):
-        field = model.coupling.value(grid.points, 1.0)
+        field = model.coupling.value(grid.points, scale)
 
         def apply(amps: np.ndarray) -> np.ndarray:
             return np.einsum("jab,bj->aj", field, amps)
@@ -321,7 +323,7 @@ def coupling_field_apply(model: ScatterModel, grid: Grid):
 
         def apply(amps: np.ndarray) -> np.ndarray:
             inner = grid.dx * np.sum(chi * (np.conj(u)[:, None] * amps).sum(axis=0))
-            return inner * u[:, None] * chi[None, :]
+            return scale * inner * u[:, None] * chi[None, :]
 
     return apply
 
@@ -336,9 +338,9 @@ def apply_h0(state: StateVector) -> StateVector:
 
 def apply_coupling(model: ScatterModel, t: float, state: StateVector) -> StateVector:
     """Interaction part of H(t) applied to a state."""
-    grid = state.grid
     f = float(model.schedule.value(model.omega * t))
-    return _apply_coupling_scaled(model, f, state)
+    return StateVector(state.grid,
+                       _coupling_map(model, state.grid, f)(state.amplitudes))
 
 
 def apply_hamiltonian(model: ScatterModel, t: float, state: StateVector) -> StateVector:
@@ -351,23 +353,8 @@ def apply_coupling_sderivative(model: ScatterModel, s: float,
                                state: StateVector) -> StateVector:
     """d/ds of the frozen interaction at slow time s, applied to a state."""
     fdot = float(model.schedule.derivative(s))
-    return _apply_coupling_scaled(model, fdot, state)
-
-
-def _apply_coupling_scaled(model: ScatterModel, scale: float,
-                           state: StateVector) -> StateVector:
-    grid = state.grid
-    if isinstance(model.coupling, MatrixPotential):
-        field = model.coupling.value(grid.points, scale)
-        out = np.einsum("jab,bj->aj", field, state.amplitudes)
-    else:
-        coupling: RankOne = model.coupling
-        chi = coupling.form(grid.points)
-        u = coupling.vector
-        inner = grid.dx * np.sum(chi * (np.conj(u)[:, None]
-                                        * state.amplitudes).sum(axis=0))
-        out = scale * inner * u[:, None] * chi[None, :]
-    return StateVector(grid, out)
+    return StateVector(state.grid,
+                       _coupling_map(model, state.grid, fdot)(state.amplitudes))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Config parsing, serialization format and exit-code contract."""
 
+import configparser
+import io
 import json
 import subprocess
 import sys
@@ -11,6 +13,8 @@ import pytest
 from adiascat.cli import CSV_HEADER, ConfigError, _fmt, _parse_ini, main
 from adiascat.experiments import EXPERIMENTS, Check, ExperimentResult, Row
 from adiascat.numerics import NumericalContractError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GOOD_CONFIG = """\
 [model]
@@ -193,6 +197,35 @@ def test_cli_overrides_reach_the_summary(tmp_path):
     assert summary["seed"] == 11
     assert summary["config"]["grid"]["n"] == 256
     assert summary["config"]["sweep"]["eps"] == [0.6]
+
+
+def _config_to_ini(config: dict) -> str:
+    """A summary's resolved config written back as an INI file."""
+    def cell(value):
+        if isinstance(value, list):
+            return ", ".join(repr(v) for v in value)
+        return repr(value) if isinstance(value, float) else str(value)
+
+    parser = configparser.ConfigParser()
+    for section, values in config.items():
+        parser[section] = {key: cell(v) for key, v in values.items()}
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("name", ["epsilon-scaling-matrix",
+                                  "epsilon-scaling-rankone"])
+def test_summary_config_reproduces_the_run(tmp_path, name):
+    shipped = CONFIGS / f"{name}.ini"
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", "--config", str(shipped), "--out", str(first)]) == 0
+    config = json.loads((first / "summary.json").read_text())["config"]
+    assert set(_parse_ini(str(shipped))["model"]) <= set(config["model"])
+    path = write_config(tmp_path, _config_to_ini(config), "resolved.ini")
+    assert main(["run", "--config", path, "--out", str(second)]) == 0
+    assert (first / "results.csv").read_bytes() \
+        == (second / "results.csv").read_bytes()
 
 
 def test_failed_check_still_exits_zero(tmp_path, monkeypatch):
