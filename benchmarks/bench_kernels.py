@@ -1,6 +1,10 @@
-"""Time the transport kernels on propagation-sized workloads.
+"""Time the transport kernels and two diagnostics on run-sized workloads.
 
     python3 benchmarks/bench_kernels.py [--repeats 3] [--sizes 1024,4096]
+
+``--sizes`` sets the kernel grids; the diagnostics run at the sizes of
+the shipped coherent-props (n = 2048) and outgoing-state (n = 512)
+configs.
 """
 
 import argparse
@@ -9,6 +13,12 @@ import time
 import numpy as np
 
 from adiascat import _kernels as K
+from adiascat import adiabatic
+from adiascat.coherent import (CoherentLabel, coherent_state,
+                               identity_resolution_residual)
+from adiascat.numerics import Grid
+from adiascat.profiles import GaussianMix, Schedule
+from adiascat.soluble import SolubleModel
 
 BUMP_ARGS = (K.KIND_BUMP, 1.0, 0.0, 1.0, 0.0)
 
@@ -58,6 +68,28 @@ def _product_case(steps):
     return (ks, 1e-3)
 
 
+def _residual_case():
+    state = coherent_state(CoherentLabel(0.3, 1.0, 0.5),
+                           Grid(-64.0, 64.0, 2048))
+    return (state, 0.5)
+
+
+def _outgoing_run(model, grid, densities):
+    """One outgoing-state run: three densities sharing one spectrum."""
+    adiabatic._shifted_spectrum.cache_clear()  # each run pays its eigh
+    for rho in densities:
+        adiabatic.outgoing_state_check(model, 0.5, rho, grid)
+
+
+def _outgoing_case():
+    model = SolubleModel(GaussianMix((0.8,), (0.35,), (1.0,)),
+                         Schedule("bump", 1.0, 0.0, 1.0), 0.1)
+    densities = (adiabatic.rho_fermi(mu=0.5, width=0.2, floor=-12.0),
+                 adiabatic.rho_gaussian(center=0.0, width=1.0),
+                 adiabatic.rho_polynomial((0.0, 1.0)))
+    return (model, Grid(-40.0, 40.0, 512), densities)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=3)
@@ -75,6 +107,10 @@ def main() -> None:
                       K.characteristic_unitary, _unitary_case(n)))
     cases.append((f"unitary_product     steps={args.product_steps}",
                   K.unitary_product, _product_case(args.product_steps)))
+    cases.append(("identity_resolution_residual n=2048",
+                  identity_resolution_residual, _residual_case()))
+    cases.append(("outgoing_state_check n=512 x3 rho",
+                  _outgoing_run, _outgoing_case()))
 
     header = f"{'kernel':38s} {'best':>11s}"
     print(header)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -377,18 +378,29 @@ def outgoing_state_check(model, s: float, rho: Callable[[np.ndarray], np.ndarray
     if abs(hi - lo) > 1e-12 * max(1.0, abs(hi), abs(lo)):
         logger.warning("schedule asymptotics differ (%.3g vs %.3g); "
                        "expect a seam-limited residual", lo, hi)
-    fmat = _dense_fourier(grid)
-    h0 = np.conj(fmat.T) @ (grid.momenta[:, None] * fmat)
-    h0 = 0.5 * (h0 + np.conj(h0.T))
+    fmat, w2, v2 = _shifted_spectrum(soluble, s, grid)
     s_diag = dynamical_S_profile(soluble, s, grid)
-    shift_diag = dynamical_energy_shift_profile(soluble, s, grid)
-
-    w, v = np.linalg.eigh(h0)
-    rho_h0 = (v * rho(w)) @ np.conj(v.T)
+    # the dense Fourier matrix diagonalises H_0 by construction
+    rho_h0 = np.conj(fmat.T) @ (rho(grid.momenta)[:, None] * fmat)
     lhs = (s_diag[:, None] * rho_h0) * np.conj(s_diag)[None, :]
-
-    shifted = h0 - soluble.omega * np.diag(shift_diag)
-    shifted = 0.5 * (shifted + np.conj(shifted.T))
-    w2, v2 = np.linalg.eigh(shifted)
     rhs = (v2 * rho(w2)) @ np.conj(v2.T)
     return float(np.linalg.norm(lhs - rhs, 2))
+
+
+@lru_cache(maxsize=1)
+def _shifted_spectrum(soluble: SolubleModel, s: float, grid: Grid
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only dense Fourier matrix and eigenpairs of H_0 - omega E_d.
+
+    Independent of the density, so every density checked at one
+    (model, s, grid) shares a single dense ``eigh``.
+    """
+    fmat = _dense_fourier(grid)
+    h0 = np.conj(fmat.T) @ (grid.momenta[:, None] * fmat)
+    shift_diag = dynamical_energy_shift_profile(soluble, s, grid)
+    shifted = 0.5 * (h0 + np.conj(h0.T)) - soluble.omega * np.diag(shift_diag)
+    shifted = 0.5 * (shifted + np.conj(shifted.T))
+    w2, v2 = np.linalg.eigh(shifted)
+    for arr in (fmat, w2, v2):
+        arr.setflags(write=False)
+    return fmat, w2, v2

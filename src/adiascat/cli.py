@@ -6,8 +6,9 @@
 anything.  Configs are INI files with [model], [grid], [sweep] and
 [output] sections; command line flags override individual values.
 
-Exit codes: 0 run or validation clean, 1 configuration problem,
-2 numerical contract violation during a run.
+Exit codes: 0 run or validation clean, 1 configuration problem (also
+one that only shows mid-run), 2 numerical contract violation during a
+run.
 """
 
 from __future__ import annotations
@@ -368,13 +369,19 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         result = EXPERIMENTS[experiment](setup)
-    except (NumericalContractError, ValueError) as exc:
-        # problems validation could not see (mid-sweep clearance, norm
-        # drift) surface here; they are run failures, not config errors
+    except NumericalContractError as exc:
+        # norm drift, clearance or wrap violated mid-run: a run failure
         logger.error("numerical contract violated: %s", exc)
         _write_failure(Path(out_dir), "numerical-contract",
                        [{"field": "run", "message": str(exc)}])
         return 2
+    except ValueError as exc:
+        # a setting validation could not see, such as a sweep point whose
+        # window cannot clear the interaction: a configuration problem
+        logger.error("configuration rejected mid-run: %s", exc)
+        _write_failure(Path(out_dir), "config-error",
+                       [{"field": "run", "message": str(exc)}])
+        return 1
     wall_s = time.perf_counter() - start
     write_results(Path(out_dir), experiment, setup, result, wall_s)
     for check in result.checks:

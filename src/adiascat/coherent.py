@@ -237,17 +237,17 @@ def identity_resolution_residual(state: StateVector, eps: float,
     we[0] *= 0.5
     we[-1] *= 0.5
     waves = np.exp(-1j * np.outer(ts, p))
-    norm_g = (math.pi * eps ** 2) ** (-0.25)
+    g = (math.pi * eps ** 2) ** (-0.25) * np.exp(
+        -((p[None, :] - es[:, None]) ** 2) / (2.0 * eps ** 2))
     total_err = 0.0
     total_ref = 0.0
     phat_all = state.momentum_amplitudes()
     for ch in range(state.channels):
         phat = phat_all[ch]
-        rec = np.zeros_like(phat)
-        for i in range(ne):
-            g = norm_g * np.exp(-((p - es[i]) ** 2) / (2.0 * eps ** 2))
-            coeff = waves @ (g * phat * dp)
-            rec += (we[i] / _TWO_PI) * g * ((wt * coeff) @ np.conj(waves))
+        # coherent amplitudes on the (e, t) label lattice, then their
+        # trapezoid-weighted superposition back onto the momenta
+        coeff = (g * (phat * dp)) @ waves.T
+        rec = (we / _TWO_PI) @ (g * ((coeff * wt) @ np.conj(waves)))
         total_err += float(np.sum(np.abs(rec - phat) ** 2) * dp)
         total_ref += float(np.sum(np.abs(phat) ** 2) * dp)
     return math.sqrt(total_err / total_ref)

@@ -99,10 +99,6 @@ class Grid:
         return (dens[:band].sum() + dens[-band:].sum()) / total
 
 
-def quadrature(values: np.ndarray, dx: float, axis: int = -1):
-    return dx * np.sum(values, axis=axis)
-
-
 def central_derivative(f: Callable, x0: float, h: float):
     """Fourth-order Richardson central difference; f may return arrays."""
     if h <= 0.0:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from adiascat import adiabatic
 from adiascat.adiabatic import (ErrorReport, GridOperator, adiabatic_tau,
                                 born_correction, coherent_element,
                                 combined_report, energy_shift_operator,
@@ -209,6 +210,46 @@ def test_outgoing_state_check_densities():
     wrapped = outgoing_state_check(model, 0.4, rho_polynomial((0.0, 1.0)),
                                    grid)
     assert wrapped > 1.0
+
+
+def outgoing_two_eigh(soluble, s, rho, grid):
+    """Reference: rho(H_0) and rho(H_0 - omega E_d) each by a dense eigh."""
+    fmat = np.exp(-1j * np.outer(grid.momenta, grid.points)) / math.sqrt(grid.n)
+    h0 = np.conj(fmat.T) @ (grid.momenta[:, None] * fmat)
+    h0 = 0.5 * (h0 + np.conj(h0.T))
+    s_diag = dynamical_S_profile(soluble, s, grid)
+    w, v = np.linalg.eigh(h0)
+    lhs = (s_diag[:, None] * ((v * rho(w)) @ np.conj(v.T))) \
+        * np.conj(s_diag)[None, :]
+    shifted = h0 - soluble.omega * np.diag(
+        dynamical_energy_shift_profile(soluble, s, grid))
+    w2, v2 = np.linalg.eigh(0.5 * (shifted + np.conj(shifted.T)))
+    rhs = (v2 * rho(w2)) @ np.conj(v2.T)
+    return float(np.linalg.norm(lhs - rhs, 2))
+
+
+def test_outgoing_state_check_matches_two_eigh_route():
+    soluble, model = soluble_pair(0.1)
+    grid = Grid(-40.0, 40.0, 512)
+    # the densities of run_outgoing_state
+    densities = (rho_fermi(mu=0.5, width=0.2, floor=-12.0),
+                 rho_gaussian(center=0.0, width=1.0),
+                 rho_polynomial((0.0, 1.0)))
+    for rho in densities:
+        ref = outgoing_two_eigh(soluble, 0.5, rho, grid)
+        got = outgoing_state_check(model, 0.5, rho, grid)
+        assert abs(got - ref) <= 1e-12 * max(ref, 1.0)
+    # a new s must not be served the cached spectrum of the last one
+    rho = densities[0]
+    at_half = outgoing_state_check(soluble, 0.5, rho, grid)
+    ref = outgoing_two_eigh(soluble, -0.3, rho, grid)
+    got = outgoing_state_check(soluble, -0.3, rho, grid)
+    assert abs(got - ref) <= 1e-12 * max(ref, 1.0)
+    assert abs(got - at_half) > 1e-3 * at_half
+    for arr in adiabatic._shifted_spectrum(soluble, -0.3, grid):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_outgoing_state_check_guards():

@@ -247,7 +247,6 @@ def test_failed_check_still_exits_zero(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("boom", [
     NumericalContractError("norm drift 1e-2 exceeds 1e-6"),
-    ValueError("window cannot clear the interaction"),
 ])
 def test_mid_run_failures_exit_two(tmp_path, monkeypatch, boom):
     def stub(setup):
@@ -260,6 +259,22 @@ def test_mid_run_failures_exit_two(tmp_path, monkeypatch, boom):
     assert rc == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "numerical-contract"
+
+
+def test_mid_run_value_error_exits_one(tmp_path, monkeypatch):
+    # a setting validation could not see is a configuration problem
+    def stub(setup):
+        raise ValueError("window cannot clear the interaction")
+
+    monkeypatch.setitem(EXPERIMENTS, "outgoing-state", stub)
+    path = write_config(tmp_path, GOOD_CONFIG)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", path, "--out", str(out)])
+    assert rc == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "config-error"
+    assert summary["diagnostics"] == [
+        {"field": "run", "message": "window cannot clear the interaction"}]
 
 
 def test_console_entry_point_smoke(tmp_path, subprocess_env):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from adiascat.coherent import (CoherentLabel, StateVector, braket,
                                coherent_state, free_shift,
-                               identity_resolution_residual, label_spreads,
-                               overlap, plane_wave_amplitude)
+                               identity_resolution_residual, label_box,
+                               label_spreads, overlap, plane_wave_amplitude)
 from adiascat.numerics import Grid, NumericalContractError
 
 GRID = Grid(-48.0, 48.0, 1536)
@@ -101,6 +101,61 @@ def test_label_spreads_match_width():
 def test_identity_resolution_residual_small():
     state = coherent_state(CoherentLabel(0.4, 0.9, 0.6), GRID)
     assert identity_resolution_residual(state, 0.6) < 1e-6
+
+
+def residual_per_energy(state, eps, t_span, e_span, nt=64, ne=64):
+    """Reference: the label-plane reconstruction one energy at a time."""
+    grid = state.grid
+    p = grid.momenta
+    dp = 2.0 * math.pi / (grid.n * grid.dx)
+    ts = np.linspace(t_span[0], t_span[1], nt)
+    es = np.linspace(e_span[0], e_span[1], ne)
+    wt = np.full(nt, ts[1] - ts[0])
+    wt[[0, -1]] *= 0.5
+    we = np.full(ne, es[1] - es[0])
+    we[[0, -1]] *= 0.5
+    waves = np.exp(-1j * np.outer(ts, p))
+    err = ref = 0.0
+    for phat in state.momentum_amplitudes():
+        rec = np.zeros_like(phat)
+        for i in range(ne):
+            g = (math.pi * eps ** 2) ** -0.25 * np.exp(
+                -((p - es[i]) ** 2) / (2.0 * eps ** 2))
+            coeff = waves @ (g * phat * dp)
+            rec += (we[i] / (2.0 * math.pi)) * g * ((wt * coeff) @ np.conj(waves))
+        err += float(np.sum(np.abs(rec - phat) ** 2) * dp)
+        ref += float(np.sum(np.abs(phat) ** 2) * dp)
+    return math.sqrt(err / ref)
+
+
+def test_identity_resolution_matches_per_energy_reference():
+    eps = 0.6
+    one = coherent_state(CoherentLabel(0.4, 0.9, eps), GRID)
+
+    def on_channel(label, channel):
+        return coherent_state(label, GRID, channel, 2).amplitudes
+
+    # two channels carrying two different labels with unequal weights, so
+    # the label box is not symmetric between them
+    two = StateVector(GRID, 0.8 * on_channel(CoherentLabel(0.4, 0.9, eps), 0)
+                      + 0.6 * on_channel(CoherentLabel(-1.5, 1.6, eps), 1))
+    assert abs(two.norm() - 1.0) < 1e-10
+    # the default lattice resolves to round-off; the coarse one leaves a
+    # percent-level defect, so agreement there pins the arithmetic
+    for state in (one, two):
+        box_t, box_e = label_box(state, eps)
+        for nt, ne in ((64, 64), (16, 12)):
+            got = identity_resolution_residual(state, eps, nt=nt, ne=ne)
+            ref = residual_per_energy(state, eps, box_t, box_e, nt, ne)
+            assert abs(got - ref) <= 1e-14
+    # an explicit box wider than required
+    box_t, box_e = label_box(two, eps)
+    t_span = (box_t[0] - 1.0, box_t[1] + 2.0)
+    e_span = (box_e[0] - 0.5, box_e[1] + 0.25)
+    got = identity_resolution_residual(two, eps, t_span=t_span,
+                                       e_span=e_span, nt=18, ne=14)
+    ref = residual_per_energy(two, eps, t_span, e_span, nt=18, ne=14)
+    assert 1e-3 < ref and abs(got - ref) <= 1e-14
 
 
 def test_identity_resolution_rejects_small_box():

@@ -7,8 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from adiascat.numerics import (Grid, NumericalContractError, central_derivative,
-                               fit_slope, hermitize, ordered_exponential,
-                               quadrature)
+                               fit_slope, hermitize, ordered_exponential)
 
 
 def test_grid_basic_geometry():
@@ -61,8 +60,6 @@ def test_quadrature_matches_closed_form():
     grid = Grid(-30.0, 30.0, 1024)
     vals = np.exp(-grid.points ** 2)
     assert grid.quadrature(vals) == pytest.approx(math.sqrt(math.pi), abs=1e-12)
-    assert quadrature(vals, grid.dx) == pytest.approx(math.sqrt(math.pi),
-                                                      abs=1e-12)
 
 
 def test_edge_mass_flags_wrapped_weight():
