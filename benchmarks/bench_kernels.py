@@ -4,7 +4,9 @@
 
 ``--sizes`` sets the kernel grids; the diagnostics run at the sizes of
 the shipped coherent-props (n = 2048) and outgoing-state (n = 512)
-configs.
+configs.  Throwaway complex GEMMs run before any timing (see
+``_warm_blas``): best-of-N cannot filter a slow BLAS state that lasts
+across all of its repeats.
 """
 
 import argparse
@@ -21,6 +23,26 @@ from adiascat.profiles import GaussianMix, Schedule
 from adiascat.soluble import SolubleModel
 
 BUMP_ARGS = (K.KIND_BUMP, 1.0, 0.0, 1.0, 0.0)
+
+
+def _warm_blas():
+    """Throwaway complex GEMMs of the identity_resolution_residual shape,
+    until one runs at 1 GFLOP/s or 3 s have passed.
+
+    In some fresh interpreters under multi-threaded OpenBLAS the first
+    second of large complex GEMMs runs at ~130 ms each instead of ~1 ms;
+    a single throwaway product does not outlast that state.
+    """
+    a = np.ones((64, 2048), dtype=np.complex128)
+    flops = 8.0 * 64 * 64 * 2048
+    budget_s = 3.0
+    start = time.perf_counter()
+    while time.perf_counter() - start < budget_s:
+        t0 = time.perf_counter()
+        a @ a.T
+        if flops / (time.perf_counter() - t0) >= 1e9:
+            return
+    print(f"warning: BLAS still slow after {budget_s:.0f}s of warm-up")
 
 
 def _best_of(fn, args, repeats):
@@ -112,6 +134,7 @@ def main() -> None:
     cases.append(("outgoing_state_check n=512 x3 rho",
                   _outgoing_run, _outgoing_case()))
 
+    _warm_blas()
     header = f"{'kernel':38s} {'best':>11s}"
     print(header)
     print("-" * len(header))

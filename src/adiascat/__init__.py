@@ -11,7 +11,7 @@ from .coherent import (CoherentLabel, StateVector, braket, coherent_state,
 from .soluble import SolubleModel, default_model
 from .network import (HermitianOnShell, MatrixPotential, OnShellMatrix,
                       RankOne, ScatterModel, apply_h0, apply_hamiltonian,
-                      clearance_T, dot_S_residual, dynamical_S,
+                      as_soluble, clearance_T, dot_S_residual, dynamical_S,
                       dynamical_S_adjoint, from_soluble, frozen,
                       frozen_S_apply, frozen_energy_shift_onshell,
                       intertwine_residual, omega_dot_residual, on_shell_S,

@@ -29,8 +29,8 @@ import numpy as np
 from .coherent import CoherentLabel, StateVector, braket, coherent_state
 from .numerics import Grid, central_derivative
 from .network import (ScatterModel, MatrixPotential, apply_h0,
-                      apply_coupling_sderivative, clearance_T, dynamical_S,
-                      dynamical_S_adjoint, frozen, frozen_S_apply,
+                      apply_coupling_sderivative, as_soluble, clearance_T,
+                      dynamical_S, dynamical_S_adjoint, frozen, frozen_S_apply,
                       frozen_energy_shift_onshell, on_shell_S, propagate,
                       wave_operator, wigner_delay)
 from .soluble import (SolubleModel, dynamical_S_profile,
@@ -346,32 +346,18 @@ def _dense_fourier(grid: Grid) -> np.ndarray:
     return np.exp(-1j * np.outer(p, x)) / math.sqrt(grid.n)
 
 
-def _as_soluble(model) -> SolubleModel:
-    if isinstance(model, SolubleModel):
-        return model
-    if isinstance(model, ScatterModel) \
-            and isinstance(model.coupling, MatrixPotential) \
-            and model.n_channels == 1 and len(model.coupling.matrices) == 1:
-        scale = float(model.coupling.matrices[0][0, 0].real)
-        mix = model.coupling.profiles[0]
-        scaled = type(mix)(tuple(scale * a for a in mix.amps),
-                           mix.centers, mix.widths)
-        return SolubleModel(scaled, model.coupling.schedule, model.omega)
-    raise NotImplementedError(
-        "dense functional calculus needs a single-channel local model "
-        "with closed-form profiles")
-
-
-def outgoing_state_check(model, s: float, rho: Callable[[np.ndarray], np.ndarray],
+def outgoing_state_check(model: ScatterModel | SolubleModel, s: float,
+                         rho: Callable[[np.ndarray], np.ndarray],
                          grid: Grid) -> float:
     """Operator-norm defect of rho-transport through dynamical scattering.
 
     Checks S_d rho(H_0) S_d^* = rho(H_0 - omega E_d) with closed-form
     scattering and energy-shift profiles, dense on a small grid (n <=
     1024).  Schedules with unequal asymptotic values leave a seam jump
-    on the periodic grid, which this check will honestly report.
+    on the periodic grid, which this check will honestly report.  A
+    model without a soluble view (see as_soluble) is a ValueError.
     """
-    soluble = _as_soluble(model)
+    soluble = as_soluble(model)
     if grid.n > 1024:
         raise ValueError("dense check limited to grids with n <= 1024")
     lo, hi = soluble.schedule.asymptotics()

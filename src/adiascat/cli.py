@@ -18,19 +18,20 @@ import configparser
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .experiments import EXPERIMENTS, ExperimentResult, Row, Setup
-from .network import (RankOne, MatrixPotential, ScatterModel, clearance_T,
-                      from_soluble, rankone_resolvent)
+from .experiments import (CLOSED_FORM_EXPERIMENTS, EXPERIMENTS,
+                          ExperimentResult, Row, Setup)
+from .network import (RankOne, MatrixPotential, ScatterModel, as_soluble,
+                      clearance_T, rankone_resolvent)
 from .coherent import CoherentLabel, coherent_state
 from .numerics import Grid, NumericalContractError
 from .profiles import GaussianMix, Schedule
-from .soluble import SolubleModel
 
 logger = logging.getLogger(__name__)
 
@@ -66,69 +67,61 @@ def _parse_ini(path: str) -> configparser.ConfigParser:
     return parser
 
 
-def _build_schedule(sec) -> Schedule:
-    kind = sec.get("schedule", "tanh")
-    return Schedule(kind,
-                    a=sec.getfloat("schedule_a", 1.0),
-                    b=sec.getfloat("schedule_b", 0.0),
-                    c=sec.getfloat("schedule_c", 1.0),
-                    d=sec.getfloat("schedule_d", 0.0))
-
-
-def _build_mix(sec) -> GaussianMix:
-    amps = _floats(sec.get("amps", "1.0"))
-    centers = _floats(sec.get("centers", "0.0"))
-    widths = _floats(sec.get("widths", "1.0"))
-    if not (len(amps) == len(centers) == len(widths)):
-        raise ConfigError("model amps/centers/widths lengths disagree")
-    return GaussianMix(amps, centers, widths)
-
-
-def _build_model(cfg: configparser.ConfigParser):
+def _model_section(cfg: configparser.ConfigParser) -> dict:
+    """The [model] section with every default filled in, as the summary
+    records it: ``channel_matrix`` a row-major float list (names looked
+    up), ``vector`` a float list."""
     sec = cfg["model"] if cfg.has_section("model") else {}
     if not sec:
         raise ConfigError("missing [model] section")
     kind = sec.get("kind", "soluble")
-    omega = sec.getfloat("omega", 0.1)
-    if omega <= 0:
+    if kind not in ("soluble", "matrix", "rankone"):
+        raise ConfigError(f"unknown model kind '{kind}'")
+    spec = {"kind": kind, "omega": sec.getfloat("omega", 0.1),
+            "schedule": sec.get("schedule", "tanh")}
+    for key, default in zip("abcd", (1.0, 0.0, 1.0, 0.0)):
+        spec[f"schedule_{key}"] = sec.getfloat(f"schedule_{key}", default)
+    for key, default in (("amps", "1.0"), ("centers", "0.0"),
+                         ("widths", "1.0")):
+        spec[key] = list(_floats(sec.get(key, default)))
+    if spec["omega"] <= 0:
         raise ConfigError("model omega must be positive")
-    schedule = _build_schedule(sec)
-    mix = _build_mix(sec)
-    if kind == "soluble":
-        return SolubleModel(mix, schedule, omega)
+    if not len(spec["amps"]) == len(spec["centers"]) == len(spec["widths"]):
+        raise ConfigError("model amps/centers/widths lengths disagree")
     if kind == "matrix":
         name = sec.get("channel_matrix", "sx")
-        if name in _MATRIX_NAMES:
-            mat = np.array(_MATRIX_NAMES[name], dtype=np.complex128)
-        else:
-            vals = _floats(name)
-            n = int(round(len(vals) ** 0.5))
-            if n * n != len(vals):
-                raise ConfigError("channel_matrix must name sx/sz/id or "
-                                  "give a square row-major float list")
-            mat = np.array(vals, dtype=np.complex128).reshape(n, n)
-        coupling = MatrixPotential((mat,), (mix,), schedule)
-        return ScatterModel(mat.shape[0], coupling, omega)
+        vals = [v for row in _MATRIX_NAMES[name] for v in row] \
+            if name in _MATRIX_NAMES else list(_floats(name))
+        if math.isqrt(len(vals)) ** 2 != len(vals):
+            raise ConfigError("channel_matrix must name sx/sz/id or "
+                              "give a square row-major float list")
+        spec["channel_matrix"] = vals
     if kind == "rankone":
-        vec = _floats(sec.get("vector", "1.0"))
-        coupling = RankOne(mix, schedule, np.array(vec, dtype=np.complex128))
-        return ScatterModel(len(vec), coupling, omega)
-    raise ConfigError(f"unknown model kind '{kind}'")
+        spec["vector"] = list(_floats(sec.get("vector", "1.0")))
+    return spec
 
 
-def _build_grid(cfg: configparser.ConfigParser) -> Grid:
-    sec = cfg["grid"] if cfg.has_section("grid") else {}
-    x_min = float(sec.get("x_min", -40.0)) if sec else -40.0
-    x_max = float(sec.get("x_max", 40.0)) if sec else 40.0
-    n = int(sec.get("n", 4096)) if sec else 4096
-    if x_max <= x_min:
-        raise ConfigError("grid x_max must exceed x_min")
-    if n < 16:
-        raise ConfigError("grid n must be at least 16")
-    return Grid(x_min, x_max, n)
+def _build_model(spec: dict) -> ScatterModel:
+    """The model of a resolved [model] section; kind = soluble is the
+    one-channel, one-term [[1.0]] matrix model that from_soluble builds."""
+    schedule = Schedule(spec["schedule"], a=spec["schedule_a"],
+                        b=spec["schedule_b"], c=spec["schedule_c"],
+                        d=spec["schedule_d"])
+    mix = GaussianMix(spec["amps"], spec["centers"], spec["widths"])
+    if spec["kind"] == "rankone":
+        return ScatterModel(len(spec["vector"]),
+                            RankOne(mix, schedule, spec["vector"]),
+                            spec["omega"])
+    vals = spec.get("channel_matrix", [1.0])
+    mat = np.reshape(vals, (math.isqrt(len(vals)), -1))
+    return ScatterModel(len(mat), MatrixPotential((mat,), (mix,), schedule),
+                        spec["omega"])
 
 
-def _build_setup(cfg: configparser.ConfigParser, args) -> tuple[str, Setup, str]:
+def _build_setup(cfg: configparser.ConfigParser, args) -> tuple[Setup, dict]:
+    """The run's inputs, and the resolved config that records them: one
+    dict per INI section with every default and command line override
+    applied, which reproduces the run when written back as INI."""
     sweep = cfg["sweep"] if cfg.has_section("sweep") else {}
     if not sweep or "experiment" not in sweep:
         raise ConfigError("missing [sweep] experiment")
@@ -137,10 +130,16 @@ def _build_setup(cfg: configparser.ConfigParser, args) -> tuple[str, Setup, str]
         raise ConfigError(
             f"unknown experiment '{experiment}'; choose from "
             + ", ".join(sorted(EXPERIMENTS)))
-    model = _build_model(cfg)
-    grid = _build_grid(cfg)
+    model = _model_section(cfg)
+    grid = {"x_min": cfg.getfloat("grid", "x_min", fallback=-40.0),
+            "x_max": cfg.getfloat("grid", "x_max", fallback=40.0),
+            "n": cfg.getint("grid", "n", fallback=4096)}
+    if grid["x_max"] <= grid["x_min"]:
+        raise ConfigError("grid x_max must exceed x_min")
+    if grid["n"] < 16:
+        raise ConfigError("grid n must be at least 16")
     if args.grid_n is not None:
-        grid = Grid(grid.x_min, grid.x_max, args.grid_n)
+        grid["n"] = args.grid_n
     omegas = _floats(args.omega) if args.omega \
         else _floats(sweep.get("omega", "0.2,0.1,0.05"))
     epsilons = _floats(args.eps) if args.eps \
@@ -151,49 +150,24 @@ def _build_setup(cfg: configparser.ConfigParser, args) -> tuple[str, Setup, str]
         raise ConfigError("sweep omega values must be positive")
     if any(ep <= 0 for ep in epsilons):
         raise ConfigError("sweep eps values must be positive")
+    j, jp = int(sweep.get("j", "0")), int(sweep.get("jp", "0"))
     seed = args.seed if args.seed is not None \
         else int(sweep.get("seed", "0"))
-    out_sec = cfg["output"] if cfg.has_section("output") else {}
-    out_dir = args.out or (out_sec.get("dir", "out") if out_sec else "out")
-    timing = bool(args.timing) or (
-        out_sec.getboolean("timing", fallback=False) if out_sec else False)
-    setup = Setup(model=model, grid=grid, omegas=omegas, epsilons=epsilons,
-                  s_values=s_values, e_values=e_values,
-                  j=int(sweep.get("j", "0")), jp=int(sweep.get("jp", "0")),
-                  seed=seed, timing=timing)
-    return experiment, setup, out_dir
-
-
-def _resolved_config(experiment: str, setup: Setup, out_dir: str) -> dict:
-    model = setup.model
-    coupling = {}
-    if isinstance(model, SolubleModel):
-        pot, schedule = model.potential, model.schedule
-        kind = "soluble"
-    elif isinstance(model.coupling, RankOne):
-        pot, schedule = model.coupling.form, model.coupling.schedule
-        kind = "rankone"
-        coupling["vector"] = [float(v.real) for v in model.coupling.vector]
-    else:
-        pot, schedule = model.coupling.profiles[0], model.coupling.schedule
-        kind = "matrix"
-        coupling["channel_matrix"] = [
-            float(v.real) for v in model.coupling.matrices[0].ravel()]
-    return {
-        "model": {"kind": kind, "omega": model.omega,
-                  "schedule": schedule.kind,
-                  "schedule_a": schedule.a, "schedule_b": schedule.b,
-                  "schedule_c": schedule.c, "schedule_d": schedule.d,
-                  "amps": list(pot.amps), "centers": list(pot.centers),
-                  "widths": list(pot.widths), **coupling},
-        "grid": {"x_min": setup.grid.x_min, "x_max": setup.grid.x_max,
-                 "n": setup.grid.n},
-        "sweep": {"experiment": experiment, "omega": list(setup.omegas),
-                  "eps": list(setup.epsilons), "s": list(setup.s_values),
-                  "e": list(setup.e_values), "j": setup.j, "jp": setup.jp,
-                  "seed": setup.seed},
-        "output": {"dir": out_dir, "timing": setup.timing},
+    out_dir = args.out or cfg.get("output", "dir", fallback="out")
+    timing = bool(args.timing) \
+        or cfg.getboolean("output", "timing", fallback=False)
+    setup = Setup(model=_build_model(model), grid=Grid(**grid),
+                  omegas=omegas, epsilons=epsilons, s_values=s_values,
+                  e_values=e_values, j=j, jp=jp, seed=seed, timing=timing)
+    config = {
+        "model": model,
+        "grid": grid,
+        "sweep": {"experiment": experiment, "omega": list(omegas),
+                  "eps": list(epsilons), "s": list(s_values),
+                  "e": list(e_values), "j": j, "jp": jp, "seed": seed},
+        "output": {"dir": str(Path(out_dir)), "timing": timing},
     }
+    return setup, config
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +177,13 @@ def _resolved_config(experiment: str, setup: Setup, out_dir: str) -> dict:
 def validate_setup(experiment: str, setup: Setup) -> list[dict]:
     """All problems a run would hit, without propagating anything."""
     diagnostics: list[dict] = []
+    net = setup.model
+    if experiment in CLOSED_FORM_EXPERIMENTS:
+        try:
+            as_soluble(net)
+        except ValueError as exc:
+            diagnostics.append({"field": "model",
+                                "message": f"{experiment}: {exc}"})
     grid = setup.grid
     half_window = 0.5 * (grid.x_max - grid.x_min)
     eps_min = min(setup.epsilons)
@@ -212,8 +193,6 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
             "message": (f"response window 8/eps = {8.0 / eps_min:.3g} "
                         f"exceeds the half window {half_window:.3g}; "
                         "enlarge the grid or raise eps")})
-    net = from_soluble(setup.model) \
-        if isinstance(setup.model, SolubleModel) else setup.model
     for name, index in (("j", setup.j), ("jp", setup.jp)):
         if not 0 <= index < net.n_channels:
             diagnostics.append({
@@ -279,21 +258,22 @@ def _row_line(row: Row) -> str:
     return ",".join(cells)
 
 
-def write_results(out_dir: Path, experiment: str, setup: Setup,
-                  result: ExperimentResult, wall_s: float) -> None:
+def write_results(out_dir: Path, config: dict, result: ExperimentResult,
+                  wall_s: float) -> None:
+    """results.csv, and summary.json with the resolved config of the run."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [CSV_HEADER] + [_row_line(r) for r in result.rows]
     (out_dir / "results.csv").write_text("\n".join(lines) + "\n",
                                          encoding="ascii")
     summary = {
-        "experiment": experiment,
+        "experiment": config["sweep"]["experiment"],
         "status": "ok",
         "rows": len(result.rows),
-        "seed": setup.seed,
+        "seed": config["sweep"]["seed"],
         "wall_s": wall_s,
         "checks": [dataclasses.asdict(c) for c in result.checks],
         "info": result.info,
-        "config": _resolved_config(experiment, setup, str(out_dir)),
+        "config": config,
     }
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, default=float) + "\n",
@@ -341,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _parse_ini(args.config)
-        experiment, setup, out_dir = _build_setup(cfg, args)
+        setup, config = _build_setup(cfg, args)
     except (ConfigError, ValueError) as exc:
         logger.error("%s", exc)
         if args.command == "run":
@@ -352,6 +332,8 @@ def main(argv: list[str] | None = None) -> int:
                              indent=2))
         return 1
 
+    experiment = config["sweep"]["experiment"]
+    out_dir = Path(config["output"]["dir"])
     diagnostics = validate_setup(experiment, setup)
     if args.command == "validate":
         print(json.dumps(diagnostics, indent=2))
@@ -359,11 +341,10 @@ def main(argv: list[str] | None = None) -> int:
     if diagnostics:
         logger.error("validation failed with %d diagnostic(s)",
                      len(diagnostics))
-        _write_failure(Path(out_dir), "validation-error", diagnostics)
+        _write_failure(out_dir, "validation-error", diagnostics)
         return 1
 
-    for section, values in _resolved_config(experiment, setup,
-                                            out_dir).items():
+    for section, values in config.items():
         logger.info("[%s] %s", section,
                     " ".join(f"{k}={v}" for k, v in values.items()))
     start = time.perf_counter()
@@ -372,18 +353,18 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalContractError as exc:
         # norm drift, clearance or wrap violated mid-run: a run failure
         logger.error("numerical contract violated: %s", exc)
-        _write_failure(Path(out_dir), "numerical-contract",
+        _write_failure(out_dir, "numerical-contract",
                        [{"field": "run", "message": str(exc)}])
         return 2
     except ValueError as exc:
         # a setting validation could not see, such as a sweep point whose
         # window cannot clear the interaction: a configuration problem
         logger.error("configuration rejected mid-run: %s", exc)
-        _write_failure(Path(out_dir), "config-error",
+        _write_failure(out_dir, "config-error",
                        [{"field": "run", "message": str(exc)}])
         return 1
     wall_s = time.perf_counter() - start
-    write_results(Path(out_dir), experiment, setup, result, wall_s)
+    write_results(out_dir, config, result, wall_s)
     for check in result.checks:
         logger.info("%s %s: %s", check.criterion, check.name,
                     "pass" if check.passed else "FAIL")

@@ -17,16 +17,17 @@ from typing import Callable
 
 import numpy as np
 
-from .adiabatic import (adiabatic_tau, combined_report, energy_shift_operator,
-                        onshell_vs_frozen, outgoing_state_check,
-                        remainder_exact, rho_fermi, rho_gaussian,
-                        rho_polynomial, thawed_energy_shift_report, _as_soluble)
+from .adiabatic import (ErrorReport, adiabatic_tau, combined_report,
+                        energy_shift_operator, onshell_vs_frozen,
+                        outgoing_state_check, remainder_exact, rho_fermi,
+                        rho_gaussian, rho_polynomial,
+                        thawed_energy_shift_report)
 from .coherent import (CoherentLabel, StateVector, braket, coherent_state,
                        free_shift, identity_resolution_residual, overlap,
                        plane_wave_amplitude)
-from .network import (RankOne, ScatterModel, clearance_T, dynamical_S,
-                      dynamical_S_adjoint, from_soluble, on_shell_S,
-                      wigner_delay)
+from .network import (RankOne, ScatterModel, as_soluble, clearance_T,
+                      dynamical_S, dynamical_S_adjoint, from_soluble,
+                      on_shell_S, wigner_delay)
 from .numerics import Grid, central_derivative, fit_slope
 from .profiles import GaussianMix
 from .soluble import (SolubleModel, dynamical_energy_shift_profile,
@@ -68,9 +69,13 @@ class ExperimentResult:
 
 @dataclass
 class Setup:
-    """Resolved inputs of a single run."""
+    """Resolved inputs of a single run.
 
-    model: SolubleModel | ScatterModel
+    A SolubleModel given as the model is stored as its from_soluble
+    twin; drivers that need the closed forms read them via as_soluble.
+    """
+
+    model: ScatterModel
     grid: Grid
     omegas: tuple[float, ...]
     epsilons: tuple[float, ...]
@@ -81,15 +86,9 @@ class Setup:
     seed: int = 0
     timing: bool = False
 
-
-def _network_model(setup: Setup) -> ScatterModel:
-    if isinstance(setup.model, SolubleModel):
-        return from_soluble(setup.model)
-    return setup.model
-
-
-def _soluble_model(setup: Setup) -> SolubleModel:
-    return _as_soluble(setup.model)
+    def __post_init__(self):
+        if not isinstance(self.model, ScatterModel):
+            self.model = from_soluble(self.model)
 
 
 def _with_omega(model, w: float):
@@ -193,7 +192,7 @@ def run_coherent_props(setup: Setup) -> ExperimentResult:
 
 def run_soluble_exact(setup: Setup) -> ExperimentResult:
     """Brute-force propagation against the closed-form scattering phase."""
-    sol = _soluble_model(setup)
+    sol = as_soluble(setup.model)
     grid = setup.grid
     clock = _Clock(setup.timing)
     rows: list[Row] = []
@@ -201,9 +200,8 @@ def run_soluble_exact(setup: Setup) -> ExperimentResult:
     eps = setup.epsilons[0]
     worst_dist = 0.0
     for w in setup.omegas:
-        model = _with_omega(sol, w)
-        net = from_soluble(model)
-        profile = np.exp(-1j * gauge_phase(model, s, grid))
+        net = _with_omega(setup.model, w)
+        profile = np.exp(-1j * gauge_phase(_with_omega(sol, w), s, grid))
         for t_label in (0.0, -2.0):
             for e in setup.e_values:
                 clock.start()
@@ -249,7 +247,7 @@ def _random_equal_weight_pair(rng) -> tuple[GaussianMix, GaussianMix]:
 def run_omega_scaling(setup: Setup) -> ExperimentResult:
     """First-order law of the dynamical-minus-frozen remainder, plus the
     frozen-data degeneracy and its failure to see the remainder."""
-    sol = _soluble_model(setup)
+    sol = as_soluble(setup.model)
     grid = setup.grid
     clock = _Clock(setup.timing)
     rng = np.random.default_rng(setup.seed)
@@ -259,13 +257,12 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
     e = setup.e_values[0]
     eps = setup.epsilons[0]
 
-    tau = adiabatic_tau(_network_model(setup), s, e, eps,
-                        grid=_tau_grid(setup.grid))
+    tau = adiabatic_tau(setup.model, s, e, eps, grid=_tau_grid(setup.grid))
     remainders = []
     for w in setup.omegas:
         clock.start()
-        net = from_soluble(_with_omega(sol, w))
-        rem = remainder_exact(net, s, e, eps, grid=grid)
+        rem = remainder_exact(_with_omega(setup.model, w), s, e, eps,
+                              grid=grid)
         remainders.append(rem)
         rows.append(Row("omega-scaling", omega=w, eps=eps, s=s, e=e,
                         j=0, jp=0, value_exact=rem,
@@ -315,7 +312,7 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
                                                    sol.potential.centers),
                          sol.potential.widths)
     clock.start()
-    net_a = from_soluble(SolubleModel(sol.potential, sol.schedule, w_deg))
+    net_a = _with_omega(setup.model, w_deg)
     net_b = from_soluble(SolubleModel(mirror, sol.schedule, w_deg))
     rem_pair = [remainder_exact(n, s, e, eps, grid=grid)
                 for n in (net_a, net_b)]
@@ -351,7 +348,7 @@ def _tau_grid(grid: Grid) -> Grid:
 def run_epsilon_scaling(setup: Setup) -> ExperimentResult:
     """Smeared on-shell matrix against its center value over an
     energy-width sweep."""
-    net = _network_model(setup)
+    net = setup.model
     clock = _Clock(setup.timing)
     rows: list[Row] = []
     s = setup.s_values[0]
@@ -387,10 +384,40 @@ def run_epsilon_scaling(setup: Setup) -> ExperimentResult:
 # energy-shift
 # ---------------------------------------------------------------------------
 
+def _joint_sweep(setup: Setup, label: str, criterion: str, name: str,
+                 report_at: Callable[[float, float, float], ErrorReport]
+                 ) -> tuple[list[Row], Check]:
+    """Shrink both small parameters together, omega = eps^2, on the
+    matched label t = 2; the check passes when the error falls
+    monotonically.  report_at(omega, eps, s) gives one sweep point."""
+    t0 = 2.0
+    sweep_eps = setup.epsilons if len(setup.epsilons) >= 3 \
+        else (0.4, 0.2, 0.1)
+    e = setup.e_values[0]
+    clock = _Clock(setup.timing)
+    rows: list[Row] = []
+    errs = []
+    for eps_k in sweep_eps:
+        w_k = eps_k ** 2
+        clock.start()
+        report = report_at(w_k, eps_k, w_k * t0)
+        errs.append(report.abs_error)
+        rows.append(Row(label, omega=w_k, eps=eps_k, s=w_k * t0, e=e,
+                        j=0, jp=0, value_exact=report.value_exact,
+                        value_approx=report.value_approx,
+                        abs_error=report.abs_error,
+                        predicted_bound=report.predicted_bound,
+                        wall_ms=clock.stop()))
+    monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
+    return rows, Check(criterion, name, monotone,
+                       details={"errors": errs, "sweep_eps": list(sweep_eps),
+                                "label_t": t0})
+
+
 def run_energy_shift(setup: Setup) -> ExperimentResult:
     """Algebraic energy shift against s-differencing, the closed profile,
     base-point conjugation, and the thawed-vs-frozen joint sweep."""
-    sol = _soluble_model(setup)
+    sol = as_soluble(setup.model)
     grid = setup.grid
     clock = _Clock(setup.timing)
     rows: list[Row] = []
@@ -399,7 +426,7 @@ def run_energy_shift(setup: Setup) -> ExperimentResult:
     e = setup.e_values[0]
     eps = setup.epsilons[0]
     w0 = setup.omegas[0]
-    net = from_soluble(_with_omega(sol, w0))
+    net = _with_omega(setup.model, w0)
 
     # (a) algebraic operator vs s-differencing of the scattering operator
     clock.start()
@@ -457,29 +484,14 @@ def run_energy_shift(setup: Setup) -> ExperimentResult:
                         details={"error": abs(lhs - rhs), "tol": 1e-7}))
 
     # thawed vs frozen under the joint sweep omega = eps^2
-    t0 = 2.0
-    sweep_eps = setup.epsilons if len(setup.epsilons) >= 3 \
-        else (0.4, 0.2, 0.1)
-    errs = []
-    for eps_k in sweep_eps:
-        w_k = eps_k ** 2
-        clock.start()
-        model_k = from_soluble(_with_omega(sol, w_k))
-        report = thawed_energy_shift_report(model_k, w_k * t0, e, eps_k,
-                                            grid=grid)
-        errs.append(report.abs_error)
-        rows.append(Row("energy-shift/thawed", omega=w_k, eps=eps_k,
-                        s=w_k * t0, e=e, j=0, jp=0,
-                        value_exact=report.value_exact,
-                        value_approx=report.value_approx,
-                        abs_error=report.abs_error,
-                        wall_ms=clock.stop()))
-    monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-    checks.append(Check("criterion-08", "thawed-vs-frozen-joint-sweep",
-                        monotone, details={"errors": errs,
-                                           "sweep_eps": list(sweep_eps),
-                                           "label_t": t0}))
-    return ExperimentResult(rows, checks)
+    def thawed(w_k: float, eps_k: float, s_k: float) -> ErrorReport:
+        return thawed_energy_shift_report(_with_omega(setup.model, w_k), s_k,
+                                          e, eps_k, grid=grid)
+
+    joint_rows, joint_check = _joint_sweep(
+        setup, "energy-shift/thawed", "criterion-08",
+        "thawed-vs-frozen-joint-sweep", thawed)
+    return ExperimentResult(rows + joint_rows, checks + [joint_check])
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +500,7 @@ def run_energy_shift(setup: Setup) -> ExperimentResult:
 
 def run_outgoing_state(setup: Setup) -> ExperimentResult:
     """Dense functional-calculus transport check for several densities."""
-    sol = _soluble_model(setup)
+    sol = as_soluble(setup.model)
     grid = setup.grid
     if grid.n > 512:
         grid = Grid(grid.x_min, grid.x_max, 512)
@@ -523,7 +535,7 @@ def run_outgoing_state(setup: Setup) -> ExperimentResult:
 def run_combined(setup: Setup) -> ExperimentResult:
     """Dynamical element against the frozen on-shell value with the
     first-order error bound, plus a joint shrink of both small parameters."""
-    sol = _soluble_model(setup)
+    sol = as_soluble(setup.model)
     grid = setup.grid
     clock = _Clock(setup.timing)
     rows: list[Row] = []
@@ -534,7 +546,7 @@ def run_combined(setup: Setup) -> ExperimentResult:
     w0 = setup.omegas[0]
 
     clock.start()
-    net = from_soluble(_with_omega(sol, w0))
+    net = _with_omega(setup.model, w0)
     tau_num = adiabatic_tau(net, s, e, eps, grid=_tau_grid(grid))
     report = combined_report(net, s, e, eps, grid=grid, tau_value=tau_num)
     rows.append(Row("combined", omega=w0, eps=eps, s=s, e=e, j=0, jp=0,
@@ -549,31 +561,14 @@ def run_combined(setup: Setup) -> ExperimentResult:
                                  "predicted_bound": report.predicted_bound,
                                  "margin": 3.0}))
 
-    t0 = 2.0
-    sweep_eps = setup.epsilons if len(setup.epsilons) >= 3 \
-        else (0.4, 0.2, 0.1)
-    errs = []
-    for eps_k in sweep_eps:
-        w_k = eps_k ** 2
-        clock.start()
-        model_k = _with_omega(sol, w_k)
-        net_k = from_soluble(model_k)
-        tau_k = tau_first_order(model_k, w_k * t0)
-        rep = combined_report(net_k, w_k * t0, e, eps_k, grid=grid,
-                              tau_value=tau_k)
-        errs.append(rep.abs_error)
-        rows.append(Row("combined/joint", omega=w_k, eps=eps_k, s=w_k * t0,
-                        e=e, j=0, jp=0, value_exact=rep.value_exact,
-                        value_approx=rep.value_approx,
-                        abs_error=rep.abs_error,
-                        predicted_bound=rep.predicted_bound,
-                        wall_ms=clock.stop()))
-    monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-    checks.append(Check("criterion-04", "joint-monotone", monotone,
-                        details={"errors": errs,
-                                 "sweep_eps": list(sweep_eps),
-                                 "label_t": t0}))
-    return ExperimentResult(rows, checks)
+    def joint(w_k: float, eps_k: float, s_k: float) -> ErrorReport:
+        tau_k = tau_first_order(_with_omega(sol, w_k), s_k)
+        return combined_report(_with_omega(setup.model, w_k), s_k, e, eps_k,
+                               grid=grid, tau_value=tau_k)
+
+    joint_rows, joint_check = _joint_sweep(
+        setup, "combined/joint", "criterion-04", "joint-monotone", joint)
+    return ExperimentResult(rows + joint_rows, checks + [joint_check])
 
 
 EXPERIMENTS: dict[str, Callable[[Setup], ExperimentResult]] = {
@@ -585,3 +580,8 @@ EXPERIMENTS: dict[str, Callable[[Setup], ExperimentResult]] = {
     "outgoing-state": run_outgoing_state,
     "combined": run_combined,
 }
+
+# experiments that read the soluble closed forms (as_soluble) of the model
+CLOSED_FORM_EXPERIMENTS = frozenset({"soluble-exact", "omega-scaling",
+                                     "energy-shift", "outgoing-state",
+                                     "combined"})

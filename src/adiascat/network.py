@@ -155,6 +155,26 @@ def from_soluble(model: SolubleModel) -> ScatterModel:
     return ScatterModel(1, coupling, model.omega)
 
 
+def as_soluble(model: ScatterModel | SolubleModel) -> SolubleModel:
+    """Soluble view of a one-channel, one-term matrix model, the inverse
+    of from_soluble; any other model is a ValueError saying why."""
+    if isinstance(model, SolubleModel):
+        return model
+    coupling = model.coupling
+    if isinstance(coupling, RankOne) or model.n_channels != 1 \
+            or len(coupling.matrices) != 1:
+        terms = ("a rank-one coupling" if isinstance(coupling, RankOne)
+                 else f"{len(coupling.matrices)} matrix term(s)")
+        raise ValueError(
+            "the soluble closed forms need one channel and one matrix "
+            f"term; this model has {model.n_channels} channel(s) and {terms}")
+    scale = float(coupling.matrices[0][0, 0].real)
+    mix = coupling.profiles[0]
+    return SolubleModel(GaussianMix(tuple(scale * a for a in mix.amps),
+                                    mix.centers, mix.widths),
+                        coupling.schedule, model.omega)
+
+
 def frozen(model: ScatterModel, s: float) -> ScatterModel:
     """Freeze the drive at slow time s."""
     sched = model.schedule.frozen_at(s)
@@ -439,16 +459,12 @@ def wave_operator(model: ScatterModel, s: float, sign: int,
     return propagate(model, leg1, t_c + sign * T, t_c, substeps=substeps)
 
 
-def dynamical_S(model: ScatterModel, s: float, state: StateVector,
-                T: float | None = None, substeps: int = 1,
-                reference: ScatterModel | None = None) -> StateVector:
-    """Dynamical scattering operator at base point s applied to a state.
-
-    Composition U_past(-T) . U(t_c + T, t_c - T) . U_past(-T) where the
-    outer legs are free evolution, or evolution under a frozen reference
-    model when one is supplied.  Clearance of the interaction region is
-    checked at both seams.
-    """
+def _scatter(model: ScatterModel, s: float, state: StateVector,
+             T: float | None, substeps: int, direction: int,
+             reference: ScatterModel | None = None) -> StateVector:
+    """Outer leg, driven leg over [t_c - T, t_c + T], outer leg: run
+    forward (direction=+1) or backward (direction=-1), with clearance of
+    the interaction region checked at both seams."""
     grid = state.grid
     if T is None:
         T = clearance_T(model, state)
@@ -460,32 +476,40 @@ def dynamical_S(model: ScatterModel, s: float, state: StateVector,
         if reference.n_channels != model.n_channels:
             raise ValueError("reference channel count disagrees")
 
-    def past_leg(psi: StateVector) -> StateVector:
+    def outer_leg(psi: StateVector) -> StateVector:
         if reference is None:
-            return free_shift(psi, -T)
-        return propagate(reference, psi, 0.0, -T, substeps=substeps)
+            return free_shift(psi, -direction * T)
+        return propagate(reference, psi, 0.0, -direction * T,
+                         substeps=substeps)
 
     t_c = s / model.omega
     radius = model.interaction_radius()
-    leg1 = past_leg(state)
-    _check_cleared(leg1, radius, "left", "scattering in-asymptote")
-    mid = propagate(model, leg1, t_c - T, t_c + T, substeps=substeps)
-    _check_cleared(mid, radius, "right", "scattering out-asymptote")
-    return past_leg(mid)
+    first, last = ("left", "right") if direction > 0 else ("right", "left")
+    leg1 = outer_leg(state)
+    _check_cleared(leg1, radius, first, "scattering in-asymptote")
+    mid = propagate(model, leg1, t_c - direction * T, t_c + direction * T,
+                    substeps=substeps)
+    _check_cleared(mid, radius, last, "scattering out-asymptote")
+    return outer_leg(mid)
+
+
+def dynamical_S(model: ScatterModel, s: float, state: StateVector,
+                T: float | None = None, substeps: int = 1,
+                reference: ScatterModel | None = None) -> StateVector:
+    """Dynamical scattering operator at base point s applied to a state.
+
+    Composition U_past(-T) . U(t_c + T, t_c - T) . U_past(-T) where the
+    outer legs are free evolution, or evolution under a frozen reference
+    model when one is supplied.  Clearance of the interaction region is
+    checked at both seams.
+    """
+    return _scatter(model, s, state, T, substeps, +1, reference)
 
 
 def dynamical_S_adjoint(model: ScatterModel, s: float, state: StateVector,
                         T: float | None = None, substeps: int = 1) -> StateVector:
-    """Adjoint of dynamical_S (free outer legs), by leg reversal."""
-    grid = state.grid
-    if T is None:
-        T = clearance_T(model, state)
-    else:
-        _, T = grid.snap(T)
-    t_c = s / model.omega
-    leg1 = free_shift(state, T)
-    mid = propagate(model, leg1, t_c + T, t_c - T, substeps=substeps)
-    return free_shift(mid, T)
+    """Adjoint of dynamical_S (free outer legs): its legs run backward."""
+    return _scatter(model, s, state, T, substeps, -1)
 
 
 def frozen_S_apply(model: ScatterModel, s: float, state: StateVector,

@@ -256,6 +256,7 @@ def test_outgoing_state_check_guards():
     _, model = soluble_pair(0.1)
     with pytest.raises(ValueError):
         outgoing_state_check(model, 0.4, rho_gaussian(), Grid(-40.0, 40.0, 2048))
-    with pytest.raises(NotImplementedError):
+    # no soluble view: a configuration problem, so a ValueError
+    with pytest.raises(ValueError, match="one channel and one matrix term"):
         outgoing_state_check(rankone_model(), 0.4, rho_gaussian(),
                              Grid(-40.0, 40.0, 512))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adiascat import cli
 from adiascat.cli import CSV_HEADER, ConfigError, _fmt, _parse_ini, main
 from adiascat.experiments import EXPERIMENTS, Check, ExperimentResult, Row
 from adiascat.numerics import NumericalContractError
@@ -215,7 +216,10 @@ def _config_to_ini(config: dict) -> str:
 
 
 @pytest.mark.parametrize("name", ["epsilon-scaling-matrix",
-                                  "epsilon-scaling-rankone"])
+                                  "epsilon-scaling-rankone",
+                                  "soluble-exact", "omega-scaling",
+                                  "energy-shift", "combined",
+                                  "outgoing-state"])
 def test_summary_config_reproduces_the_run(tmp_path, name):
     shipped = CONFIGS / f"{name}.ini"
     first, second = tmp_path / "first", tmp_path / "second"
@@ -226,6 +230,49 @@ def test_summary_config_reproduces_the_run(tmp_path, name):
     assert main(["run", "--config", path, "--out", str(second)]) == 0
     assert (first / "results.csv").read_bytes() \
         == (second / "results.csv").read_bytes()
+
+
+CLOSED_FORM = ("soluble-exact", "omega-scaling", "energy-shift",
+               "outgoing-state", "combined")
+
+
+@pytest.mark.parametrize("kind", ["matrix", "rankone"])
+@pytest.mark.parametrize("experiment", CLOSED_FORM)
+def test_closed_form_experiment_rejects_other_models(tmp_path, capsys,
+                                                     kind, experiment):
+    text = (CONFIGS / f"epsilon-scaling-{kind}.ini").read_text(
+        encoding="ascii")
+    text = text.replace("experiment = epsilon-scaling",
+                        f"experiment = {experiment}")
+    path = write_config(tmp_path, text.replace("n = 2048", "n = 512"))
+    assert main(["validate", "--config", path]) == 1
+    diagnostics = json.loads(capsys.readouterr().out)
+    assert "model" in [d["field"] for d in diagnostics]
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "validation-error"
+    assert "model" in [d["field"] for d in summary["diagnostics"]]
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("experiment", CLOSED_FORM)
+def test_closed_form_mismatch_mid_run_exits_one(tmp_path, monkeypatch,
+                                                experiment):
+    # a model that skipped validation reaches the driver: still a
+    # configuration problem, not a crash
+    monkeypatch.setattr(cli, "validate_setup", lambda experiment, setup: [])
+    text = (CONFIGS / "epsilon-scaling-matrix.ini").read_text(encoding="ascii")
+    path = write_config(tmp_path, text.replace(
+        "experiment = epsilon-scaling", f"experiment = {experiment}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "config-error"
+    [diagnostic] = summary["diagnostics"]
+    assert diagnostic["field"] == "run"
+    assert "one channel and one matrix term" in diagnostic["message"]
 
 
 def test_failed_check_still_exits_zero(tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ from adiascat.coherent import (CoherentLabel, StateVector, braket,
                                coherent_state, free_shift)
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
                               clearance_T, dot_S_residual, dynamical_S,
-                              frozen, frozen_energy_shift_onshell,
+                              dynamical_S_adjoint, frozen, frozen_energy_shift_onshell,
                               from_soluble, intertwine_residual,
                               omega_dot_residual, on_shell_S, propagate,
                               rankone_resolvent, rankone_resolvent_exact,
@@ -272,6 +272,51 @@ def test_dynamical_S_matches_soluble_profile():
     out = dynamical_S(model, 0.4, state)
     expected = dynamical_S_profile(soluble, 0.4, grid) * state.amplitudes
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-9
+
+
+def _adjoint_case(coupling: str):
+    """A model, a bra and a ket, and a window that clears both."""
+    grid = Grid(-64.0, 64.0, 2048)
+    if coupling == "soluble":
+        model = soluble_twin(0.1)
+        ket = coherent_state(CoherentLabel(3.0, 0.8, 0.6), grid)
+        bra = coherent_state(CoherentLabel(4.0, 1.0, 0.5), grid)
+    else:
+        second = GaussianMix((0.5,), (-0.4,), (0.8,))
+        model = ScatterModel(2, MatrixPotential((SX, SZ), (MIX, second),
+                                                BUMP), 0.1)
+        label = CoherentLabel(3.0, 0.8, 0.6)
+        ket = StateVector(grid, 0.8 * coherent_state(
+            label, grid, channel=0, n_channels=2).amplitudes + 0.6
+            * coherent_state(label, grid, channel=1, n_channels=2).amplitudes)
+        bra = coherent_state(CoherentLabel(4.0, 1.0, 0.5), grid, channel=1,
+                             n_channels=2)
+    _, T = grid.snap(max(clearance_T(model, bra), clearance_T(model, ket)))
+    return model, bra, ket, T
+
+
+@pytest.mark.parametrize("coupling", ["soluble", "two-channel"])
+def test_dynamical_S_adjoint_pairs_and_inverts(coupling):
+    model, bra, ket, T = _adjoint_case(coupling)
+    s = 0.4
+    forward = dynamical_S(model, s, ket, T=T)
+    lhs = braket(bra, forward)
+    rhs = braket(dynamical_S_adjoint(model, s, bra, T=T), ket)
+    assert abs(lhs) > 1e-3  # the pairing is not trivially zero
+    assert abs(lhs - rhs) < 1e-10
+    back = dynamical_S_adjoint(model, s, forward, T=T)
+    assert StateVector(ket.grid, back.amplitudes - ket.amplitudes).norm() \
+        < 1e-10
+    # the round trip is not trivially the identity
+    assert StateVector(ket.grid, forward.amplitudes - ket.amplitudes).norm() \
+        > 1e-2
+
+
+@pytest.mark.parametrize("coupling", ["soluble", "two-channel"])
+def test_dynamical_S_adjoint_flags_unclear_asymptote(coupling):
+    model, _, ket, _ = _adjoint_case(coupling)
+    with pytest.raises(NumericalContractError):
+        dynamical_S_adjoint(model, 0.4, ket, T=1.0)
 
 
 # ---------------------------------------------------------------------------
