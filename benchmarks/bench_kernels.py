@@ -1,12 +1,14 @@
-"""Time the transport kernels and two diagnostics on run-sized workloads.
+"""Time the transport kernels, rank-one transport and two diagnostics on
+run-sized workloads.
 
     python3 benchmarks/bench_kernels.py [--repeats 3] [--sizes 1024,4096]
 
-``--sizes`` sets the kernel grids; the diagnostics run at the sizes of
-the shipped coherent-props (n = 2048) and outgoing-state (n = 512)
-configs.  Throwaway complex GEMMs run before any timing (see
-``_warm_blas``): best-of-N cannot filter a slow BLAS state that lasts
-across all of its repeats.
+``--sizes`` sets the kernel grids; the rank-one leg runs at the size of
+criterion-09 (n = 512) and the diagnostics at the sizes of the shipped
+coherent-props (n = 2048) and outgoing-state (n = 512) configs.
+Throwaway complex GEMMs run before any timing (see ``_warm_blas``):
+best-of-N cannot filter a slow BLAS state that lasts across all of its
+repeats.
 """
 
 import argparse
@@ -16,8 +18,9 @@ import numpy as np
 
 from adiascat import _kernels as K
 from adiascat import adiabatic
-from adiascat.coherent import (CoherentLabel, coherent_state,
+from adiascat.coherent import (CoherentLabel, coherent_state, free_shift,
                                identity_resolution_residual)
+from adiascat.network import RankOne, ScatterModel, propagate
 from adiascat.numerics import Grid
 from adiascat.profiles import GaussianMix, Schedule
 from adiascat.soluble import SolubleModel
@@ -90,6 +93,18 @@ def _product_case(steps):
     return (ks, 1e-3)
 
 
+def _rankone_case():
+    """Criterion-09's driven rank-one leg: two channels, 48 time units."""
+    model = ScatterModel(2, RankOne(GaussianMix((0.4,), (0.0,), (1.0,)),
+                                    Schedule("bump", 1.0, 0.0, 1.0),
+                                    (0.8, 0.6)), 0.2)
+    grid = Grid(-40.0, 40.0, 512)
+    ket = coherent_state(CoherentLabel(0.0, 1.0, 0.7), grid, channel=0,
+                         n_channels=2)
+    # criterion-09's ket after the incoming free leg, s = 0.4 and T = 24
+    return (model, free_shift(ket, -24.0), 2.0 - 24.0, 2.0 + 24.0)
+
+
 def _residual_case():
     state = coherent_state(CoherentLabel(0.3, 1.0, 0.5),
                            Grid(-64.0, 64.0, 2048))
@@ -129,6 +144,8 @@ def main() -> None:
                       K.characteristic_unitary, _unitary_case(n)))
     cases.append((f"unitary_product     steps={args.product_steps}",
                   K.unitary_product, _product_case(args.product_steps)))
+    cases.append(("rank-one propagate n=512 48 units",
+                  propagate, _rankone_case()))
     cases.append(("identity_resolution_residual n=2048",
                   identity_resolution_residual, _residual_case()))
     cases.append(("outgoing_state_check n=512 x3 rho",

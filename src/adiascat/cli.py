@@ -216,12 +216,13 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
     except ValueError as exc:
         diagnostics.append({"field": "grid", "message": str(exc)})
     if isinstance(net.coupling, RankOne):
-        lam = float(net.coupling.schedule.value(max(setup.s_values)))
-        e0 = setup.e_values[0]
+        # every listed s and e: the worst gap over the whole sweep
+        lam = net.coupling.schedule.value(np.asarray(setup.s_values))
         span = 6.0 * max(setup.epsilons)
-        energies = np.linspace(e0 - span, e0 + span, 97)
+        energies = (np.asarray(setup.e_values)[:, None]
+                    + np.linspace(-span, span, 97)).ravel()
         g = rankone_resolvent(net.coupling.form, energies)
-        gap = np.min(np.abs(1.0 - lam * g))
+        gap = np.min(np.abs(1.0 - np.multiply.outer(lam, g)))
         if gap < 5e-2:
             diagnostics.append({
                 "field": "model",

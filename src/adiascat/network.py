@@ -7,9 +7,11 @@ Two interaction backends share one model container:
   characteristics with ordered local factors, so it is unconditionally
   unitary.
 * ``RankOne``: a separable (form-factor) interaction coupling the
-  channels through a fixed internal vector, propagated by a spectral
-  RK4 stepper.  Its frozen scattering amplitude has a closed resolvent
-  form, which gives the package an independent on-shell route.
+  channels through a fixed internal vector.  Propagation solves the
+  scalar Volterra equation for the overlap with the form factor, on
+  which the Duhamel formula closes.  Its frozen scattering amplitude
+  has a closed resolvent form, which gives the package an independent
+  on-shell route.
 
 Scattering operators are realized through finite asymptotic windows:
 free (or reference) legs sandwich one driven leg, with clearance of the
@@ -18,7 +20,6 @@ interaction region checked at every seam.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -34,8 +35,6 @@ from .numerics import (Grid, NumericalContractError, central_derivative,
                        hermitize, ordered_exponential)
 from .profiles import GaussianMix, Schedule
 from .soluble import SolubleModel
-
-logger = logging.getLogger(__name__)
 
 CLEARANCE_TOL = 1e-10
 DEFAULT_NORM_TOL = 1e-6
@@ -229,58 +228,60 @@ def _propagate_matrix(model: ScatterModel, state: StateVector,
     return transport(state.amplitudes)
 
 
-def _spectral_band(grid: Grid, amps: np.ndarray, floor: float = 1e-12) -> float:
-    phat = np.fft.fft(amps, axis=-1)
-    mag = np.abs(phat).max(axis=0)
-    cut = floor * mag.max()
-    live = np.abs(grid.momenta[mag > cut])
-    return float(live.max()) if live.size else 0.0
-
-
-def _rankone_dt(model: ScatterModel, state: StateVector, tau: float,
-                drift_tol: float) -> float:
-    coupling: RankOne = model.coupling
-    band = max(_spectral_band(state.grid, state.amplitudes),
-               coupling.form.fourier_band(1e-12))
-    lam_peak = max(abs(coupling.schedule.value(0.0)), abs(coupling.schedule.a)
-                   + abs(coupling.schedule.d))
-    strength = lam_peak * coupling.form.weight
-    energy = max(band, strength, 1.0)
-    dt = (30.0 * drift_tol / (abs(tau) * energy ** 5)) ** 0.25
-    return min(dt, abs(tau) / 16.0, 0.1)
+def _volterra_trapezoid(f: np.ndarray, K: np.ndarray, lam: np.ndarray,
+                        h: float, mem: int) -> np.ndarray:
+    """Trapezoid solve of a_i = f_i - i h sum_j w_ij lam_j K_{i-j} a_j by
+    forward substitution over lags below mem; returns w_j lam_j a_j / h."""
+    krev = K[mem - 1:0:-1].copy()  # contiguous: np.dot is slow on a view
+    diag = 1.0 + 0.5j * h * lam * K[0]
+    y = np.zeros(mem - 1 + f.size, dtype=np.complex128)
+    y[mem - 1] = 0.5 * lam[0] * f[0]
+    for i in range(1, f.size):
+        a = (f[i] - 1j * h * np.dot(y[i:i + mem - 1], krev)) / diag[i]
+        y[i + mem - 1] = lam[i] * a
+    y[-1] *= 0.5
+    return y[mem - 1:]
 
 
 def _propagate_rankone(model: ScatterModel, state: StateVector,
-                       t0: float, tau_snapped: float,
-                       drift_tol: float = 1e-8) -> np.ndarray:
-    grid = state.grid
-    coupling: RankOne = model.coupling
-    p = grid.momenta
-    chi = coupling.form(grid.points)
-    u = coupling.vector
-    dx = grid.dx
-    omega = model.omega
-    sched = coupling.schedule
+                       t0: float, m: int) -> np.ndarray:
+    """Rank-one transport over m lattice steps as a scalar Volterra equation.
 
-    def rhs(amps, t):
-        kinetic = np.fft.ifft(p * np.fft.fft(amps, axis=-1), axis=-1)
-        inner = dx * np.sum(chi * (np.conj(u)[:, None] * amps).sum(axis=0))
-        lam = float(sched.value(omega * t))
-        return -1j * (kinetic + lam * inner * u[:, None] * chi[None, :])
-
-    dt_target = _rankone_dt(model, state, tau_snapped, drift_tol)
-    nsteps = max(16, int(math.ceil(abs(tau_snapped) / dt_target)))
-    dt = tau_snapped / nsteps
-    amps = state.amplitudes.copy()
-    t = t0
-    for _ in range(nsteps):
-        k1 = rhs(amps, t)
-        k2 = rhs(amps + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(amps + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(amps + dt * k3, t + dt)
-        amps = amps + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-    return amps
+    Free motion is an exact roll, so the Duhamel formula closes on
+    a(t) = <phi|psi(t)>, phi = u x chi: a(t) = f(t) - i int_{t0}^{t}
+    lam(omega t') K(t - t') a(t') dt' with f(t) = <phi|U0(t - t0) psi0>
+    and K(tau) = <phi|U0(tau) phi>, and psi(t1) = roll(psi0 - i u x
+    int lam a chi(. + t' - t0) dt', m).  Trapezoid solves on signed steps
+    dx and dx/2 and one Richardson step.  K vanishes beyond twice the
+    form's support, which bounds the memory unless the leg reaches the
+    periodic revival of K.
+    """
+    grid, coupling, u = state.grid, model.coupling, model.coupling.vector
+    sign = 1 if m > 0 else -1
+    reach = 2.0 * coupling.support_radius(1e-17)
+    # the form at both sub-lattice offsets; f, K and the source are
+    # circular correlations with it, c[k] = sum_x form[x + k] b[x], which
+    # wrap the moving form periodically onto the grid
+    forms = np.stack([coupling.form(grid.points + d)
+                      for d in (0.0, 0.5 * sign * grid.dx)])
+    spec = np.fft.fft(forms, axis=-1)
+    probes = np.conj(np.fft.fft(np.conj(
+        [np.conj(u) @ state.amplitudes, forms[0]]), axis=-1))
+    corr = grid.dx * np.fft.ifft(spec[:, None, :] * probes, axis=-1)
+    sources = np.zeros((2, grid.n), dtype=np.complex128)
+    for r, weight in ((1, -1.0 / 3.0), (2, 4.0 / 3.0)):
+        j = np.arange(r * abs(m) + 1)
+        offset, k = j % r, (sign * (j // r)) % grid.n
+        h = sign * grid.dx / r
+        mem = j.size if abs(m) * grid.dx + reach >= grid.width \
+            else min(j.size, int(reach / abs(h)) + 2)
+        lam = coupling.schedule.value(model.omega * (t0 + j * h))
+        y = _volterra_trapezoid(corr[offset, 0, k], corr[offset, 1, k],
+                                lam, h, mem)
+        np.add.at(sources, (offset, k), weight * h * y)
+    source = np.fft.ifft(spec * np.fft.ifft(sources, axis=-1), axis=-1)
+    out = state.amplitudes - 1j * grid.n * np.outer(u, source.sum(axis=0))
+    return np.roll(out, m, axis=-1)
 
 
 def propagate(model: ScatterModel, state: StateVector, t0: float, t1: float,
@@ -297,7 +298,7 @@ def propagate(model: ScatterModel, state: StateVector, t0: float, t1: float,
     if isinstance(model.coupling, MatrixPotential):
         out = _propagate_matrix(model, state, t0, tau, m, substeps)
     else:
-        out = _propagate_rankone(model, state, t0, tau)
+        out = _propagate_rankone(model, state, t0, m)
     result = StateVector(grid, out)
     drift = abs(result.norm() - state.norm())
     if drift > norm_tol * max(state.norm(), 1e-30):
@@ -311,17 +312,15 @@ def frozen_one_step(model: ScatterModel, grid: Grid, substeps: int = 1):
 
     The model must have a constant schedule; the returned callable
     advances raw amplitude arrays by dx of time.  Matrix backends get a
-    precomputed roll-and-factor map, the rank-one backend steps its ODE.
+    precomputed roll-and-factor map; the rank-one backend solves its
+    Volterra equation over the one step.
     """
     if not model.schedule.is_constant:
         raise ValueError("frozen_one_step needs a constant schedule")
     if isinstance(model.coupling, MatrixPotential):
         return _matrix_transport(model, grid, 0.0, grid.dx, 1, substeps)
-
-    def step(amps: np.ndarray) -> np.ndarray:
-        return _propagate_rankone(model, StateVector(grid, amps), 0.0, grid.dx)
-
-    return step
+    return lambda amps: _propagate_rankone(model, StateVector(grid, amps),
+                                           0.0, 1)
 
 
 def coupling_field_apply(model: ScatterModel, grid: Grid):
@@ -546,7 +545,6 @@ def _matrix_transfer(model: ScatterModel, s: float,
     coupling: MatrixPotential = model.coupling
     f = float(coupling.schedule.value(s))
     radius = coupling.support_radius(1e-16) + 1.0
-    nc = model.n_channels
 
     def gen(x: float) -> np.ndarray:
         field = coupling.value(np.array([x]), f)[0]

@@ -232,6 +232,22 @@ def test_summary_config_reproduces_the_run(tmp_path, name):
         == (second / "results.csv").read_bytes()
 
 
+@pytest.mark.parametrize("s_values", ["0.5, 4.0", "4.0, 0.5"])
+def test_validate_checks_resonance_at_every_s(tmp_path, capsys, s_values):
+    # amps = 1.6 puts a resonance in the window at s = 0.5 but not at
+    # s = 4.0, where the bump has died out; the run would visit both
+    text = (CONFIGS / "epsilon-scaling-rankone.ini").read_text(
+        encoding="ascii")
+    assert "\namps = 1.0\n" in text and "\ns = 0.5\n" in text
+    text = text.replace("\namps = 1.0\n", "\namps = 1.6\n").replace(
+        "\ns = 0.5\n", f"\ns = {s_values}\n")
+    path = write_config(tmp_path, text.replace("n = 2048", "n = 512"))
+    assert main(["validate", "--config", path]) == 1
+    diagnostics = json.loads(capsys.readouterr().out)
+    assert [d["field"] for d in diagnostics] == ["model"]
+    assert "resonance" in diagnostics[0]["message"]
+
+
 CLOSED_FORM = ("soluble-exact", "omega-scaling", "energy-shift",
                "outgoing-state", "combined")
 
