@@ -229,18 +229,20 @@ def _propagate_matrix(model: ScatterModel, state: StateVector,
 
 
 def _volterra_trapezoid(f: np.ndarray, K: np.ndarray, lam: np.ndarray,
-                        h: float, mem: int) -> np.ndarray:
+                        h: float) -> np.ndarray:
     """Trapezoid solve of a_i = f_i - i h sum_j w_ij lam_j K_{i-j} a_j by
-    forward substitution over lags below mem; returns w_j lam_j a_j / h."""
-    krev = K[mem - 1:0:-1].copy()  # contiguous: np.dot is slow on a view
+    forward substitution; returns y_j = w_j lam_j a_j, which the caller
+    multiplies by h."""
+    krev = K[::-1].copy()  # contiguous: np.dot is slow on a view
+    last = f.size - 1
     diag = 1.0 + 0.5j * h * lam * K[0]
-    y = np.zeros(mem - 1 + f.size, dtype=np.complex128)
-    y[mem - 1] = 0.5 * lam[0] * f[0]
+    y = np.zeros(f.size, dtype=np.complex128)
+    y[0] = 0.5 * lam[0] * f[0]
     for i in range(1, f.size):
-        a = (f[i] - 1j * h * np.dot(y[i:i + mem - 1], krev)) / diag[i]
-        y[i + mem - 1] = lam[i] * a
+        a = (f[i] - 1j * h * np.dot(y[:i], krev[last - i:last])) / diag[i]
+        y[i] = lam[i] * a
     y[-1] *= 0.5
-    return y[mem - 1:]
+    return y
 
 
 def _propagate_rankone(model: ScatterModel, state: StateVector,
@@ -252,13 +254,10 @@ def _propagate_rankone(model: ScatterModel, state: StateVector,
     lam(omega t') K(t - t') a(t') dt' with f(t) = <phi|U0(t - t0) psi0>
     and K(tau) = <phi|U0(tau) phi>, and psi(t1) = roll(psi0 - i u x
     int lam a chi(. + t' - t0) dt', m).  Trapezoid solves on signed steps
-    dx and dx/2 and one Richardson step.  K vanishes beyond twice the
-    form's support, which bounds the memory unless the leg reaches the
-    periodic revival of K.
+    dx and dx/2 and one Richardson step.
     """
     grid, coupling, u = state.grid, model.coupling, model.coupling.vector
     sign = 1 if m > 0 else -1
-    reach = 2.0 * coupling.support_radius(1e-17)
     # the form at both sub-lattice offsets; f, K and the source are
     # circular correlations with it, c[k] = sum_x form[x + k] b[x], which
     # wrap the moving form periodically onto the grid
@@ -273,11 +272,9 @@ def _propagate_rankone(model: ScatterModel, state: StateVector,
         j = np.arange(r * abs(m) + 1)
         offset, k = j % r, (sign * (j // r)) % grid.n
         h = sign * grid.dx / r
-        mem = j.size if abs(m) * grid.dx + reach >= grid.width \
-            else min(j.size, int(reach / abs(h)) + 2)
         lam = coupling.schedule.value(model.omega * (t0 + j * h))
         y = _volterra_trapezoid(corr[offset, 0, k], corr[offset, 1, k],
-                                lam, h, mem)
+                                lam, h)
         np.add.at(sources, (offset, k), weight * h * y)
     source = np.fft.ifft(spec * np.fft.ifft(sources, axis=-1), axis=-1)
     out = state.amplitudes - 1j * grid.n * np.outer(u, source.sum(axis=0))
