@@ -20,12 +20,12 @@ from adiascat import _kernels as K
 from adiascat import adiabatic
 from adiascat.coherent import (CoherentLabel, coherent_state, free_shift,
                                identity_resolution_residual)
-from adiascat.network import RankOne, ScatterModel, propagate
+from adiascat.network import MatrixPotential, RankOne, ScatterModel, propagate
 from adiascat.numerics import Grid
 from adiascat.profiles import GaussianMix, Schedule
 from adiascat.soluble import SolubleModel
 
-BUMP_ARGS = (K.KIND_BUMP, 1.0, 0.0, 1.0, 0.0)
+BUMP = Schedule("bump", 1.0)
 
 
 def _warm_blas():
@@ -68,22 +68,18 @@ def _lattice(n, duration=40.0, substeps=1):
 
 def _phase_case(n):
     x, tau, nsteps = _lattice(n)
-    amps = np.array([0.8, 0.3])
-    centers = np.array([0.35, -1.0])
-    widths = np.array([1.0, 0.7])
-    return (x, tau, 4.0, nsteps, amps, centers, widths,
-            *BUMP_ARGS, 0.1, 8.0)
+    profile = GaussianMix((0.8, 0.3), (0.35, -1.0), (1.0, 0.7))
+    return (x, tau, 4.0, nsteps, profile, BUMP.value, 0.1, 8.0)
 
 
 def _unitary_case(n):
     x, tau, nsteps = _lattice(n)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-    mats = np.stack([0.7 * sx, 0.5 * sz])
-    centers = np.array([-0.4, 0.5])
-    widths = np.array([0.9, 1.1])
-    return (x, tau, 4.0, nsteps, mats, centers, widths,
-            *BUMP_ARGS, 0.1, 8.0)
+    coupling = MatrixPotential((0.7 * sx, 0.5 * sz),
+                               (GaussianMix.single(1.0, -0.4, 0.9),
+                                GaussianMix.single(1.0, 0.5, 1.1)), BUMP)
+    return (x, tau, 4.0, nsteps, coupling.value, BUMP.value, 0.1, 8.0)
 
 
 def _product_case(steps):

@@ -1,15 +1,17 @@
 """Hot transport kernels, vectorized with numpy.
 
-Kernels are deliberately dumb: they take flat arrays and scalars,
-return arrays, and never touch package dataclasses.  Callers own the
+The characteristic kernels take the coupling as callables: a real
+profile y -> v(y) for the single-channel phase, a matrix field
+(u, scale) -> scale * V(u) such as MatrixPotential.value for the
+channel unitaries, and for both the drive schedule s -> f(s) such as
+Schedule.value, sampled once on the nsteps midpoints.  Callers own the
 snapping of durations to the grid lattice and the application of the
 returned factors to state amplitudes.  The characteristic phase relies
 on that snapping: it needs tau = m dx and nsteps = |m| S for integers
 m != 0 and S >= 1, and raises ValueError otherwise.
 
-_char_phase_py and its per-point helpers (_mix_value, _active_range)
-are the plain-Python reference the tests hold the vectorized phase
-kernel against.
+_char_phase_py and its helper _active_range are the per-point
+reference the tests hold the vectorized phase kernel against.
 """
 
 from __future__ import annotations
@@ -17,62 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-# Schedule kind ids shared with profiles.Schedule.
-KIND_CONSTANT = 0
-KIND_TANH = 1
-KIND_BUMP = 2
-KIND_SMOOTHSTEP = 3
-
-
-def _schedule_value(kind, a, b, c, d, s):
-    if kind == KIND_CONSTANT:
-        return a
-    z = (s - b) / c
-    if kind == KIND_TANH:
-        return a * math.tanh(z) + d
-    if kind == KIND_BUMP:
-        return a * math.exp(-z * z) + d
-    # smoothstep (logistic)
-    if z >= 0.0:
-        sig = 1.0 / (1.0 + math.exp(-z))
-    else:
-        ez = math.exp(z)
-        sig = ez / (1.0 + ez)
-    return a * sig + d
-
-
-def _schedule_value_vec(kind, a, b, c, d, s):
-    """_schedule_value for ndarray s."""
-    if kind == KIND_CONSTANT:
-        return np.full_like(np.asarray(s, dtype=float), a)
-    z = (np.asarray(s, dtype=float) - b) / c
-    if kind == KIND_TANH:
-        return a * np.tanh(z) + d
-    if kind == KIND_BUMP:
-        return a * np.exp(-z * z) + d
-    sig = np.empty_like(z)
-    pos = z >= 0.0
-    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    sig[~pos] = ez / (1.0 + ez)
-    return a * sig + d
-
-
-def _mix_value(amps, centers, widths, x):
-    acc = 0.0
-    for g in range(amps.shape[0]):
-        z = (x - centers[g]) / widths[g]
-        acc += amps[g] * math.exp(-z * z)
-    return acc
-
-
-def _mix_value_vec(amps, centers, widths, x):
-    acc = np.zeros_like(x)
-    for g in range(amps.shape[0]):
-        z = (x - centers[g]) / widths[g]
-        acc += amps[g] * np.exp(-z * z)
-    return acc
 
 
 def _active_range(c0, dt, rmax, nsteps):
@@ -99,8 +45,7 @@ def _active_range(c0, dt, rmax, nsteps):
 # Single-channel characteristic phase
 # ---------------------------------------------------------------------------
 
-def _char_phase_py(x, tau, t1, nsteps, amps, centers, widths,
-                   kind, p0, p1, p2, p3, omega, rmax):
+def _char_phase_py(x, tau, t1, nsteps, profile, schedule, omega, rmax):
     """Per-point reference loop for characteristic_phase."""
     n = x.shape[0]
     dt = tau / nsteps
@@ -109,18 +54,16 @@ def _char_phase_py(x, tau, t1, nsteps, amps, centers, widths,
     for j in range(n):
         c0 = x[j] - tau + 0.5 * dt
         klo, khi = _active_range(c0, dt, rmax, nsteps)
+        k = np.arange(klo, khi + 1)
         acc = 0.0
-        for k in range(klo, khi + 1):
-            u = c0 + k * dt
-            tk = t0 + (k + 0.5) * dt
-            f = _schedule_value(kind, p0, p1, p2, p3, omega * tk)
-            acc += f * _mix_value(amps, centers, widths, u)
+        for f, v in zip(schedule(omega * (t0 + (k + 0.5) * dt)),
+                        profile(c0 + k * dt)):
+            acc += f * v
         out[j] = acc * dt
     return out
 
 
-def characteristic_phase(x, tau, t1, nsteps, amps, centers, widths,
-                         kind, p0, p1, p2, p3, omega, rmax):
+def characteristic_phase(x, tau, t1, nsteps, profile, schedule, omega, rmax):
     """Characteristic phase as one 1-D correlation.
 
     Needs lattice-aligned inputs, as ``propagate`` and ``frozen_one_step``
@@ -158,8 +101,7 @@ def characteristic_phase(x, tau, t1, nsteps, amps, centers, widths,
     if tau < 0.0:
         y = y[::-1].copy()  # k ascending walks i descending
     tk = (t1 - tau) + (np.arange(nsteps) + 0.5) * dt
-    f = _schedule_value_vec(kind, p0, p1, p2, p3, omega * tk)
-    full = np.correlate(_mix_value_vec(amps, centers, widths, y), f, "full")
+    full = np.correlate(profile(y), schedule(omega * tk), "full")
     if tau > 0.0:
         idx = np.arange(n) * sub - 1 - ilo
     else:
@@ -173,13 +115,18 @@ def characteristic_phase(x, tau, t1, nsteps, amps, centers, widths,
 # Multi-channel characteristic unitaries
 # ---------------------------------------------------------------------------
 
-def characteristic_unitary(x, tau, t1, nsteps, mats, centers, widths,
-                           kind, p0, p1, p2, p3, omega, rmax):
-    """Ordered characteristic unitaries, one nc x nc factor per grid point."""
+def characteristic_unitary(x, tau, t1, nsteps, field, schedule, omega, rmax):
+    """Ordered characteristic unitaries, one nc x nc factor per grid point.
+
+    The factor at x_j is the midpoint product of exp(-i dt f(omega t_k)
+    V(u_k)) over u_k = x_j - tau + (k + 1/2) dt, later k on the left,
+    with t_k = t1 - tau + (k + 1/2) dt; points |u_k| > rmax contribute 1.
+    """
     n = x.shape[0]
-    nc = mats.shape[1]
     dt = tau / nsteps
-    t0 = t1 - tau
+    tk = (t1 - tau) + (np.arange(nsteps) + 0.5) * dt
+    scales = schedule(omega * tk) * dt
+    nc = field(x[:1], 1.0).shape[-1]
     dx = x[1] - x[0] if n > 1 else 1.0
     x0 = x[0]
     out = np.broadcast_to(np.eye(nc, dtype=np.complex128), (n, nc, nc)).copy()
@@ -192,13 +139,7 @@ def characteristic_unitary(x, tau, t1, nsteps, mats, centers, widths,
         jhi = min(jhi, n - 1)
         if jhi < jlo:
             continue
-        u = x[jlo:jhi + 1] + off
-        tk = t0 + (k + 0.5) * dt
-        f = _schedule_value(kind, p0, p1, p2, p3, omega * tk)
-        scale = f * dt
-        weights = np.exp(-((u[:, None] - centers[None, :])
-                           / widths[None, :]) ** 2) * scale
-        H = np.tensordot(weights, mats, axes=(1, 0))
+        H = field(x[jlo:jhi + 1] + off, scales[k])
         evals, evecs = np.linalg.eigh(H)
         phase = np.exp(-1j * evals)
         F = np.einsum("jab,jb,jcb->jac", evecs, phase, np.conj(evecs))

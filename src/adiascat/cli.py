@@ -208,13 +208,23 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
             except ValueError as exc:
                 diagnostics.append({"field": "sweep",
                                     "message": str(exc)})
-    try:
-        probe = coherent_state(
-            CoherentLabel(0.0, setup.e_values[0], max(setup.epsilons)),
-            grid, n_channels=net.n_channels)
-        clearance_T(net, probe)
-    except ValueError as exc:
-        diagnostics.append({"field": "grid", "message": str(exc)})
+    # the drivers probe the matched label t = s / omega: at every omega of
+    # omega-scaling, at the first of combined and energy-shift
+    if experiment == "omega-scaling":
+        labels = [CoherentLabel(setup.s_values[0] / w, setup.e_values[0],
+                                setup.epsilons[0]) for w in setup.omegas]
+    elif experiment in ("combined", "energy-shift"):
+        labels = [CoherentLabel(setup.s_values[0] / setup.omegas[0],
+                                setup.e_values[0], setup.epsilons[0])]
+    else:
+        labels = [CoherentLabel(0.0, setup.e_values[0], max(setup.epsilons))]
+    for label in labels:
+        try:
+            clearance_T(net, coherent_state(label, grid,
+                                            n_channels=net.n_channels))
+        except ValueError as exc:
+            diagnostics.append({"field": "grid", "message": str(exc)})
+            break
     if isinstance(net.coupling, RankOne):
         # every listed s and e: the worst gap over the whole sweep
         lam = net.coupling.schedule.value(np.asarray(setup.s_values))

@@ -74,17 +74,6 @@ class MatrixPotential:
     def n_channels(self) -> int:
         return self.matrices[0].shape[0]
 
-    def flattened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-Gaussian (matrix, center, width) arrays for the kernels."""
-        mats, centers, widths = [], [], []
-        for m, mix in zip(self.matrices, self.profiles):
-            for a, c, w in zip(mix.amps, mix.centers, mix.widths):
-                mats.append(m * a)
-                centers.append(c)
-                widths.append(w)
-        return (np.ascontiguousarray(np.array(mats)),
-                np.array(centers), np.array(widths))
-
     def support_radius(self, tol: float = 1e-14) -> float:
         scale = max(float(np.linalg.norm(m, 2)) for m in self.matrices)
         return max(p.support_radius(tol / max(1.0, scale)) for p in self.profiles)
@@ -189,28 +178,27 @@ def _matrix_transport(model: ScatterModel, grid: Grid, t0: float,
                       tau: float, m: int, nsteps: int):
     """Transport of a matrix coupling over tau = m dx, as an array map.
 
-    Builds the characteristic factors once (a phase for one channel,
-    unitaries otherwise); the map rolls amplitudes by m lattice steps
-    and applies them.
+    Builds the characteristic factors once from the coupling's field and
+    schedule (a phase for one channel, unitaries otherwise); the map
+    rolls amplitudes by m lattice steps and applies them.
     """
     coupling: MatrixPotential = model.coupling
-    mats, centers, widths = coupling.flattened()
+    schedule = coupling.schedule.value
     rmax = coupling.support_radius(1e-16)
-    kind, a, b, c, d = coupling.schedule.kernel_args()
     t1 = t0 + tau
     if model.n_channels == 1:
-        flat_amps = np.array([mm[0, 0].real for mm in mats])
         phase = _kernels.characteristic_phase(
-            grid.points, tau, t1, nsteps, flat_amps, centers, widths,
-            kind, a, b, c, d, model.omega, rmax)
+            grid.points, tau, t1, nsteps,
+            lambda y: coupling.value(y, 1.0)[:, 0, 0].real,
+            schedule, model.omega, rmax)
         factor = np.exp(-1j * phase)
 
         def apply(amps: np.ndarray) -> np.ndarray:
             return np.roll(amps, m, axis=-1) * factor
     else:
         factors = _kernels.characteristic_unitary(
-            grid.points, tau, t1, nsteps, mats, centers, widths,
-            kind, a, b, c, d, model.omega, rmax)
+            grid.points, tau, t1, nsteps, coupling.value, schedule,
+            model.omega, rmax)
 
         def apply(amps: np.ndarray) -> np.ndarray:
             return np.einsum("jab,bj->aj", factors, np.roll(amps, m, axis=-1))

@@ -14,16 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
-
 _SQRT_PI = math.sqrt(math.pi)
-
-_KIND_IDS = {
-    "constant": _kernels.KIND_CONSTANT,
-    "tanh": _kernels.KIND_TANH,
-    "bump": _kernels.KIND_BUMP,
-    "smoothstep": _kernels.KIND_SMOOTHSTEP,
-}
 
 
 @dataclass(frozen=True)
@@ -134,7 +125,7 @@ class Schedule:
     d: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KIND_IDS:
+        if self.kind not in ("constant", "tanh", "bump", "smoothstep"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.c <= 0.0:
             raise ValueError("schedule width must be positive")
@@ -144,17 +135,20 @@ class Schedule:
         return cls("constant", float(value))
 
     @property
-    def kind_id(self) -> int:
-        return _KIND_IDS[self.kind]
-
-    @property
     def is_constant(self) -> bool:
         return self.kind == "constant"
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
-        out = _kernels._schedule_value_vec(self.kind_id, self.a, self.b,
-                                           self.c, self.d, s)
+        z = (s - self.b) / self.c
+        if self.kind == "constant":
+            out = np.full_like(s, self.a)
+        elif self.kind == "tanh":
+            out = self.a * np.tanh(z) + self.d
+        elif self.kind == "bump":
+            out = self.a * np.exp(-z * z) + self.d
+        else:
+            out = self.a * _logistic(z) + self.d
         return out if out.ndim else float(out)
 
     def derivative(self, s):
@@ -163,12 +157,12 @@ class Schedule:
         if self.kind == "constant":
             out = np.zeros_like(s)
         elif self.kind == "tanh":
-            out = (self.a / self.c) / np.cosh(z) ** 2
+            with np.errstate(over="ignore"):  # cosh -> inf gives sech^2 = 0
+                out = (self.a / self.c) / np.cosh(z) ** 2
         elif self.kind == "bump":
             out = -2.0 * self.a * z / self.c * np.exp(-z * z)
         else:
-            sig = _kernels._schedule_value_vec(_KIND_IDS["smoothstep"],
-                                               1.0, self.b, self.c, 0.0, s)
+            sig = _logistic(z)
             out = (self.a / self.c) * sig * (1.0 - sig)
         return out if out.ndim else float(out)
 
@@ -185,5 +179,8 @@ class Schedule:
     def frozen_at(self, s: float) -> "Schedule":
         return Schedule.constant(float(self.value(s)))
 
-    def kernel_args(self) -> tuple[int, float, float, float, float]:
-        return (self.kind_id, self.a, self.b, self.c, self.d)
+
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), with no exp of a positive argument."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))

@@ -248,6 +248,24 @@ def test_validate_checks_resonance_at_every_s(tmp_path, capsys, s_values):
     assert "resonance" in diagnostics[0]["message"]
 
 
+def test_validate_checks_window_at_every_matched_label(tmp_path, capsys):
+    # omega-scaling probes t = s / omega at each omega; s = 4.0 puts the
+    # omega = 0.05 label at t = 80, too near the edge of [-96, 96] to clear
+    text = (CONFIGS / "omega-scaling.ini").read_text(encoding="ascii")
+    assert "\ns = 0.70710678\n" in text
+    path = write_config(tmp_path, text.replace("\ns = 0.70710678\n",
+                                               "\ns = 4.0\n"))
+    assert main(["validate", "--config", path]) == 1
+    diagnostics = json.loads(capsys.readouterr().out)
+    assert [d["field"] for d in diagnostics] == ["grid"]
+    assert "cannot clear" in diagnostics[0]["message"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "validation-error"
+    assert not (out / "results.csv").exists()
+
+
 CLOSED_FORM = ("soluble-exact", "omega-scaling", "energy-shift",
                "outgoing-state", "combined")
 

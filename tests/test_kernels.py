@@ -1,29 +1,33 @@
 """Transport kernels against per-point references and unitarity."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from adiascat import _kernels
+from adiascat.network import MatrixPotential
+from adiascat.numerics import ordered_exponential
+from adiascat.profiles import GaussianMix, Schedule
 
 
 def _phase_inputs():
     x = np.linspace(-12.0, 12.0, 257)
-    amps = np.array([0.8, -0.3])
-    centers = np.array([0.4, -1.1])
-    widths = np.array([1.0, 0.7])
-    return x, amps, centers, widths
+    return x, GaussianMix((0.8, -0.3), (0.4, -1.1), (1.0, 0.7))
 
 
 @pytest.mark.parametrize("m", [64, -64, 3, -3])
 @pytest.mark.parametrize("sub", [1, 4])
-@pytest.mark.parametrize("kind", [_kernels.KIND_TANH, _kernels.KIND_BUMP])
+# fixed ids keep the test names stable
+@pytest.mark.parametrize("kind", ["tanh", "bump"], ids=["1", "2"])
 def test_characteristic_phase_numpy_matches_per_point_loop(m, sub, kind):
     # _char_phase_py is the plain-Python per-point reference loop;
     # lattice-aligned inputs as propagate makes them
-    x, amps, centers, widths = _phase_inputs()
+    x, profile = _phase_inputs()
     dx = (x[-1] - x[0]) / (x.shape[0] - 1)
-    args = (x, m * dx, 2.0, abs(m) * sub, amps, centers, widths,
-            kind, 1.0, 0.1, 1.3, 0.2, 0.25, 9.0)
+    args = (x, m * dx, 2.0, abs(m) * sub, profile,
+            Schedule(kind, 1.0, 0.1, 1.3, 0.2).value, 0.25, 9.0)
     got = _kernels.characteristic_phase(*args)
     want = _kernels._char_phase_py(*args)
     assert np.max(np.abs(want)) > 1e-2
@@ -32,11 +36,11 @@ def test_characteristic_phase_numpy_matches_per_point_loop(m, sub, kind):
 
 @pytest.mark.parametrize("tau,nsteps", [(40.0, 192), (6.0, 100)])
 def test_characteristic_phase_numpy_rejects_off_lattice(tau, nsteps):
-    x, amps, centers, widths = _phase_inputs()
+    x, profile = _phase_inputs()
     with pytest.raises(ValueError, match="tau = m dx"):
         _kernels.characteristic_phase(
-            x, tau, 2.0, nsteps, amps, centers, widths,
-            _kernels.KIND_TANH, 1.0, 0.0, 1.0, 0.0, 0.25, 9.0)
+            x, tau, 2.0, nsteps, profile,
+            Schedule("tanh", 1.0).value, 0.25, 9.0)
 
 
 def _unitary_inputs(nc):
@@ -44,21 +48,50 @@ def _unitary_inputs(nc):
     x = np.linspace(-10.0, 10.0, 129)
     mats = rng.normal(size=(2, nc, nc)) + 1j * rng.normal(size=(2, nc, nc))
     mats = 0.5 * (mats + np.conj(mats.transpose(0, 2, 1)))
-    centers = np.array([0.3, -0.6])
-    widths = np.array([0.9, 1.2])
-    return x, mats, centers, widths
+    profiles = (GaussianMix.single(1.0, 0.3, 0.9),
+                GaussianMix.single(1.0, -0.6, 1.2))
+    return x, MatrixPotential(tuple(mats), profiles, Schedule("bump", 0.7))
 
 
 @pytest.mark.parametrize("nc", [2, 3])
 def test_characteristic_unitary_is_unitary(nc):
-    x, mats, centers, widths = _unitary_inputs(nc)
+    x, coupling = _unitary_inputs(nc)
     u = _kernels.characteristic_unitary(
-        x, 5.0, 1.0, 160, mats, centers, widths,
-        _kernels.KIND_BUMP, 0.7, 0.0, 1.0, 0.0, 0.3, 8.0)
+        x, 5.0, 1.0, 160, coupling.value, coupling.schedule.value, 0.3, 8.0)
     assert np.max(np.abs(u - np.eye(nc))) > 1e-2
     prod = u @ np.conj(u.transpose(0, 2, 1))
     np.testing.assert_allclose(prod, np.broadcast_to(np.eye(nc), prod.shape),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("tau", [4.0, -4.0])
+@pytest.mark.parametrize("sub", [1, 2])
+def test_characteristic_unitary_matches_ordered_exponential(tau, sub):
+    # the factor at x_j is the ordered product along its characteristic
+    # [x_j - tau, x_j], later points on the left, with the same midpoint
+    # samples; sx and sz terms do not commute, so the order shows
+    x = np.linspace(-8.0, 8.0, 65)
+    dx = x[1] - x[0]
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    coupling = MatrixPotential(
+        (0.9 * sx, 0.6 * sz),
+        (GaussianMix.single(1.0, -0.5, 0.8), GaussianMix.single(1.0, 0.6, 1.1)),
+        Schedule("tanh", 0.8, 0.2, 1.5, 0.4))
+    t1, omega, rmax = 1.5, 0.3, 9.0
+    m = round(tau / dx)
+    nsteps = abs(m) * sub
+    got = _kernels.characteristic_unitary(
+        x, m * dx, t1, nsteps, coupling.value, coupling.schedule.value,
+        omega, rmax)
+    t0 = t1 - m * dx
+    for j in (28, 30, 32, 33, 34):
+        def generator(u, xj=x[j]):
+            f = coupling.schedule.value(omega * (t0 + u - xj + m * dx))
+            return -1j * coupling.value(np.array([u]), f)[0]
+        want = ordered_exponential(generator, x[j] - m * dx, x[j], nsteps)
+        assert np.max(np.abs(want - np.eye(2))) > 1e-2
+        np.testing.assert_allclose(got[j], want, rtol=0.0, atol=1e-12)
 
 
 def test_unitary_product_is_unitary():
@@ -75,14 +108,20 @@ def test_unitary_product_empty_is_identity():
                                np.eye(3))
 
 
-def test_schedule_value_scalar_vs_vec():
-    s = np.linspace(-3.0, 3.0, 41)
-    for kind in (_kernels.KIND_CONSTANT, _kernels.KIND_TANH,
-                 _kernels.KIND_BUMP, _kernels.KIND_SMOOTHSTEP):
-        vec = _kernels._schedule_value_vec(kind, 0.8, 0.1, 1.3, -0.2, s)
-        scal = np.array([_kernels._schedule_value(kind, 0.8, 0.1, 1.3, -0.2,
-                                                  float(v)) for v in s])
-        np.testing.assert_allclose(vec, scal, atol=1e-15)
+def test_bench_kernels_cases_call_the_kernels():
+    # the timing script builds kernel arguments by hand; calling each of
+    # its kernel cases once keeps it in step with the kernel signatures
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for kernel, case, shape in (
+            (_kernels.characteristic_phase, bench._phase_case(64), (64,)),
+            (_kernels.characteristic_unitary, bench._unitary_case(64),
+             (64, 2, 2)),
+            (_kernels.unitary_product, bench._product_case(16), (4, 4))):
+        out = kernel(*case)
+        assert out.shape == shape and np.all(np.isfinite(out))
 
 
 def test_backend_is_numpy():

@@ -1,0 +1,39 @@
+"""Drive schedules against their closed forms."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from adiascat.numerics import central_derivative
+from adiascat.profiles import Schedule
+
+A, B, C, D = 0.8, 0.1, 1.3, -0.2
+
+CLOSED_FORMS = {
+    "constant": lambda z: A,
+    "tanh": lambda z: A * math.tanh(z) + D,
+    "bump": lambda z: A * math.exp(-z * z) + D,
+    "smoothstep": lambda z: A / (1.0 + math.exp(-z)) + D,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORMS))
+def test_schedule_matches_closed_forms(kind):
+    sched = Schedule(kind, A, B, C, D)
+    s = np.linspace(-4.0, 4.0, 33)
+    want = [CLOSED_FORMS[kind]((v - B) / C) for v in s]
+    np.testing.assert_allclose(sched.value(s), want, rtol=1e-15, atol=1e-15)
+    for v in s[::4]:
+        got = sched.derivative(float(v))
+        assert type(got) is float and type(sched.value(float(v))) is float
+        assert got == pytest.approx(
+            central_derivative(sched.value, float(v), 1e-3), abs=1e-10)
+    far = np.array([B - 800.0 * C, B + 800.0 * C])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = sched.value(far)
+        slopes = sched.derivative(far)
+    np.testing.assert_allclose(values, sched.asymptotics(), atol=1e-15)
+    np.testing.assert_array_equal(slopes, 0.0)
