@@ -58,12 +58,12 @@ def _best_of(fn, args, repeats):
     return best * 1e3
 
 
-def _lattice(n, duration=40.0, substeps=1):
+def _lattice(n, duration=40.0):
     """Grid points, duration and step count on the grid lattice, as
-    ``propagate`` snaps them: tau = m dx and nsteps = m * substeps."""
+    ``propagate`` snaps them: tau = m dx and nsteps = m."""
     x = np.linspace(-96.0, 96.0, n, endpoint=False)
     m = round(duration / (x[1] - x[0]))
-    return x, m * (x[1] - x[0]), m * substeps
+    return x, m * (x[1] - x[0]), m
 
 
 def _phase_case(n):

@@ -17,14 +17,16 @@ from .network import (HermitianOnShell, MatrixPotential, OnShellMatrix,
                       intertwine_residual, omega_dot_residual, on_shell_S,
                       propagate, rankone_resolvent, rankone_resolvent_exact,
                       wave_operator, wigner_delay)
-from .adiabatic import (ErrorReport, GridOperator, adiabatic_tau,
-                        born_correction, coherent_element, combined_report,
+from .adiabatic import (ErrorReport, adiabatic_tau, born_correction,
+                        coherent_element, combined_report,
                         energy_shift_operator, onshell_vs_frozen,
                         outgoing_state_check, remainder_exact, rho_fermi,
                         rho_gaussian, rho_polynomial,
                         smeared_frozen_element, thawed_energy_shift_report)
 from .experiments import (EXPERIMENTS, Check, ExperimentResult, Row, Setup)
-from .cli import ConfigError, main as cli_main
+# loaded with the package, as perfbench/tracing.py expects; a package
+# with a __main__, so ``python -m adiascat.cli`` does not run it twice
+from . import cli  # noqa: F401
 
 __version__ = "0.1.0"
 

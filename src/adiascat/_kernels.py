@@ -22,7 +22,7 @@ import numpy as np
 
 
 def _active_range(c0, dt, rmax, nsteps):
-    """Index range of substeps whose characteristic point lies in |u| <= rmax.
+    """Index range of steps whose characteristic point lies in |u| <= rmax.
 
     u_k = c0 + k*dt; returns (klo, khi) inclusive, possibly empty (khi < klo).
     """
@@ -66,14 +66,14 @@ def _char_phase_py(x, tau, t1, nsteps, profile, schedule, omega, rmax):
 def characteristic_phase(x, tau, t1, nsteps, profile, schedule, omega, rmax):
     """Characteristic phase as one 1-D correlation.
 
-    Needs lattice-aligned inputs, as ``propagate`` and ``frozen_one_step``
-    produce them: tau = m dx and nsteps = |m| S, so |dt| = dx/S.  Then
+    Needs lattice-aligned inputs: tau = m dx and nsteps = |m| S, so
+    |dt| = dx/S (``propagate`` and ``frozen_one_step`` pass S = 1).  Then
     every sample point x_j - tau + (k + 1/2) dt lies on the fine lattice
     y_i = x_0 + (i + 1/2) dx/S, at i = jS - nsteps + k for tau > 0 and
     at i = jS + nsteps - 1 - k for tau < 0.  The schedule is sampled once
     on its nsteps midpoints, the profile once on the fine-lattice window
     |y| <= rmax, and phase_j is every S-th output of their correlation.
-    Each output is a dot product over exactly the active substeps, taken
+    Each output is a dot product over exactly the active steps, taken
     in the order of k, as the per-point loop of _char_phase_py takes it.
     """
     n = x.shape[0]

@@ -41,15 +41,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass
-class GridOperator:
-    """A grid-realized operator: a state map with a short description."""
-
-    apply: Callable[[StateVector], StateVector]
-    label: str = ""
-    unitary: bool = False
-
-
-@dataclass
 class ErrorReport:
     value_exact: complex
     value_approx: complex
@@ -61,16 +52,16 @@ class ErrorReport:
         return abs(self.value_exact - self.value_approx)
 
 
-def coherent_element(op, grid: Grid, bra: CoherentLabel, ket: CoherentLabel,
+def coherent_element(op: Callable[[StateVector], StateVector], grid: Grid,
+                     bra: CoherentLabel, ket: CoherentLabel,
                      n_channels: int = 1, bra_channel: int = 0,
                      ket_channel: int = 0) -> complex:
-    """Matrix element of an operator between two coherent labels."""
-    apply = op.apply if isinstance(op, GridOperator) else op
+    """Matrix element of a state map between two coherent labels."""
     bra_state = coherent_state(bra, grid, channel=bra_channel,
                                n_channels=n_channels)
     ket_state = coherent_state(ket, grid, channel=ket_channel,
                                n_channels=n_channels)
-    return braket(bra_state, apply(ket_state))
+    return braket(bra_state, op(ket_state))
 
 
 def _matched_states(model: ScatterModel, s: float, e: float, eps: float,
@@ -82,44 +73,37 @@ def _matched_states(model: ScatterModel, s: float, e: float, eps: float,
 
 
 def remainder_exact(model: ScatterModel, s: float, e: float, eps: float,
-                    j: int = 0, jp: int = 0, grid: Grid | None = None,
-                    T: float | None = None, substeps: int = 1) -> complex:
+                    j: int = 0, jp: int = 0, *, grid: Grid,
+                    T: float | None = None) -> complex:
     """Element of S_dynamical(0) - S_frozen(s) on matched labels t = s/omega.
 
     Both operators are realized with the same asymptotic window so the
     difference isolates the drive, not the windowing.
     """
-    if grid is None:
-        raise ValueError("remainder_exact needs a grid")
     _, bra, ket = _matched_states(model, s, e, eps, j, jp, grid)
     if T is None:
         T = clearance_T(model, ket)
-    out_dyn = dynamical_S(model, 0.0, ket, T=T, substeps=substeps)
-    out_froz = frozen_S_apply(model, s, ket, T=T, substeps=substeps)
+    out_dyn = dynamical_S(model, 0.0, ket, T=T)
+    out_froz = frozen_S_apply(model, s, ket, T=T)
     return braket(bra, out_dyn) - braket(bra, out_froz)
 
 
 def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
-                  j: int = 0, jp: int = 0, grid: Grid | None = None,
-                  substeps: int = 1, half_width: float | None = None,
-                  n_nodes: int = 49) -> complex:
+                  j: int = 0, jp: int = 0, *, grid: Grid) -> complex:
     """First-order response coefficient.
 
     tau = - integral dt' t' <t',e,j| W_+^* (dH/ds) W_- |t',e,jp>
-    with W_+- the wave operators of the model frozen at s.  On matched
+    with W_+- the wave operators of the model frozen at s, by the
+    trapezoid rule on 49 label times over |t'| <= 8 / eps.  On matched
     labels the dynamical-minus-frozen remainder is -i omega tau to
     leading order in omega.
     """
-    if grid is None:
-        raise ValueError("adiabatic_tau needs a grid")
     fmodel = frozen(model, s)
     sigma_x = 1.0 / (math.sqrt(2.0) * eps)
     radius = model.interaction_radius()
-    if half_width is None:
-        half_width = 8.0 / eps
     reach = radius + sigma_x * math.sqrt(2.0 * math.log(1e14))
-    nodes = np.linspace(-half_width, half_width, n_nodes)
-    weights = np.full(n_nodes, nodes[1] - nodes[0])
+    nodes = np.linspace(-8.0 / eps, 8.0 / eps, 49)
+    weights = np.full(49, nodes[1] - nodes[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
     total = 0.0 + 0.0j
@@ -132,17 +116,18 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
         bra = coherent_state(label, grid, channel=j,
                              n_channels=model.n_channels)
         T = clearance_T(fmodel, ket)
-        w_minus = wave_operator(fmodel, s, -1, ket, T=T, substeps=substeps)
-        w_plus = wave_operator(fmodel, s, +1, bra, T=T, substeps=substeps)
+        w_minus = wave_operator(fmodel, s, -1, ket, T=T)
+        w_plus = wave_operator(fmodel, s, +1, bra, T=T)
         drive = apply_coupling_sderivative(model, s, w_minus)
         total += wgt * tp * braket(w_plus, drive)
     return -total
 
 
 def born_correction(model: ScatterModel, s: float,
-                    linearized: bool = False, T: float | None = None,
-                    substeps: int = 1) -> GridOperator:
-    """Windowed Duhamel correction against the frozen flow at s.
+                    linearized: bool = False, T: float | None = None
+                    ) -> Callable[[StateVector], StateVector]:
+    """Windowed Duhamel correction against the frozen flow at s, as a
+    state map.
 
     Realizes -i integral over the window of U_s(0,u) dH(u) U_s(u,0)
     where U_s is the flow of the model frozen at s and dH(u) is the
@@ -161,7 +146,7 @@ def born_correction(model: ScatterModel, s: float,
         delta = grid.dx
         fdot = float(model.schedule.derivative(s))
         f_s = float(model.schedule.value(s))
-        step = _network.frozen_one_step(fmodel, grid, substeps=substeps)
+        step = _network.frozen_one_step(fmodel, grid)
         drive = _network.coupling_field_apply(model, grid)
         t_c = s / model.omega
 
@@ -170,8 +155,7 @@ def born_correction(model: ScatterModel, s: float,
                 return model.omega * u * fdot
             return float(model.schedule.value(s + model.omega * u)) - f_s
 
-        phi = propagate(fmodel, state, t_c, t_c - T_use,
-                        substeps=substeps).amplitudes
+        phi = propagate(fmodel, state, t_c, t_c - T_use).amplitudes
         beta = np.zeros_like(phi)
         u = -T_use
         g_prev = offset(u) * drive(phi)
@@ -182,25 +166,24 @@ def born_correction(model: ScatterModel, s: float,
             g_prev = offset(u) * drive(phi)
             beta = beta + 0.5 * delta * g_prev
         tail = propagate(fmodel, StateVector(grid, beta), t_c + T_use, t_c,
-                         substeps=substeps, norm_tol=math.inf)
+                         norm_tol=math.inf)
         return StateVector(grid, -1j * tail.amplitudes)
 
-    kind = "linearized" if linearized else "full"
-    return GridOperator(apply, label=f"born-correction[{kind}] at s={s:.3g}")
+    return apply
 
 
 def smeared_frozen_element(model: ScatterModel, s: float, e: float, eps: float,
-                           j: int = 0, jp: int = 0, n_nodes: int = 160,
-                           steps: int | None = None) -> complex:
+                           j: int = 0, jp: int = 0) -> complex:
     """Gaussian energy smearing of the frozen on-shell amplitude.
 
     (pi eps^2)^{-1/2} integral of S_{j,jp}(s, E) exp(-(E-e)^2/eps^2) dE
-    over a window wide enough for the weight to saturate.
+    by 160 Gauss-Legendre nodes over |E - e| <= 10 eps, a window wide
+    enough for the weight to saturate.
     """
     if isinstance(model.coupling, MatrixPotential):
         # energy independent by construction; the weight integrates to one
-        return complex(on_shell_S(model, s, e, steps=steps).matrix[j, jp])
-    gl_x, gl_w = _network.gauss_legendre(n_nodes)
+        return complex(on_shell_S(model, s, e).matrix[j, jp])
+    gl_x, gl_w = _network.gauss_legendre(160)
     half = 10.0 * eps
     energies = e + half * gl_x
     scalars = _network.rankone_scalar_amplitude(model.coupling, s, energies)
@@ -226,14 +209,13 @@ def _smearing_bound(model: ScatterModel, s: float, e: float,
 
 
 def onshell_vs_frozen(model: ScatterModel, s: float, e: float, eps: float,
-                      j: int = 0, jp: int = 0,
-                      n_nodes: int = 160) -> ErrorReport:
+                      j: int = 0, jp: int = 0) -> ErrorReport:
     """Smeared frozen amplitude against its on-shell value at the center.
 
     The predicted bound is eps^2 (|tau_w|^2 + |dtau_w/dE|) from the
     Wigner delay matrix and its energy derivative.
     """
-    exact = smeared_frozen_element(model, s, e, eps, j, jp, n_nodes=n_nodes)
+    exact = smeared_frozen_element(model, s, e, eps, j, jp)
     approx = complex(on_shell_S(model, s, e).matrix[j, jp])
     bound = _smearing_bound(model, s, e, eps)
     return ErrorReport(exact, approx, float(bound),
@@ -241,8 +223,8 @@ def onshell_vs_frozen(model: ScatterModel, s: float, e: float, eps: float,
 
 
 def combined_report(model: ScatterModel, s: float, e: float, eps: float,
-                    j: int = 0, jp: int = 0, grid: Grid | None = None,
-                    T: float | None = None, substeps: int = 1,
+                    j: int = 0, jp: int = 0, *, grid: Grid,
+                    T: float | None = None,
                     tau_value: complex | None = None) -> ErrorReport:
     """Dynamical element against the frozen on-shell value, with bound.
 
@@ -250,17 +232,14 @@ def combined_report(model: ScatterModel, s: float, e: float, eps: float,
     and the drive term omega |tau|.  Pass tau_value to reuse a
     precomputed response coefficient across a sweep.
     """
-    if grid is None:
-        raise ValueError("combined_report needs a grid")
     _, bra, ket = _matched_states(model, s, e, eps, j, jp, grid)
     if T is None:
         T = clearance_T(model, ket)
-    exact = braket(bra, dynamical_S(model, 0.0, ket, T=T, substeps=substeps))
+    exact = braket(bra, dynamical_S(model, 0.0, ket, T=T))
     approx = complex(on_shell_S(model, s, e).matrix[j, jp])
     smearing = _smearing_bound(model, s, e, eps)
     if tau_value is None:
-        tau_value = adiabatic_tau(model, s, e, eps, j, jp, grid=grid,
-                                  substeps=substeps)
+        tau_value = adiabatic_tau(model, s, e, eps, j, jp, grid=grid)
     bound = smearing + model.omega * abs(tau_value)
     return ErrorReport(exact, approx, float(bound),
                        params=dict(omega=model.omega, s=s, e=e, eps=eps,
@@ -268,39 +247,37 @@ def combined_report(model: ScatterModel, s: float, e: float, eps: float,
 
 
 def energy_shift_operator(model: ScatterModel, s: float,
-                          T: float | None = None,
-                          substeps: int = 1) -> GridOperator:
-    """Dynamical energy shift (H_0 - S_d H_0 S_d^*) / omega at base point s."""
+                          T: float | None = None
+                          ) -> Callable[[StateVector], StateVector]:
+    """Dynamical energy shift (H_0 - S_d H_0 S_d^*) / omega at base point
+    s, as a state map."""
 
     def apply(state: StateVector) -> StateVector:
         T_use = clearance_T(model, state) if T is None else T
-        adj = dynamical_S_adjoint(model, s, state, T=T_use, substeps=substeps)
+        adj = dynamical_S_adjoint(model, s, state, T=T_use)
         h0adj = apply_h0(adj)
-        back = dynamical_S(model, s, h0adj, T=T_use, substeps=substeps)
+        back = dynamical_S(model, s, h0adj, T=T_use)
         out = (apply_h0(state).amplitudes - back.amplitudes) / model.omega
         return StateVector(state.grid, out)
 
-    return GridOperator(apply, label=f"energy-shift at s={s:.3g}")
+    return apply
 
 
 def thawed_energy_shift_report(model: ScatterModel, s: float, e: float,
-                               eps: float, j: int = 0, jp: int = 0,
-                               grid: Grid | None = None,
-                               T: float | None = None,
-                               substeps: int = 1) -> ErrorReport:
+                               eps: float, j: int = 0, jp: int = 0, *,
+                               grid: Grid,
+                               T: float | None = None) -> ErrorReport:
     """Dynamical energy shift element against the frozen on-shell one.
 
     The dynamical operator sits at base point 0 and is probed at the
     matched label t = s/omega; the frozen comparison is i dS/ds S^* of
     the on-shell family at s.  Agreement is first order in omega.
     """
-    if grid is None:
-        raise ValueError("thawed_energy_shift_report needs a grid")
     _, bra, ket = _matched_states(model, s, e, eps, j, jp, grid)
     if T is None:
         T = clearance_T(model, ket)
-    op = energy_shift_operator(model, 0.0, T=T, substeps=substeps)
-    exact = braket(bra, op.apply(ket))
+    op = energy_shift_operator(model, 0.0, T=T)
+    exact = braket(bra, op(ket))
     approx = complex(frozen_energy_shift_onshell(model, s, e).matrix[j, jp])
     return ErrorReport(exact, approx,
                        params=dict(omega=model.omega, s=s, e=e, eps=eps,

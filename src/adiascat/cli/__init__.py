@@ -19,19 +19,18 @@ import dataclasses
 import json
 import logging
 import math
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .experiments import (CLOSED_FORM_EXPERIMENTS, EXPERIMENTS,
+from ..experiments import (CLOSED_FORM_EXPERIMENTS, EXPERIMENTS,
                           ExperimentResult, Row, Setup)
-from .network import (RankOne, MatrixPotential, ScatterModel, as_soluble,
+from ..network import (RankOne, MatrixPotential, ScatterModel, as_soluble,
                       clearance_T, rankone_resolvent)
-from .coherent import CoherentLabel, coherent_state
-from .numerics import Grid, NumericalContractError
-from .profiles import GaussianMix, Schedule
+from ..coherent import CoherentLabel, coherent_state
+from ..numerics import Grid, NumericalContractError
+from ..profiles import GaussianMix, Schedule
 
 logger = logging.getLogger(__name__)
 
@@ -382,7 +381,3 @@ def main(argv: list[str] | None = None) -> int:
     logger.info("wrote %d rows to %s in %.2fs", len(result.rows),
                 out_dir, wall_s)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

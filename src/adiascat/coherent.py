@@ -15,13 +15,14 @@ pull out of brackets unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import Grid, NumericalContractError
 
 _TWO_PI = 2.0 * math.pi
+WRAP_TOL = 1e-10
 
 
 @dataclass
@@ -94,22 +95,21 @@ def _momentum_profile(label: CoherentLabel, p: np.ndarray) -> np.ndarray:
 
 
 def coherent_state(label: CoherentLabel, grid: Grid,
-                   channel: int = 0, n_channels: int = 1,
-                   sigma_margin: float = 6.0) -> StateVector:
+                   channel: int = 0, n_channels: int = 1) -> StateVector:
     """Grid realization of the labelled packet on one channel.
 
     Rejects labels whose packet would not fit the position window or the
-    momentum band with the requested number of spreads to spare.
+    momentum band with six spreads to spare.
     """
     if not 0 <= channel < n_channels:
         raise ValueError("channel index out of range")
     x_c = label.position_center
-    sx = sigma_margin * label.position_spread
+    sx = 6.0 * label.position_spread
     if x_c - sx < grid.x_min or x_c + sx > grid.x_max:
         raise ValueError(
             f"packet at x={x_c:.3g} +- {sx:.3g} does not fit window "
             f"[{grid.x_min:.3g}, {grid.x_max:.3g}]")
-    sp = sigma_margin * label.energy_spread
+    sp = 6.0 * label.energy_spread
     if abs(label.e) + sp > 0.9 * grid.p_max:
         raise ValueError(
             f"energy {label.e:.3g} +- {sp:.3g} too close to the momentum "
@@ -131,13 +131,12 @@ def overlap(a: CoherentLabel, b: CoherentLabel) -> complex:
     return mag * complex(math.cos(phase), math.sin(phase))
 
 
-def free_shift(state: StateVector, duration: float,
-               wrap_tol: float = 1e-10) -> StateVector:
+def free_shift(state: StateVector, duration: float) -> StateVector:
     """Free chiral evolution by the given duration: translation by +duration.
 
     Lattice-aligned durations are exact index rolls; anything else goes
-    through the momentum representation.  Rejects shifts that push
-    weight across the periodic seam.
+    through the momentum representation.  Rejects shifts that leave more
+    than WRAP_TOL of the weight at the periodic seam.
     """
     grid = state.grid
     m, snapped = grid.snap(duration)
@@ -148,7 +147,7 @@ def free_shift(state: StateVector, duration: float,
         out = grid.from_momentum(phat * np.exp(-1j * grid.momenta * duration))
     shifted = StateVector(grid, out)
     edge = grid.edge_mass(out)
-    if edge > wrap_tol:
+    if edge > WRAP_TOL:
         raise NumericalContractError(
             f"free shift by {duration:.3g} leaves {edge:.2e} relative weight "
             "at the window edge (wrap hazard)")
@@ -188,9 +187,10 @@ def plane_wave_amplitude(state: StateVector, energies) -> np.ndarray:
     return out.T
 
 
-def label_box(state: StateVector, eps: float,
-              spreads: float = 6.0) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Label-plane box that captures the state against width-eps packets."""
+def label_box(state: StateVector, eps: float
+              ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Label-plane box that captures the state against width-eps packets,
+    six spreads wide on each side."""
     de, dt = label_spreads(state)
     grid = state.grid
     dens_x = np.sum(np.abs(state.amplitudes) ** 2, axis=0)
@@ -198,8 +198,8 @@ def label_box(state: StateVector, eps: float,
     phat = state.momentum_amplitudes()
     dens_p = np.sum(np.abs(phat) ** 2, axis=0)
     mean_p = float(np.sum(dens_p * grid.momenta) / np.sum(dens_p))
-    pad_t = spreads * (dt + 1.0 / (math.sqrt(2.0) * eps))
-    pad_e = spreads * (de + eps / math.sqrt(2.0))
+    pad_t = 6.0 * (dt + 1.0 / (math.sqrt(2.0) * eps))
+    pad_e = 6.0 * (de + eps / math.sqrt(2.0))
     return ((-mean_x - pad_t, -mean_x + pad_t), (mean_p - pad_e, mean_p + pad_e))
 
 

@@ -433,7 +433,7 @@ def run_energy_shift(setup: Setup) -> ExperimentResult:
     probe = coherent_state(CoherentLabel(s / w0, e, eps), grid)
     T = clearance_T(net, probe)
     op = energy_shift_operator(net, 0.0, T=T)
-    exact_a = braket(probe, op.apply(probe))
+    exact_a = braket(probe, op(probe))
     adj = dynamical_S_adjoint(net, 0.0, probe, T=T)
     T_fix = T + 1.0
 
@@ -457,7 +457,7 @@ def run_energy_shift(setup: Setup) -> ExperimentResult:
     profile = dynamical_energy_shift_profile(_with_omega(sol, w0), s, grid)
     op_s = energy_shift_operator(net, s)
     probe_b = coherent_state(CoherentLabel(0.0, e, eps), grid)
-    exact_b = braket(probe_b, op_s.apply(probe_b))
+    exact_b = braket(probe_b, op_s(probe_b))
     approx_b = complex(grid.dx * np.sum(
         profile * np.abs(probe_b.amplitudes[0]) ** 2))
     rows.append(Row("energy-shift/profile", omega=w0, eps=eps, s=s, e=e,
@@ -473,9 +473,9 @@ def run_energy_shift(setup: Setup) -> ExperimentResult:
     clock.start()
     t_label = 1.0
     lhs_state = coherent_state(CoherentLabel(t_label, e, eps), grid)
-    lhs = braket(lhs_state, energy_shift_operator(net, s).apply(lhs_state))
+    lhs = braket(lhs_state, energy_shift_operator(net, s)(lhs_state))
     rhs_state = coherent_state(CoherentLabel(t_label + s / w0, e, eps), grid)
-    rhs = braket(rhs_state, energy_shift_operator(net, 0.0).apply(rhs_state))
+    rhs = braket(rhs_state, energy_shift_operator(net, 0.0)(rhs_state))
     rows.append(Row("energy-shift/conjugation", omega=w0, eps=eps, s=s, e=e,
                     j=0, jp=0, value_exact=lhs, value_approx=rhs,
                     abs_error=abs(lhs - rhs), wall_ms=clock.stop()))

@@ -175,12 +175,13 @@ def frozen(model: ScatterModel, s: float) -> ScatterModel:
 # ---------------------------------------------------------------------------
 
 def _matrix_transport(model: ScatterModel, grid: Grid, t0: float,
-                      tau: float, m: int, nsteps: int):
+                      tau: float, m: int):
     """Transport of a matrix coupling over tau = m dx, as an array map.
 
     Builds the characteristic factors once from the coupling's field and
-    schedule (a phase for one channel, unitaries otherwise); the map
-    rolls amplitudes by m lattice steps and applies them.
+    schedule (a phase for one channel, unitaries otherwise), in |m|
+    steps of dx; the map rolls amplitudes by m lattice steps and applies
+    them.
     """
     coupling: MatrixPotential = model.coupling
     schedule = coupling.schedule.value
@@ -188,7 +189,7 @@ def _matrix_transport(model: ScatterModel, grid: Grid, t0: float,
     t1 = t0 + tau
     if model.n_channels == 1:
         phase = _kernels.characteristic_phase(
-            grid.points, tau, t1, nsteps,
+            grid.points, tau, t1, abs(m),
             lambda y: coupling.value(y, 1.0)[:, 0, 0].real,
             schedule, model.omega, rmax)
         factor = np.exp(-1j * phase)
@@ -197,7 +198,7 @@ def _matrix_transport(model: ScatterModel, grid: Grid, t0: float,
             return np.roll(amps, m, axis=-1) * factor
     else:
         factors = _kernels.characteristic_unitary(
-            grid.points, tau, t1, nsteps, coupling.value, schedule,
+            grid.points, tau, t1, abs(m), coupling.value, schedule,
             model.omega, rmax)
 
         def apply(amps: np.ndarray) -> np.ndarray:
@@ -206,13 +207,11 @@ def _matrix_transport(model: ScatterModel, grid: Grid, t0: float,
 
 
 def _propagate_matrix(model: ScatterModel, state: StateVector,
-                      t0: float, tau_snapped: float, m: int,
-                      substeps: int) -> np.ndarray:
+                      t0: float, tau_snapped: float, m: int) -> np.ndarray:
     schedule = model.coupling.schedule
     if schedule.is_constant and schedule.a == 0.0:
         return np.roll(state.amplitudes, m, axis=-1)
-    transport = _matrix_transport(model, state.grid, t0, tau_snapped, m,
-                                  abs(m) * substeps)
+    transport = _matrix_transport(model, state.grid, t0, tau_snapped, m)
     return transport(state.amplitudes)
 
 
@@ -270,18 +269,19 @@ def _propagate_rankone(model: ScatterModel, state: StateVector,
 
 
 def propagate(model: ScatterModel, state: StateVector, t0: float, t1: float,
-              substeps: int = 1, norm_tol: float = DEFAULT_NORM_TOL) -> StateVector:
+              norm_tol: float = DEFAULT_NORM_TOL) -> StateVector:
     """Evolve a state under the driven Hamiltonian from t0 to t1.
 
-    Durations snap onto the grid lattice.  Norm drift beyond norm_tol is
-    a contract violation, not a warning.
+    Durations snap onto the grid lattice, whose spacing dx is also the
+    transport step.  Norm drift beyond norm_tol is a contract violation,
+    not a warning.
     """
     grid = state.grid
     m, tau = grid.snap(t1 - t0)
     if m == 0:
         return state.copy()
     if isinstance(model.coupling, MatrixPotential):
-        out = _propagate_matrix(model, state, t0, tau, m, substeps)
+        out = _propagate_matrix(model, state, t0, tau, m)
     else:
         out = _propagate_rankone(model, state, t0, m)
     result = StateVector(grid, out)
@@ -292,7 +292,7 @@ def propagate(model: ScatterModel, state: StateVector, t0: float, t1: float,
     return result
 
 
-def frozen_one_step(model: ScatterModel, grid: Grid, substeps: int = 1):
+def frozen_one_step(model: ScatterModel, grid: Grid):
     """One-lattice-step propagator of a frozen model, as an array map.
 
     The model must have a constant schedule; the returned callable
@@ -303,7 +303,7 @@ def frozen_one_step(model: ScatterModel, grid: Grid, substeps: int = 1):
     if not model.schedule.is_constant:
         raise ValueError("frozen_one_step needs a constant schedule")
     if isinstance(model.coupling, MatrixPotential):
-        return _matrix_transport(model, grid, 0.0, grid.dx, 1, substeps)
+        return _matrix_transport(model, grid, 0.0, grid.dx, 1)
     return lambda amps: _propagate_rankone(model, StateVector(grid, amps),
                                            0.0, 1)
 
@@ -381,16 +381,16 @@ def _side_mass(state: StateVector, x_cut: float, side: str) -> float:
     return float(dens[sel].sum() / total)
 
 
-def clearance_T(model: ScatterModel, state: StateVector,
-                margin: float = 2.0) -> float:
+def clearance_T(model: ScatterModel, state: StateVector) -> float:
     """Asymptotic window length that clears the interaction both ways.
 
     The returned T satisfies: shifting the state by -T puts it left of
-    the interaction, by +T right of it, and neither shift (nor the
-    driven sweep between them) runs into the periodic seam.
+    the interaction (widened by a margin of 2), by +T right of it, and
+    neither shift (nor the driven sweep between them) runs into the
+    periodic seam.
     """
     grid = state.grid
-    radius = model.interaction_radius() + margin
+    radius = model.interaction_radius() + 2.0
     x_lo, x_hi = _support_bounds(state)
     edge = 0.5 + 8.0 * grid.dx
     t_min = max(x_hi + radius, radius - x_lo)
@@ -421,8 +421,7 @@ def _check_cleared(state: StateVector, radius: float, side: str,
 # ---------------------------------------------------------------------------
 
 def wave_operator(model: ScatterModel, s: float, sign: int,
-                  state: StateVector, T: float | None = None,
-                  substeps: int = 1) -> StateVector:
+                  state: StateVector, T: float | None = None) -> StateVector:
     """Finite-window wave operator at base point s.
 
     sign=-1 prepares from the incoming free asymptote:
@@ -440,11 +439,11 @@ def wave_operator(model: ScatterModel, s: float, sign: int,
     leg1 = free_shift(state, sign * T)
     _check_cleared(leg1, radius, "left" if sign < 0 else "right",
                    "wave operator asymptote")
-    return propagate(model, leg1, t_c + sign * T, t_c, substeps=substeps)
+    return propagate(model, leg1, t_c + sign * T, t_c)
 
 
 def _scatter(model: ScatterModel, s: float, state: StateVector,
-             T: float | None, substeps: int, direction: int,
+             T: float | None, direction: int,
              reference: ScatterModel | None = None) -> StateVector:
     """Outer leg, driven leg over [t_c - T, t_c + T], outer leg: run
     forward (direction=+1) or backward (direction=-1), with clearance of
@@ -463,22 +462,20 @@ def _scatter(model: ScatterModel, s: float, state: StateVector,
     def outer_leg(psi: StateVector) -> StateVector:
         if reference is None:
             return free_shift(psi, -direction * T)
-        return propagate(reference, psi, 0.0, -direction * T,
-                         substeps=substeps)
+        return propagate(reference, psi, 0.0, -direction * T)
 
     t_c = s / model.omega
     radius = model.interaction_radius()
     first, last = ("left", "right") if direction > 0 else ("right", "left")
     leg1 = outer_leg(state)
     _check_cleared(leg1, radius, first, "scattering in-asymptote")
-    mid = propagate(model, leg1, t_c - direction * T, t_c + direction * T,
-                    substeps=substeps)
+    mid = propagate(model, leg1, t_c - direction * T, t_c + direction * T)
     _check_cleared(mid, radius, last, "scattering out-asymptote")
     return outer_leg(mid)
 
 
 def dynamical_S(model: ScatterModel, s: float, state: StateVector,
-                T: float | None = None, substeps: int = 1,
+                T: float | None = None,
                 reference: ScatterModel | None = None) -> StateVector:
     """Dynamical scattering operator at base point s applied to a state.
 
@@ -487,19 +484,19 @@ def dynamical_S(model: ScatterModel, s: float, state: StateVector,
     model when one is supplied.  Clearance of the interaction region is
     checked at both seams.
     """
-    return _scatter(model, s, state, T, substeps, +1, reference)
+    return _scatter(model, s, state, T, +1, reference)
 
 
 def dynamical_S_adjoint(model: ScatterModel, s: float, state: StateVector,
-                        T: float | None = None, substeps: int = 1) -> StateVector:
+                        T: float | None = None) -> StateVector:
     """Adjoint of dynamical_S (free outer legs): its legs run backward."""
-    return _scatter(model, s, state, T, substeps, -1)
+    return _scatter(model, s, state, T, -1)
 
 
 def frozen_S_apply(model: ScatterModel, s: float, state: StateVector,
-                   T: float | None = None, substeps: int = 1) -> StateVector:
+                   T: float | None = None) -> StateVector:
     """Frozen scattering operator at slow time s applied to a state."""
-    return dynamical_S(frozen(model, s), 0.0, state, T=T, substeps=substeps)
+    return dynamical_S(frozen(model, s), 0.0, state, T=T)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +522,7 @@ class HermitianOnShell:
     hermiticity_defect: float
 
 
-def _matrix_transfer(model: ScatterModel, s: float,
-                     steps: int | None) -> np.ndarray:
+def _matrix_transfer(model: ScatterModel, s: float) -> np.ndarray:
     coupling: MatrixPotential = model.coupling
     f = float(coupling.schedule.value(s))
     radius = coupling.support_radius(1e-16) + 1.0
@@ -535,7 +531,7 @@ def _matrix_transfer(model: ScatterModel, s: float,
         field = coupling.value(np.array([x]), f)[0]
         return -1j * field
 
-    return ordered_exponential(gen, -radius, radius, steps=steps)
+    return ordered_exponential(gen, -radius, radius)
 
 
 @lru_cache(maxsize=8)
@@ -547,16 +543,16 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return gl_x, gl_w
 
 
-def rankone_resolvent(form: GaussianMix, energies, nodes: int = 800):
+def rankone_resolvent(form: GaussianMix, energies):
     """Boundary value g(E) = <chi|(E - P + i0)^{-1}|chi> by quadrature.
 
-    Principal value via symmetric-window subtraction and Gauss-Legendre
-    nodes; the imaginary part is the exact -i pi |chi_hat(E)|^2.
+    Principal value via symmetric-window subtraction and 800
+    Gauss-Legendre nodes; the imaginary part is the exact -i pi |chi_hat(E)|^2.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     band = form.fourier_band(1e-18)
     half = np.abs(energies) + band + 4.0
-    gl_x, gl_w = gauss_legendre(nodes)
+    gl_x, gl_w = gauss_legendre(800)
     k = energies[:, None] + half[:, None] * gl_x[None, :]
     rho = np.abs(form.fourier(k)) ** 2
     rho_e = np.abs(form.fourier(energies)) ** 2
@@ -591,17 +587,16 @@ def rankone_resolvent_exact(form: GaussianMix, energies):
     return out if np.ndim(energies) else complex(out)
 
 
-def rankone_scalar_amplitude(coupling: RankOne, s: float, energies,
-                             nodes: int = 800):
+def rankone_scalar_amplitude(coupling: RankOne, s: float, energies):
     """Unimodular scalar amplitude of the rank-one channel at energy E."""
     lam = float(coupling.schedule.value(s))
-    g = rankone_resolvent(coupling.form, energies, nodes=nodes)
+    g = rankone_resolvent(coupling.form, energies)
     denom = 1.0 - lam * np.asarray(g)
     return np.conj(denom) / denom
 
 
-def on_shell_S(model: ScatterModel, s: float, energy: float = 0.0,
-               steps: int | None = None) -> OnShellMatrix:
+def on_shell_S(model: ScatterModel, s: float,
+               energy: float = 0.0) -> OnShellMatrix:
     """Frozen on-shell scattering matrix at slow time s and given energy.
 
     The matrix backend is energy independent (linear dispersion turns
@@ -609,7 +604,7 @@ def on_shell_S(model: ScatterModel, s: float, energy: float = 0.0,
     backend carries genuine energy dependence through its resolvent.
     """
     if isinstance(model.coupling, MatrixPotential):
-        matrix = _matrix_transfer(model, s, steps)
+        matrix = _matrix_transfer(model, s)
     else:
         scalar = rankone_scalar_amplitude(model.coupling, s, energy)
         u = model.coupling.vector
@@ -619,9 +614,10 @@ def on_shell_S(model: ScatterModel, s: float, energy: float = 0.0,
     return OnShellMatrix(matrix, s, float(energy))
 
 
-def wigner_delay(model: ScatterModel, s: float, energy: float = 0.0,
-                 h: float = 1e-3, steps: int | None = None) -> HermitianOnShell:
-    """Wigner delay matrix -i S'(E) S(E)^dagger, Hermitized with defect.
+def wigner_delay(model: ScatterModel, s: float,
+                 energy: float = 0.0) -> HermitianOnShell:
+    """Wigner delay matrix -i S'(E) S(E)^dagger, Hermitized with defect;
+    S' by central difference with step 1e-3.
 
     The matrix backend is energy independent (see on_shell_S), so its
     delay is exactly zero and no on-shell matrix is built for it.
@@ -630,27 +626,27 @@ def wigner_delay(model: ScatterModel, s: float, energy: float = 0.0,
         nc = model.n_channels
         return HermitianOnShell(np.zeros((nc, nc), dtype=np.complex128), s,
                                 float(energy), 0.0)
-    base = on_shell_S(model, s, energy, steps=steps).matrix
+    base = on_shell_S(model, s, energy).matrix
 
     def sfun(en: float) -> np.ndarray:
-        return on_shell_S(model, s, en, steps=steps).matrix
+        return on_shell_S(model, s, en).matrix
 
-    ds = central_derivative(sfun, energy, h)
+    ds = central_derivative(sfun, energy, 1e-3)
     raw = -1j * ds @ np.conj(base.T)
     herm, defect = hermitize(raw)
     return HermitianOnShell(herm, s, float(energy), defect)
 
 
 def frozen_energy_shift_onshell(model: ScatterModel, s: float,
-                                energy: float = 0.0, h: float = 1e-3,
-                                steps: int | None = None) -> HermitianOnShell:
-    """Frozen-family energy shift i dS/ds S^dagger, Hermitized with defect."""
-    base = on_shell_S(model, s, energy, steps=steps).matrix
+                                energy: float = 0.0) -> HermitianOnShell:
+    """Frozen-family energy shift i dS/ds S^dagger, Hermitized with defect;
+    dS/ds by central difference with step 1e-3."""
+    base = on_shell_S(model, s, energy).matrix
 
     def sfun(sv: float) -> np.ndarray:
-        return on_shell_S(model, sv, energy, steps=steps).matrix
+        return on_shell_S(model, sv, energy).matrix
 
-    ds = central_derivative(sfun, s, h)
+    ds = central_derivative(sfun, s, 1e-3)
     raw = 1j * ds @ np.conj(base.T)
     herm, defect = hermitize(raw)
     return HermitianOnShell(herm, s, float(energy), defect)
@@ -661,7 +657,7 @@ def frozen_energy_shift_onshell(model: ScatterModel, s: float,
 # ---------------------------------------------------------------------------
 
 def intertwine_residual(model: ScatterModel, s: float, state: StateVector,
-                        T: float | None = None, substeps: int = 1) -> float:
+                        T: float | None = None) -> float:
     """Frozen intertwining defect max over both wave operators.
 
     Measures |H_s Omega psi - Omega H_0 psi| / |psi| for the frozen
@@ -674,59 +670,56 @@ def intertwine_residual(model: ScatterModel, s: float, state: StateVector,
     h0state = apply_h0(state)
     worst = 0.0
     for sign in (-1, +1):
-        om = wave_operator(fmodel, s, sign, state, T=T, substeps=substeps)
+        om = wave_operator(fmodel, s, sign, state, T=T)
         lhs = apply_hamiltonian(fmodel, s / model.omega, om)
-        rhs = wave_operator(fmodel, s, sign, h0state, T=T, substeps=substeps)
+        rhs = wave_operator(fmodel, s, sign, h0state, T=T)
         diff = StateVector(state.grid, lhs.amplitudes - rhs.amplitudes)
         worst = max(worst, diff.norm() / state.norm())
     return worst
 
 
 def omega_dot_residual(model: ScatterModel, s: float, state: StateVector,
-                       T: float | None = None, sign: int = -1,
-                       h: float = 1e-3, substeps: int = 1) -> float:
-    """Base-point equation of motion defect of the dynamical wave operator.
+                       T: float | None = None) -> float:
+    """Base-point equation of motion defect of the incoming dynamical
+    wave operator.
 
     Returns |i omega dOmega/ds psi - (H_s Omega psi - Omega H_0 psi)| /
     |psi| for the time-dependent model, with the s-derivative taken by
-    central difference over the base point.  The equation is exact, so
-    the residual sits at the differencing and grid floor.
+    central difference (step 1e-3) over the base point.  The equation is
+    exact, so the residual sits at the differencing and grid floor.
     """
     if T is None:
         T = clearance_T(model, state)
 
     def family(sv: float) -> np.ndarray:
-        return wave_operator(model, sv, sign, state,
-                             T=T, substeps=substeps).amplitudes
+        return wave_operator(model, sv, -1, state, T=T).amplitudes
 
-    dom = central_derivative(family, s, h)
+    dom = central_derivative(family, s, 1e-3)
     fmodel = frozen(model, s)
-    om = wave_operator(model, s, sign, state, T=T, substeps=substeps)
+    om = wave_operator(model, s, -1, state, T=T)
     lhs = apply_hamiltonian(fmodel, s / model.omega, om).amplitudes
-    rhs = wave_operator(model, s, sign, apply_h0(state), T=T,
-                        substeps=substeps).amplitudes
+    rhs = wave_operator(model, s, -1, apply_h0(state), T=T).amplitudes
     resid = 1j * model.omega * dom - (lhs - rhs)
     return StateVector(state.grid, resid).norm() / state.norm()
 
 
 def dot_S_residual(model: ScatterModel, s: float, state: StateVector,
-                   T: float | None = None, h: float = 1e-2,
-                   substeps: int = 1) -> float:
+                   T: float | None = None) -> float:
     """Base-point commutator defect of the dynamical scattering family.
 
-    Checks omega dS_d/ds = -i [H_0, S_d(s)] applied to the state, which
-    encodes that moving the base point is free transport.
+    Checks omega dS_d/ds = -i [H_0, S_d(s)] applied to the state, with
+    the s-derivative by central difference (step 1e-2), which encodes
+    that moving the base point is free transport.
     """
     if T is None:
         T = clearance_T(model, state)
 
     def family(sv: float) -> np.ndarray:
-        return dynamical_S(model, sv, state, T=T, substeps=substeps).amplitudes
+        return dynamical_S(model, sv, state, T=T).amplitudes
 
-    ds = central_derivative(family, s, h)
-    sd = dynamical_S(model, s, state, T=T, substeps=substeps)
+    ds = central_derivative(family, s, 1e-2)
+    sd = dynamical_S(model, s, state, T=T)
     h0_sd = apply_h0(sd).amplitudes
-    sd_h0 = dynamical_S(model, s, apply_h0(state), T=T,
-                        substeps=substeps).amplitudes
+    sd_h0 = dynamical_S(model, s, apply_h0(state), T=T).amplitudes
     resid = model.omega * ds + 1j * (h0_sd - sd_h0)
     return StateVector(state.grid, resid).norm() / state.norm()

@@ -62,11 +62,6 @@ class GaussianMix:
         return _SQRT_PI * sum(a * w * c for a, c, w
                               in zip(self.amps, self.centers, self.widths))
 
-    @property
-    def second_moment(self) -> float:
-        return _SQRT_PI * sum(a * w * (c * c + 0.5 * w * w) for a, c, w
-                              in zip(self.amps, self.centers, self.widths))
-
     def fourier(self, k):
         """Unitary-convention transform (2 pi)^{-1/2} int v(x) e^{-ikx} dx."""
         a, c, w = self._arrays

@@ -366,3 +366,12 @@ def test_console_entry_point_smoke(tmp_path, subprocess_env):
                            "validate", "--config", path],
                           env=subprocess_env, capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_module_entry_point_runs_without_warning(subprocess_env):
+    proc = subprocess.run([sys.executable, "-m", "adiascat.cli", "validate",
+                           "--config", str(CONFIGS / "combined.ini")],
+                          env=subprocess_env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
+    assert "RuntimeWarning" not in proc.stderr

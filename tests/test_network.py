@@ -96,22 +96,23 @@ def test_propagate_snaps_sub_lattice_duration_to_rest():
 
 def test_propagate_two_channel_commuting_closed_form():
     # single sigma_x term: ordering collapses, U = exp(-i phase sigma_x)
-    grid = Grid(-40.0, 40.0, 1280)
     coupling = MatrixPotential((SX,), (MIX,), Schedule("tanh", 0.7, 0.2, 1.1))
     model = ScatterModel(2, coupling, 0.3)
-    state = coherent_state(CoherentLabel(-8.0, 0.9, 0.7), grid,
-                           channel=0, n_channels=2)
     t0 = -1.3
-    m, dur = grid.snap(16.0)
-    phase = phase_quadrature(model, grid.points, t0, t0 + dur)
-    rolled = np.roll(state.amplitudes[0], m)
-    expected = np.stack([np.cos(phase) * rolled, -1j * np.sin(phase) * rolled])
     errs = []
-    for substeps in (1, 4):
-        out = propagate(model, state, t0, t0 + dur, substeps=substeps)
+    for n in (1280, 5120):
+        grid = Grid(-40.0, 40.0, n)
+        state = coherent_state(CoherentLabel(-8.0, 0.9, 0.7), grid,
+                               channel=0, n_channels=2)
+        m, dur = grid.snap(16.0)
+        phase = phase_quadrature(model, grid.points, t0, t0 + dur)
+        rolled = np.roll(state.amplitudes[0], m)
+        expected = np.stack([np.cos(phase) * rolled,
+                             -1j * np.sin(phase) * rolled])
+        out = propagate(model, state, t0, t0 + dur)
         errs.append(np.max(np.abs(out.amplitudes - expected)))
     # midpoint transport carries an O(dx^2) tail where a characteristic
-    # window cuts the potential midway; substeps quarter the step
+    # window cuts the potential midway; the finer grid quarters the step
     assert errs[0] < 5e-9
     assert errs[1] < errs[0] / 4.0
 
@@ -179,6 +180,27 @@ def test_frozen_one_step_rankone_matches_propagate():
         amps = step(amps)
     leg = propagate(model, state, 0.0, m * grid.dx).amplitudes
     assert np.linalg.norm(amps - leg) < 1e-6 * np.linalg.norm(leg)
+    # the leg is not free motion
+    free = np.roll(state.amplitudes, m, axis=-1)
+    assert np.linalg.norm(leg - free) > 0.1 * np.linalg.norm(leg)
+
+
+def test_frozen_one_step_matrix_matches_propagate():
+    # two non-commuting terms, so the step map is a field of 2x2 unitaries
+    grid = Grid(-40.0, 40.0, 1024)
+    coupling = MatrixPotential((SX, SZ),
+                               (MIX, GaussianMix((0.5,), (-0.6,), (0.9,))),
+                               BUMP)
+    model = frozen(ScatterModel(2, coupling, 0.25), 0.3)
+    state = coherent_state(CoherentLabel(6.0, 0.8, 0.6), grid, channel=1,
+                           n_channels=2)
+    m = 200
+    step = frozen_one_step(model, grid)
+    amps = state.amplitudes
+    for _ in range(m):
+        amps = step(amps)
+    leg = propagate(model, state, 0.0, m * grid.dx).amplitudes
+    assert np.linalg.norm(amps - leg) < 1e-12 * np.linalg.norm(leg)
     # the leg is not free motion
     free = np.roll(state.amplitudes, m, axis=-1)
     assert np.linalg.norm(leg - free) > 0.1 * np.linalg.norm(leg)
@@ -262,19 +284,19 @@ def test_wave_operator_isometry_and_pairing():
 def test_frozen_incoming_wave_operator_is_gauge_multiplication():
     # frozen single channel: Omega_- = exp(-i f(s) A(x)), A the cumulative
     # integral of the potential; midpoint transport converges at 2nd order
-    grid = Grid(-48.0, 48.0, 1536)
     model = soluble_twin(0.1)
     s = 0.4
     fmodel = frozen(model, s)
     lam = float(model.schedule.value(s))
-    state = coherent_state(CoherentLabel(0.0, 0.8, 0.5), grid)
     a, c, w = MIX.amps[0], MIX.centers[0], MIX.widths[0]
-    cumulative = a * w * math.sqrt(math.pi) / 2.0 \
-        * (1.0 + erf((grid.points - c) / w))
-    expected = np.exp(-1j * lam * cumulative) * state.amplitudes
     errs = []
-    for substeps in (1, 4):
-        om = wave_operator(fmodel, s, -1, state, substeps=substeps)
+    for n in (1536, 6144):
+        grid = Grid(-48.0, 48.0, n)
+        state = coherent_state(CoherentLabel(0.0, 0.8, 0.5), grid)
+        cumulative = a * w * math.sqrt(math.pi) / 2.0 \
+            * (1.0 + erf((grid.points - c) / w))
+        expected = np.exp(-1j * lam * cumulative) * state.amplitudes
+        om = wave_operator(fmodel, s, -1, state)
         errs.append(np.max(np.abs(om.amplitudes - expected)))
     assert errs[0] < 1e-3
     assert errs[1] < errs[0] / 8.0
