@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -28,9 +28,9 @@ import numpy as np
 
 from .coherent import CoherentLabel, StateVector, braket, coherent_state
 from .numerics import Grid, central_derivative
-from .network import (ScatterModel, MatrixPotential, apply_h0,
-                      apply_coupling_sderivative, as_soluble, clearance_T,
-                      dynamical_S, dynamical_S_adjoint, frozen, frozen_S_apply,
+from .network import (ScatterModel, MatrixPotential, apply_h0, as_soluble,
+                      clearance_T, coupling_map, dynamical_S,
+                      dynamical_S_adjoint, frozen, frozen_S_apply,
                       frozen_energy_shift_onshell, on_shell_S, propagate,
                       wave_operator, wigner_delay)
 from .soluble import (SolubleModel, dynamical_S_profile,
@@ -45,7 +45,6 @@ class ErrorReport:
     value_exact: complex
     value_approx: complex
     predicted_bound: float | None = None
-    params: dict = dataclass_field(default_factory=dict)
 
     @property
     def abs_error(self) -> float:
@@ -106,6 +105,7 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
     weights = np.full(49, nodes[1] - nodes[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
+    dh_ds = coupling_map(model, grid, float(model.schedule.derivative(s)))
     total = 0.0 + 0.0j
     for tp, wgt in zip(nodes, weights):
         if abs(tp) > reach:
@@ -118,7 +118,7 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
         T = clearance_T(fmodel, ket)
         w_minus = wave_operator(fmodel, s, -1, ket, T=T)
         w_plus = wave_operator(fmodel, s, +1, bra, T=T)
-        drive = apply_coupling_sderivative(model, s, w_minus)
+        drive = StateVector(grid, dh_ds(w_minus.amplitudes))
         total += wgt * tp * braket(w_plus, drive)
     return -total
 
@@ -147,7 +147,7 @@ def born_correction(model: ScatterModel, s: float,
         fdot = float(model.schedule.derivative(s))
         f_s = float(model.schedule.value(s))
         step = _network.frozen_one_step(fmodel, grid)
-        drive = _network.coupling_field_apply(model, grid)
+        drive = coupling_map(model, grid, 1.0)
         t_c = s / model.omega
 
         def offset(u: float) -> float:
@@ -218,8 +218,7 @@ def onshell_vs_frozen(model: ScatterModel, s: float, e: float, eps: float,
     exact = smeared_frozen_element(model, s, e, eps, j, jp)
     approx = complex(on_shell_S(model, s, e).matrix[j, jp])
     bound = _smearing_bound(model, s, e, eps)
-    return ErrorReport(exact, approx, float(bound),
-                       params=dict(s=s, e=e, eps=eps, j=j, jp=jp))
+    return ErrorReport(exact, approx, float(bound))
 
 
 def combined_report(model: ScatterModel, s: float, e: float, eps: float,
@@ -241,9 +240,7 @@ def combined_report(model: ScatterModel, s: float, e: float, eps: float,
     if tau_value is None:
         tau_value = adiabatic_tau(model, s, e, eps, j, jp, grid=grid)
     bound = smearing + model.omega * abs(tau_value)
-    return ErrorReport(exact, approx, float(bound),
-                       params=dict(omega=model.omega, s=s, e=e, eps=eps,
-                                   j=j, jp=jp))
+    return ErrorReport(exact, approx, float(bound))
 
 
 def energy_shift_operator(model: ScatterModel, s: float,
@@ -279,9 +276,7 @@ def thawed_energy_shift_report(model: ScatterModel, s: float, e: float,
     op = energy_shift_operator(model, 0.0, T=T)
     exact = braket(bra, op(ket))
     approx = complex(frozen_energy_shift_onshell(model, s, e).matrix[j, jp])
-    return ErrorReport(exact, approx,
-                       params=dict(omega=model.omega, s=s, e=e, eps=eps,
-                                   j=j, jp=jp))
+    return ErrorReport(exact, approx)
 
 
 # ---------------------------------------------------------------------------

@@ -133,12 +133,12 @@ def _build_setup(cfg: configparser.ConfigParser, args) -> tuple[Setup, dict]:
     grid = {"x_min": cfg.getfloat("grid", "x_min", fallback=-40.0),
             "x_max": cfg.getfloat("grid", "x_max", fallback=40.0),
             "n": cfg.getint("grid", "n", fallback=4096)}
+    if args.grid_n is not None:
+        grid["n"] = args.grid_n
     if grid["x_max"] <= grid["x_min"]:
         raise ConfigError("grid x_max must exceed x_min")
     if grid["n"] < 16:
         raise ConfigError("grid n must be at least 16")
-    if args.grid_n is not None:
-        grid["n"] = args.grid_n
     omegas = _floats(args.omega) if args.omega \
         else _floats(sweep.get("omega", "0.2,0.1,0.05"))
     epsilons = _floats(args.eps) if args.eps \
@@ -320,8 +320,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-n", type=int, default=None, dest="grid_n")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--timing", action="store_true",
-                       help="fill the wall_ms column (breaks byte "
-                            "reproducibility)")
+                       help="fill the wall_ms column with the time since "
+                            "the previous row, so that it adds up to the "
+                            "run (breaks byte reproducibility)")
     return parser
 
 

@@ -47,9 +47,14 @@ class Row:
     jp: int | None = None
     value_exact: complex | None = None
     value_approx: complex | None = None
-    abs_error: float | None = None
     predicted_bound: float | None = None
     wall_ms: float | None = None
+
+    @property
+    def abs_error(self) -> float | None:
+        if self.value_exact is None or self.value_approx is None:
+            return None
+        return abs(self.value_exact - self.value_approx)
 
 
 @dataclass
@@ -95,19 +100,23 @@ def _with_omega(model, w: float):
     return dataclasses.replace(model, omega=w)
 
 
-class _Clock:
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self._mark = 0.0
+class _Rows(list):
+    """The rows of one driver.  With timing on, each row's wall_ms is the
+    time since the previous row was added, or since the recorder was
+    made, so the column adds up to the driver's run."""
 
-    def start(self) -> None:
-        if self.enabled:
-            self._mark = time.perf_counter()
+    def __init__(self, timing: bool):
+        super().__init__()
+        self._mark = time.perf_counter() if timing else None
 
-    def stop(self) -> float | None:
-        if not self.enabled:
-            return None
-        return (time.perf_counter() - self._mark) * 1e3
+    def add(self, experiment: str, exact: complex, approx: complex,
+            **fields) -> None:
+        wall_ms = None
+        if self._mark is not None:
+            now = time.perf_counter()
+            wall_ms, self._mark = (now - self._mark) * 1e3, now
+        self.append(Row(experiment, value_exact=exact, value_approx=approx,
+                        wall_ms=wall_ms, **fields))
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +126,9 @@ class _Clock:
 def run_coherent_props(setup: Setup) -> ExperimentResult:
     """Norm, shift covariance, overlap, resolution and plane-wave checks
     on seeded random labels."""
+    rows = _Rows(setup.timing)
     rng = np.random.default_rng(setup.seed)
     grid = setup.grid
-    clock = _Clock(setup.timing)
-    rows: list[Row] = []
     worst = {k: 0.0 for k in "ACDEF"}
     n_labels = 100
     for _ in range(n_labels):
@@ -128,16 +136,13 @@ def run_coherent_props(setup: Setup) -> ExperimentResult:
         e = float(rng.uniform(-2.5, 2.5))
         eps = float(rng.uniform(0.3, 1.2))
         label = CoherentLabel(t, e, eps)
-        clock.start()
         state = coherent_state(label, grid)
 
         norm = state.norm()
         worst["A"] = max(worst["A"], abs(norm - 1.0))
-        rows.append(Row("coherent-props/A", eps=eps, s=t, e=e,
-                        value_exact=complex(norm), value_approx=1.0 + 0.0j,
-                        abs_error=abs(norm - 1.0), wall_ms=clock.stop()))
+        rows.add("coherent-props/A", complex(norm), 1.0 + 0.0j,
+                 eps=eps, s=t, e=e)
 
-        clock.start()
         tau = grid.snap(float(rng.uniform(-2.0, 2.0)))[1]
         shifted = free_shift(state, tau)
         predicted = coherent_state(CoherentLabel(t - tau, e, eps), grid)
@@ -145,38 +150,26 @@ def run_coherent_props(setup: Setup) -> ExperimentResult:
         dist = float(np.sqrt(grid.dx) * np.linalg.norm(
             shifted.amplitudes - phase * predicted.amplitudes))
         worst["C"] = max(worst["C"], dist)
-        rows.append(Row("coherent-props/C", eps=eps, s=t, e=e,
-                        value_exact=complex(dist), value_approx=0.0j,
-                        abs_error=dist, wall_ms=clock.stop()))
+        rows.add("coherent-props/C", complex(dist), 0.0j, eps=eps, s=t, e=e)
 
-        clock.start()
         other = CoherentLabel(t + float(rng.uniform(-1.5, 1.5)),
                               e + float(rng.uniform(-1.0, 1.0)), eps)
         measured = braket(state, coherent_state(other, grid))
         closed = overlap(label, other)
         worst["D"] = max(worst["D"], abs(measured - closed))
-        rows.append(Row("coherent-props/D", eps=eps, s=t, e=e,
-                        value_exact=measured, value_approx=closed,
-                        abs_error=abs(measured - closed),
-                        wall_ms=clock.stop()))
+        rows.add("coherent-props/D", measured, closed, eps=eps, s=t, e=e)
 
-        clock.start()
         res = identity_resolution_residual(state, eps)
         worst["E"] = max(worst["E"], res)
-        rows.append(Row("coherent-props/E", eps=eps, s=t, e=e,
-                        value_exact=complex(res), value_approx=0.0j,
-                        abs_error=res, wall_ms=clock.stop()))
+        rows.add("coherent-props/E", complex(res), 0.0j, eps=eps, s=t, e=e)
 
-        clock.start()
         en = e + float(rng.uniform(-1.0, 1.0)) * eps
         amp = complex(plane_wave_amplitude(state, np.array([en]))[0, 0])
         pred = complex(np.exp(-0.5j * t * e) * np.exp(1j * t * en)
                        * (math.pi * eps ** 2) ** -0.25
                        * math.exp(-(en - e) ** 2 / (2.0 * eps ** 2)))
         worst["F"] = max(worst["F"], abs(amp - pred))
-        rows.append(Row("coherent-props/F", eps=eps, s=t, e=en,
-                        value_exact=amp, value_approx=pred,
-                        abs_error=abs(amp - pred), wall_ms=clock.stop()))
+        rows.add("coherent-props/F", amp, pred, eps=eps, s=t, e=en)
 
     tols = {"A": 1e-10, "C": 1e-9, "D": 1e-9, "E": 1e-6, "F": 1e-9}
     passed = all(worst[k] <= tols[k] for k in tols)
@@ -192,10 +185,9 @@ def run_coherent_props(setup: Setup) -> ExperimentResult:
 
 def run_soluble_exact(setup: Setup) -> ExperimentResult:
     """Brute-force propagation against the closed-form scattering phase."""
+    rows = _Rows(setup.timing)
     sol = as_soluble(setup.model)
     grid = setup.grid
-    clock = _Clock(setup.timing)
-    rows: list[Row] = []
     s = setup.s_values[0]
     eps = setup.epsilons[0]
     worst_dist = 0.0
@@ -204,20 +196,15 @@ def run_soluble_exact(setup: Setup) -> ExperimentResult:
         profile = np.exp(-1j * gauge_phase(_with_omega(sol, w), s, grid))
         for t_label in (0.0, -2.0):
             for e in setup.e_values:
-                clock.start()
                 ket = coherent_state(CoherentLabel(t_label, e, eps), grid)
                 out = dynamical_S(net, s, ket)
                 closed = StateVector(grid, profile * ket.amplitudes)
                 dist = float(np.sqrt(grid.dx) * np.linalg.norm(
                     out.amplitudes - closed.amplitudes))
                 worst_dist = max(worst_dist, dist)
-                exact = braket(ket, out)
-                approx = braket(ket, closed)
-                rows.append(Row("soluble-exact", omega=w, eps=eps, s=s, e=e,
-                                j=0, jp=0, value_exact=exact,
-                                value_approx=approx,
-                                abs_error=abs(exact - approx),
-                                wall_ms=clock.stop()))
+                rows.add("soluble-exact", braket(ket, out),
+                         braket(ket, closed), omega=w, eps=eps, s=s, e=e,
+                         j=0, jp=0)
     passed = worst_dist < 1e-6
     checks = [Check("criterion-02", "soluble-oracle-equivalence", passed,
                     details={"worst_state_distance": worst_dist,
@@ -247,11 +234,10 @@ def _random_equal_weight_pair(rng) -> tuple[GaussianMix, GaussianMix]:
 def run_omega_scaling(setup: Setup) -> ExperimentResult:
     """First-order law of the dynamical-minus-frozen remainder, plus the
     frozen-data degeneracy and its failure to see the remainder."""
+    rows = _Rows(setup.timing)
     sol = as_soluble(setup.model)
     grid = setup.grid
-    clock = _Clock(setup.timing)
     rng = np.random.default_rng(setup.seed)
-    rows: list[Row] = []
     checks: list[Check] = []
     s = setup.s_values[0]
     e = setup.e_values[0]
@@ -260,16 +246,11 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
     tau = adiabatic_tau(setup.model, s, e, eps, grid=_tau_grid(setup.grid))
     remainders = []
     for w in setup.omegas:
-        clock.start()
         rem = remainder_exact(_with_omega(setup.model, w), s, e, eps,
                               grid=grid)
         remainders.append(rem)
-        rows.append(Row("omega-scaling", omega=w, eps=eps, s=s, e=e,
-                        j=0, jp=0, value_exact=rem,
-                        value_approx=-1j * w * tau,
-                        abs_error=abs(rem + 1j * w * tau),
-                        predicted_bound=w * abs(tau),
-                        wall_ms=clock.stop()))
+        rows.add("omega-scaling", rem, -1j * w * tau, omega=w, eps=eps,
+                 s=s, e=e, j=0, jp=0, predicted_bound=w * abs(tau))
     mags = [abs(r) for r in remainders]
     resid = [abs(r + 1j * w * tau) for r, w in zip(remainders, setup.omegas)]
     ratios = [rr / w for rr, w in zip(resid, setup.omegas)]
@@ -287,7 +268,6 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
     worst_sf, worst_tw = 0.0, 0.0
     for k in range(5):
         first, second = _random_equal_weight_pair(rng)
-        clock.start()
         nets = [from_soluble(SolubleModel(p, sol.schedule, w_deg))
                 for p in (first, second)]
         sf = [complex(on_shell_S(n, s, e).matrix[0, 0]) for n in nets]
@@ -295,13 +275,10 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
               for n in nets]
         worst_sf = max(worst_sf, abs(sf[0] - sf[1]))
         worst_tw = max(worst_tw, *tw)
-        rows.append(Row("omega-scaling/degeneracy", omega=w_deg, eps=eps,
-                        s=s, e=e, j=0, jp=0, value_exact=sf[0],
-                        value_approx=sf[1], abs_error=abs(sf[0] - sf[1]),
-                        wall_ms=clock.stop()))
-        rows.append(Row("omega-scaling/wigner", omega=w_deg, eps=eps,
-                        s=s, e=e, j=0, jp=0, value_exact=complex(max(tw)),
-                        value_approx=0.0j, abs_error=max(tw)))
+        rows.add("omega-scaling/degeneracy", sf[0], sf[1], omega=w_deg,
+                 eps=eps, s=s, e=e, j=0, jp=0)
+        rows.add("omega-scaling/wigner", complex(max(tw)), 0.0j,
+                 omega=w_deg, eps=eps, s=s, e=e, j=0, jp=0)
     checks.append(Check("criterion-03", "frozen-data-degeneracy",
                         worst_sf < 1e-12 and worst_tw < 1e-10,
                         details={"worst_frozen_gap": worst_sf,
@@ -311,7 +288,6 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
     mirror = GaussianMix(sol.potential.amps, tuple(-c for c in
                                                    sol.potential.centers),
                          sol.potential.widths)
-    clock.start()
     net_a = _with_omega(setup.model, w_deg)
     net_b = from_soluble(SolubleModel(mirror, sol.schedule, w_deg))
     rem_pair = [remainder_exact(n, s, e, eps, grid=grid)
@@ -319,10 +295,8 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
     sf_pair = [complex(on_shell_S(n, s, e).matrix[0, 0])
                for n in (net_a, net_b)]
     gap = abs(rem_pair[0] - rem_pair[1])
-    rows.append(Row("omega-scaling/mirror", omega=w_deg, eps=eps, s=s, e=e,
-                    j=0, jp=0, value_exact=rem_pair[0],
-                    value_approx=rem_pair[1], abs_error=gap,
-                    wall_ms=clock.stop()))
+    rows.add("omega-scaling/mirror", rem_pair[0], rem_pair[1], omega=w_deg,
+             eps=eps, s=s, e=e, j=0, jp=0)
     checks.append(Check("criterion-05", "frozen-data-insufficiency",
                         abs(sf_pair[0] - sf_pair[1]) < 1e-12
                         and gap > 10.0 * 1e-6,
@@ -348,23 +322,17 @@ def _tau_grid(grid: Grid) -> Grid:
 def run_epsilon_scaling(setup: Setup) -> ExperimentResult:
     """Smeared on-shell matrix against its center value over an
     energy-width sweep."""
+    rows = _Rows(setup.timing)
     net = setup.model
-    clock = _Clock(setup.timing)
-    rows: list[Row] = []
     s = setup.s_values[0]
     e = setup.e_values[0]
     errors = []
     for eps in setup.epsilons:
-        clock.start()
         report = onshell_vs_frozen(net, s, e, eps, setup.j, setup.jp)
         errors.append(report.abs_error)
-        rows.append(Row("epsilon-scaling", omega=net.omega, eps=eps, s=s,
-                        e=e, j=setup.j, jp=setup.jp,
-                        value_exact=report.value_exact,
-                        value_approx=report.value_approx,
-                        abs_error=report.abs_error,
-                        predicted_bound=report.predicted_bound,
-                        wall_ms=clock.stop()))
+        rows.add("epsilon-scaling", report.value_exact, report.value_approx,
+                 omega=net.omega, eps=eps, s=s, e=e, j=setup.j, jp=setup.jp,
+                 predicted_bound=report.predicted_bound)
     if isinstance(net.coupling, RankOne):
         fit = fit_slope(setup.epsilons, errors)
         passed = abs(fit.exponent - 2.0) <= 0.2
@@ -384,43 +352,38 @@ def run_epsilon_scaling(setup: Setup) -> ExperimentResult:
 # energy-shift
 # ---------------------------------------------------------------------------
 
-def _joint_sweep(setup: Setup, label: str, criterion: str, name: str,
+def _joint_sweep(setup: Setup, rows: _Rows, label: str, criterion: str,
+                 name: str,
                  report_at: Callable[[float, float, float], ErrorReport]
-                 ) -> tuple[list[Row], Check]:
+                 ) -> Check:
     """Shrink both small parameters together, omega = eps^2, on the
-    matched label t = 2; the check passes when the error falls
-    monotonically.  report_at(omega, eps, s) gives one sweep point."""
+    matched label t = 2, adding one row per point; the check passes when
+    the error falls monotonically.  report_at(omega, eps, s) gives one
+    sweep point."""
     t0 = 2.0
     sweep_eps = setup.epsilons if len(setup.epsilons) >= 3 \
         else (0.4, 0.2, 0.1)
     e = setup.e_values[0]
-    clock = _Clock(setup.timing)
-    rows: list[Row] = []
     errs = []
     for eps_k in sweep_eps:
         w_k = eps_k ** 2
-        clock.start()
         report = report_at(w_k, eps_k, w_k * t0)
         errs.append(report.abs_error)
-        rows.append(Row(label, omega=w_k, eps=eps_k, s=w_k * t0, e=e,
-                        j=0, jp=0, value_exact=report.value_exact,
-                        value_approx=report.value_approx,
-                        abs_error=report.abs_error,
-                        predicted_bound=report.predicted_bound,
-                        wall_ms=clock.stop()))
+        rows.add(label, report.value_exact, report.value_approx, omega=w_k,
+                 eps=eps_k, s=w_k * t0, e=e, j=0, jp=0,
+                 predicted_bound=report.predicted_bound)
     monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-    return rows, Check(criterion, name, monotone,
-                       details={"errors": errs, "sweep_eps": list(sweep_eps),
-                                "label_t": t0})
+    return Check(criterion, name, monotone,
+                 details={"errors": errs, "sweep_eps": list(sweep_eps),
+                          "label_t": t0})
 
 
 def run_energy_shift(setup: Setup) -> ExperimentResult:
     """Algebraic energy shift against s-differencing, the closed profile,
     base-point conjugation, and the thawed-vs-frozen joint sweep."""
+    rows = _Rows(setup.timing)
     sol = as_soluble(setup.model)
     grid = setup.grid
-    clock = _Clock(setup.timing)
-    rows: list[Row] = []
     checks: list[Check] = []
     s = setup.s_values[0]
     e = setup.e_values[0]
@@ -429,7 +392,6 @@ def run_energy_shift(setup: Setup) -> ExperimentResult:
     net = _with_omega(setup.model, w0)
 
     # (a) algebraic operator vs s-differencing of the scattering operator
-    clock.start()
     probe = coherent_state(CoherentLabel(s / w0, e, eps), grid)
     T = clearance_T(net, probe)
     op = energy_shift_operator(net, 0.0, T=T)
@@ -442,43 +404,35 @@ def run_energy_shift(setup: Setup) -> ExperimentResult:
 
     h = 1e-2
     approx_a = 1j * central_derivative(s_element, 0.0, h)
-    rows.append(Row("energy-shift/differencing", omega=w0, eps=eps, s=0.0,
-                    e=e, j=0, jp=0, value_exact=exact_a,
-                    value_approx=approx_a,
-                    abs_error=abs(exact_a - approx_a),
-                    wall_ms=clock.stop()))
+    rows.add("energy-shift/differencing", exact_a, approx_a, omega=w0,
+             eps=eps, s=0.0, e=e, j=0, jp=0)
     checks.append(Check("criterion-07a", "algebraic-vs-differencing",
                         abs(exact_a - approx_a) < 1e-6,
                         details={"error": abs(exact_a - approx_a),
                                  "tol": 1e-6, "h": h}))
 
     # (b) soluble closed profile
-    clock.start()
     profile = dynamical_energy_shift_profile(_with_omega(sol, w0), s, grid)
     op_s = energy_shift_operator(net, s)
     probe_b = coherent_state(CoherentLabel(0.0, e, eps), grid)
     exact_b = braket(probe_b, op_s(probe_b))
     approx_b = complex(grid.dx * np.sum(
         profile * np.abs(probe_b.amplitudes[0]) ** 2))
-    rows.append(Row("energy-shift/profile", omega=w0, eps=eps, s=s, e=e,
-                    j=0, jp=0, value_exact=exact_b, value_approx=approx_b,
-                    abs_error=abs(exact_b - approx_b),
-                    wall_ms=clock.stop()))
+    rows.add("energy-shift/profile", exact_b, approx_b, omega=w0, eps=eps,
+             s=s, e=e, j=0, jp=0)
     checks.append(Check("criterion-07b", "soluble-profile",
                         abs(exact_b - approx_b) < 1e-6,
                         details={"error": abs(exact_b - approx_b),
                                  "tol": 1e-6}))
 
     # (d) base-point conjugation on elements
-    clock.start()
     t_label = 1.0
     lhs_state = coherent_state(CoherentLabel(t_label, e, eps), grid)
     lhs = braket(lhs_state, energy_shift_operator(net, s)(lhs_state))
     rhs_state = coherent_state(CoherentLabel(t_label + s / w0, e, eps), grid)
     rhs = braket(rhs_state, energy_shift_operator(net, 0.0)(rhs_state))
-    rows.append(Row("energy-shift/conjugation", omega=w0, eps=eps, s=s, e=e,
-                    j=0, jp=0, value_exact=lhs, value_approx=rhs,
-                    abs_error=abs(lhs - rhs), wall_ms=clock.stop()))
+    rows.add("energy-shift/conjugation", lhs, rhs, omega=w0, eps=eps, s=s,
+             e=e, j=0, jp=0)
     checks.append(Check("criterion-07d", "base-point-conjugation",
                         abs(lhs - rhs) < 1e-7,
                         details={"error": abs(lhs - rhs), "tol": 1e-7}))
@@ -488,10 +442,10 @@ def run_energy_shift(setup: Setup) -> ExperimentResult:
         return thawed_energy_shift_report(_with_omega(setup.model, w_k), s_k,
                                           e, eps_k, grid=grid)
 
-    joint_rows, joint_check = _joint_sweep(
-        setup, "energy-shift/thawed", "criterion-08",
-        "thawed-vs-frozen-joint-sweep", thawed)
-    return ExperimentResult(rows + joint_rows, checks + [joint_check])
+    checks.append(_joint_sweep(setup, rows, "energy-shift/thawed",
+                               "criterion-08", "thawed-vs-frozen-joint-sweep",
+                               thawed))
+    return ExperimentResult(rows, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +454,11 @@ def run_energy_shift(setup: Setup) -> ExperimentResult:
 
 def run_outgoing_state(setup: Setup) -> ExperimentResult:
     """Dense functional-calculus transport check for several densities."""
+    rows = _Rows(setup.timing)
     sol = as_soluble(setup.model)
     grid = setup.grid
     if grid.n > 512:
         grid = Grid(grid.x_min, grid.x_max, 512)
-    clock = _Clock(setup.timing)
-    rows: list[Row] = []
     s = setup.s_values[0]
     w0 = setup.omegas[0]
     model = _with_omega(sol, w0)
@@ -515,12 +468,10 @@ def run_outgoing_state(setup: Setup) -> ExperimentResult:
                  ("poly", rho_polynomial((0.0, 1.0)))]
     residuals = {}
     for name, rho in densities:
-        clock.start()
         res = outgoing_state_check(model, s, rho, grid)
         residuals[name] = res
-        rows.append(Row(f"outgoing-state/{name}", omega=w0, s=s, j=0, jp=0,
-                        value_exact=complex(res), value_approx=0.0j,
-                        abs_error=res, wall_ms=clock.stop()))
+        rows.add(f"outgoing-state/{name}", complex(res), 0.0j, omega=w0, s=s,
+                 j=0, jp=0)
     checks = [Check("criterion-07c", "outgoing-state-transport",
                     residuals["fermi"] < 1e-5,
                     details={"residuals": residuals, "tol": 1e-5,
@@ -535,26 +486,21 @@ def run_outgoing_state(setup: Setup) -> ExperimentResult:
 def run_combined(setup: Setup) -> ExperimentResult:
     """Dynamical element against the frozen on-shell value with the
     first-order error bound, plus a joint shrink of both small parameters."""
+    rows = _Rows(setup.timing)
     sol = as_soluble(setup.model)
     grid = setup.grid
-    clock = _Clock(setup.timing)
-    rows: list[Row] = []
     checks: list[Check] = []
     s = setup.s_values[0]
     e = setup.e_values[0]
     eps = setup.epsilons[0]
     w0 = setup.omegas[0]
 
-    clock.start()
     net = _with_omega(setup.model, w0)
     tau_num = adiabatic_tau(net, s, e, eps, grid=_tau_grid(grid))
     report = combined_report(net, s, e, eps, grid=grid, tau_value=tau_num)
-    rows.append(Row("combined", omega=w0, eps=eps, s=s, e=e, j=0, jp=0,
-                    value_exact=report.value_exact,
-                    value_approx=report.value_approx,
-                    abs_error=report.abs_error,
-                    predicted_bound=report.predicted_bound,
-                    wall_ms=clock.stop()))
+    rows.add("combined", report.value_exact, report.value_approx, omega=w0,
+             eps=eps, s=s, e=e, j=0, jp=0,
+             predicted_bound=report.predicted_bound)
     checks.append(Check("criterion-04", "combined-bound",
                         report.abs_error <= 3.0 * report.predicted_bound,
                         details={"abs_error": report.abs_error,
@@ -566,9 +512,9 @@ def run_combined(setup: Setup) -> ExperimentResult:
         return combined_report(_with_omega(setup.model, w_k), s_k, e, eps_k,
                                grid=grid, tau_value=tau_k)
 
-    joint_rows, joint_check = _joint_sweep(
-        setup, "combined/joint", "criterion-04", "joint-monotone", joint)
-    return ExperimentResult(rows + joint_rows, checks + [joint_check])
+    checks.append(_joint_sweep(setup, rows, "combined/joint", "criterion-04",
+                               "joint-monotone", joint))
+    return ExperimentResult(rows, checks)
 
 
 EXPERIMENTS: dict[str, Callable[[Setup], ExperimentResult]] = {

@@ -308,12 +308,7 @@ def frozen_one_step(model: ScatterModel, grid: Grid):
                                            0.0, 1)
 
 
-def coupling_field_apply(model: ScatterModel, grid: Grid):
-    """Unit-strength interaction field of a model, as an array map."""
-    return _coupling_map(model, grid, 1.0)
-
-
-def _coupling_map(model: ScatterModel, grid: Grid, scale: float):
+def coupling_map(model: ScatterModel, grid: Grid, scale: float):
     """Interaction field of a model times scale, as an array map."""
     if isinstance(model.coupling, MatrixPotential):
         field = model.coupling.value(grid.points, scale)
@@ -340,25 +335,11 @@ def apply_h0(state: StateVector) -> StateVector:
     return StateVector(grid, out)
 
 
-def apply_coupling(model: ScatterModel, t: float, state: StateVector) -> StateVector:
-    """Interaction part of H(t) applied to a state."""
-    f = float(model.schedule.value(model.omega * t))
-    return StateVector(state.grid,
-                       _coupling_map(model, state.grid, f)(state.amplitudes))
-
-
 def apply_hamiltonian(model: ScatterModel, t: float, state: StateVector) -> StateVector:
-    h0 = apply_h0(state)
-    v = apply_coupling(model, t, state)
-    return StateVector(state.grid, h0.amplitudes + v.amplitudes)
-
-
-def apply_coupling_sderivative(model: ScatterModel, s: float,
-                               state: StateVector) -> StateVector:
-    """d/ds of the frozen interaction at slow time s, applied to a state."""
-    fdot = float(model.schedule.derivative(s))
-    return StateVector(state.grid,
-                       _coupling_map(model, state.grid, fdot)(state.amplitudes))
+    """H(t) = H_0 + f(omega t) V applied to a state."""
+    f = float(model.schedule.value(model.omega * t))
+    v = coupling_map(model, state.grid, f)(state.amplitudes)
+    return StateVector(state.grid, apply_h0(state).amplitudes + v)
 
 
 # ---------------------------------------------------------------------------

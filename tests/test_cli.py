@@ -178,14 +178,34 @@ def test_run_byte_identical_for_fixed_seed(tmp_path):
         == (out_b / "results.csv").read_bytes()
 
 
-def test_run_timing_fills_wall_column(tmp_path):
-    path = write_config(tmp_path, GOOD_CONFIG)
+@pytest.mark.parametrize("config", [
+    GOOD_CONFIG,
+    (CONFIGS / "omega-scaling.ini").read_text(encoding="ascii"),
+], ids=["outgoing-state", "omega-scaling"])
+def test_run_timing_fills_wall_column(tmp_path, config):
+    path = write_config(tmp_path, config)
     out = tmp_path / "out"
     rc = main(["run", "--config", path, "--out", str(out), "--timing"])
     assert rc == 0
     lines = (out / "results.csv").read_text().splitlines()
     walls = [line.rsplit(",", 1)[1] for line in lines[1:]]
     assert all(wall and float(wall) >= 0.0 for wall in walls)
+    # each row is stamped with the time since the previous one, so the
+    # column accounts for the whole run
+    wall_s = json.loads((out / "summary.json").read_text())["wall_s"]
+    ratio = sum(float(wall) for wall in walls) / (1e3 * wall_s)
+    assert 0.9 <= ratio <= 1.0 + 1e-9
+
+
+def test_grid_n_override_is_checked_like_the_config(tmp_path):
+    path = write_config(tmp_path, GOOD_CONFIG)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", path, "--out", str(out), "--grid-n", "12"])
+    assert rc == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "config-error"
+    assert summary["diagnostics"] == [
+        {"field": "config", "message": "grid n must be at least 16"}]
 
 
 def test_cli_overrides_reach_the_summary(tmp_path):
@@ -313,7 +333,7 @@ def test_failed_check_still_exits_zero(tmp_path, monkeypatch):
     def stub(setup):
         return ExperimentResult(
             rows=[Row(experiment="outgoing-state", omega=0.1,
-                      abs_error=1.0)],
+                      value_exact=1.0, value_approx=0.0)],
             checks=[Check(criterion="criterion-00", name="stub",
                           passed=False, details={"worst": 1.0})])
 
