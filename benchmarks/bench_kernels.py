@@ -29,8 +29,8 @@ BUMP = Schedule("bump", 1.0)
 
 
 def _warm_blas():
-    """Throwaway complex GEMMs of the identity_resolution_residual shape,
-    until one runs at 1 GFLOP/s or 3 s have passed.
+    """Throwaway (64 x 2048) by (2048 x 64) complex GEMMs, until one runs
+    at 1 GFLOP/s or 3 s have passed.
 
     In some fresh interpreters under multi-threaded OpenBLAS the first
     second of large complex GEMMs runs at ~130 ms each instead of ~1 ms;
@@ -101,10 +101,12 @@ def _rankone_case():
     return (model, free_shift(ket, -24.0), 2.0 - 24.0, 2.0 + 24.0)
 
 
-def _residual_case():
-    state = coherent_state(CoherentLabel(0.3, 1.0, 0.5),
+def _residual_case(eps):
+    """One coherent-props label; eps = 0.3 and 1.2 give the narrowest and
+    widest momentum band of its labels."""
+    state = coherent_state(CoherentLabel(0.3, 1.0, eps),
                            Grid(-64.0, 64.0, 2048))
-    return (state, 0.5)
+    return (state, eps)
 
 
 def _outgoing_run(model, grid, densities):
@@ -142,8 +144,9 @@ def main() -> None:
                   K.unitary_product, _product_case(args.product_steps)))
     cases.append(("rank-one propagate n=512 48 units",
                   propagate, _rankone_case()))
-    cases.append(("identity_resolution_residual n=2048",
-                  identity_resolution_residual, _residual_case()))
+    for eps in (0.3, 1.2):
+        cases.append((f"identity_resolution_residual eps={eps}",
+                      identity_resolution_residual, _residual_case(eps)))
     cases.append(("outgoing_state_check n=512 x3 rho",
                   _outgoing_run, _outgoing_case()))
 

@@ -342,7 +342,8 @@ def outgoing_state_check(model: ScatterModel | SolubleModel, s: float,
     rho_h0 = np.conj(fmat.T) @ (rho(grid.momenta)[:, None] * fmat)
     lhs = (s_diag[:, None] * rho_h0) * np.conj(s_diag)[None, :]
     rhs = (v2 * rho(w2)) @ np.conj(v2.T)
-    return float(np.linalg.norm(lhs - rhs, 2))
+    # both sides are Hermitian, so the operator norm is the largest |eigenvalue|
+    return float(np.max(np.abs(np.linalg.eigvalsh(lhs - rhs))))
 
 
 @lru_cache(maxsize=1)

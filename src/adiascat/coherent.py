@@ -154,11 +154,9 @@ def free_shift(state: StateVector, duration: float) -> StateVector:
     return shifted
 
 
-def label_spreads(state: StateVector) -> tuple[float, float]:
-    """Measured (energy spread, time spread) from grid moments.
-
-    Time spread is the position spread read at unit velocity.
-    """
+def _grid_moments(state: StateVector) -> tuple[float, float, float, float]:
+    """(mean x, variance of x, mean p, variance of p) of the densities
+    summed over channels; one transform to momenta."""
     grid = state.grid
     dens_x = np.sum(np.abs(state.amplitudes) ** 2, axis=0)
     wx = grid.quadrature(dens_x)
@@ -172,6 +170,15 @@ def label_spreads(state: StateVector) -> tuple[float, float]:
     p = grid.momenta
     mean_p = dp * np.sum(dens_p * p) / wp
     var_p = dp * np.sum(dens_p * (p - mean_p) ** 2) / wp
+    return float(mean_x), float(var_x), float(mean_p), float(var_p)
+
+
+def label_spreads(state: StateVector) -> tuple[float, float]:
+    """Measured (energy spread, time spread) from grid moments.
+
+    Time spread is the position spread read at unit velocity.
+    """
+    _, var_x, _, var_p = _grid_moments(state)
     return math.sqrt(var_p), math.sqrt(var_x)
 
 
@@ -191,13 +198,8 @@ def label_box(state: StateVector, eps: float
               ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Label-plane box that captures the state against width-eps packets,
     six spreads wide on each side."""
-    de, dt = label_spreads(state)
-    grid = state.grid
-    dens_x = np.sum(np.abs(state.amplitudes) ** 2, axis=0)
-    mean_x = grid.quadrature(dens_x * grid.points) / grid.quadrature(dens_x)
-    phat = state.momentum_amplitudes()
-    dens_p = np.sum(np.abs(phat) ** 2, axis=0)
-    mean_p = float(np.sum(dens_p * grid.momenta) / np.sum(dens_p))
+    mean_x, var_x, mean_p, var_p = _grid_moments(state)
+    de, dt = math.sqrt(var_p), math.sqrt(var_x)
     pad_t = 6.0 * (dt + 1.0 / (math.sqrt(2.0) * eps))
     pad_e = 6.0 * (de + eps / math.sqrt(2.0))
     return ((-mean_x - pad_t, -mean_x + pad_t), (mean_p - pad_e, mean_p + pad_e))
@@ -213,6 +215,11 @@ def identity_resolution_residual(state: StateVector, eps: float,
     label box with measure dt de / (2 pi) and returns the relative L2
     error.  Rejects boxes that cannot capture the state, quoting an
     adequate box in the error.
+
+    Only momenta within e_span +- 8.8 eps enter the reconstruction: there
+    every width-eps Gaussian of the box is below 1e-17 of its peak, so
+    the reconstruction vanishes to that precision, and the state's weight
+    outside that band counts in full as error.
     """
     required_t, required_e = label_box(state, eps)
     if t_span is None:
@@ -236,18 +243,28 @@ def identity_resolution_residual(state: StateVector, eps: float,
     we = np.full(ne, es[1] - es[0])
     we[0] *= 0.5
     we[-1] *= 0.5
-    waves = np.exp(-1j * np.outer(ts, p))
+    # a width-eps Gaussian is below 1e-17 of its peak beyond this distance
+    reach = math.sqrt(2.0 * math.log(1e17)) * eps
+    band = (p >= e_span[0] - reach) & (p <= e_span[1] + reach)
+    p_band = p[band]
+    # waves = exp(-i ts p), filled as cos and sin of the real phases
+    phase = np.outer(-ts, p_band)
+    waves = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=waves.real)
+    np.sin(phase, out=waves.imag)
     g = (math.pi * eps ** 2) ** (-0.25) * np.exp(
-        -((p[None, :] - es[:, None]) ** 2) / (2.0 * eps ** 2))
+        -((p_band[None, :] - es[:, None]) ** 2) / (2.0 * eps ** 2))
     total_err = 0.0
     total_ref = 0.0
     phat_all = state.momentum_amplitudes()
     for ch in range(state.channels):
         phat = phat_all[ch]
+        phat_band = phat[band]
         # coherent amplitudes on the (e, t) label lattice, then their
-        # trapezoid-weighted superposition back onto the momenta
-        coeff = (g * (phat * dp)) @ waves.T
+        # trapezoid-weighted superposition back onto the band
+        coeff = (g * (phat_band * dp)) @ waves.T
         rec = (we / _TWO_PI) @ (g * ((coeff * wt) @ np.conj(waves)))
-        total_err += float(np.sum(np.abs(rec - phat) ** 2) * dp)
+        total_err += float((np.sum(np.abs(rec - phat_band) ** 2)
+                            + np.sum(np.abs(phat[~band]) ** 2)) * dp)
         total_ref += float(np.sum(np.abs(phat) ** 2) * dp)
     return math.sqrt(total_err / total_ref)

@@ -158,6 +158,42 @@ def test_identity_resolution_matches_per_energy_reference():
     assert 1e-3 < ref and abs(got - ref) <= 1e-14
 
 
+# the grid of configs/coherent-props.ini
+PROPS_GRID = Grid(-64.0, 64.0, 2048)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.6, 1.2])
+def test_band_limit_counts_out_of_band_weight(eps):
+    # a top-hat's momentum tails decay only like 1/p, so part of its
+    # weight lies beyond the momenta the label Gaussians reach
+    x = PROPS_GRID.points
+    amps = np.where(np.abs(x - 1.0) <= 2.0, np.exp(1j * x), 0.0)
+    state = StateVector(PROPS_GRID, amps)
+    state = StateVector(PROPS_GRID, amps / state.norm())
+    box_t, box_e = label_box(state, eps)
+    reach = math.sqrt(2.0 * math.log(1e17)) * eps
+    p = PROPS_GRID.momenta
+    dens = np.abs(state.momentum_amplitudes()[0]) ** 2
+    outside = (p < box_e[0] - reach) | (p > box_e[1] + reach)
+    assert np.sum(dens[outside]) / np.sum(dens) > 1e-3
+    got = identity_resolution_residual(state, eps)
+    ref = residual_per_energy(state, eps, box_t, box_e)
+    assert ref > 0.05 and abs(got - ref) <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [0.3, 1.2])
+@pytest.mark.parametrize("e", [-2.5, 2.5])
+def test_band_limit_at_extreme_labels(eps, e):
+    # the narrowest band (eps = 0.3) and the one reaching furthest toward
+    # the momentum edge (eps = 1.2, |e| = 2.5) of the coherent-props labels
+    state = coherent_state(CoherentLabel(4.0 * np.sign(e), e, eps), PROPS_GRID)
+    box_t, box_e = label_box(state, eps)
+    for nt, ne in ((64, 64), (16, 12)):
+        got = identity_resolution_residual(state, eps, nt=nt, ne=ne)
+        ref = residual_per_energy(state, eps, box_t, box_e, nt, ne)
+        assert abs(got - ref) <= 1e-14
+
+
 def test_identity_resolution_rejects_small_box():
     state = coherent_state(CoherentLabel(0.0, 0.0, 0.6), GRID)
     with pytest.raises(ValueError):
