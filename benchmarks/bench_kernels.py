@@ -72,11 +72,18 @@ def _phase_case(n):
     return (x, tau, 4.0, nsteps, profile, BUMP.value, 0.1, 8.0)
 
 
-def _unitary_case(n):
+def _unitary_case(n, nc=2):
+    """Two noncommuting terms: 0.7 sx + 0.5 sz for two channels, the
+    spin-1 Jx and Jz for three."""
     x, tau, nsteps = _lattice(n)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-    coupling = MatrixPotential((0.7 * sx, 0.5 * sz),
+    if nc == 2:
+        jx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        jz = np.diag([1.0, -1.0])
+    else:
+        jx = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        jx = jx / np.sqrt(2.0)
+        jz = np.diag([1.0, 0.0, -1.0])
+    coupling = MatrixPotential((0.7 * jx, 0.5 * jz),
                                (GaussianMix.single(1.0, -0.4, 0.9),
                                 GaussianMix.single(1.0, 0.5, 1.1)), BUMP)
     return (x, tau, 4.0, nsteps, coupling.value, BUMP.value, 0.1, 8.0)
@@ -138,8 +145,9 @@ def main() -> None:
     for n in sizes:
         cases.append((f"characteristic_phase   n={n}",
                       K.characteristic_phase, _phase_case(n)))
-        cases.append((f"characteristic_unitary n={n}",
-                      K.characteristic_unitary, _unitary_case(n)))
+        for nc in (2, 3):
+            cases.append((f"characteristic_unitary n={n} nc={nc}",
+                          K.characteristic_unitary, _unitary_case(n, nc)))
     cases.append((f"unitary_product     steps={args.product_steps}",
                   K.unitary_product, _product_case(args.product_steps)))
     cases.append(("rank-one propagate n=512 48 units",

@@ -207,6 +207,21 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
             except ValueError as exc:
                 diagnostics.append({"field": "sweep",
                                     "message": str(exc)})
+    resonant = False
+    if isinstance(net.coupling, RankOne):
+        # every listed s and e: the worst gap over the whole sweep
+        lam = net.coupling.schedule.value(np.asarray(setup.s_values))
+        span = 6.0 * max(setup.epsilons)
+        energies = (np.asarray(setup.e_values)[:, None]
+                    + np.linspace(-span, span, 97)).ravel()
+        g = rankone_resolvent(net.coupling.form, energies)
+        gap = np.min(np.abs(1.0 - np.multiply.outer(lam, g)))
+        resonant = gap < 5e-2
+        if resonant:
+            diagnostics.append({
+                "field": "model",
+                "message": (f"resonance: |1 - lambda g(E)| reaches "
+                            f"{gap:.3g} inside the smearing window")})
     # the drivers probe the matched label t = s / omega: at every omega of
     # omega-scaling, at the first of combined and energy-shift
     if experiment == "omega-scaling":
@@ -217,6 +232,10 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
                                 setup.e_values[0], setup.epsilons[0])]
     else:
         labels = [CoherentLabel(0.0, setup.e_values[0], max(setup.epsilons))]
+    if resonant:
+        # near a resonance the delay, and with it the window, has no
+        # bound: the resonance is the one problem to report
+        labels = []
     for label in labels:
         try:
             clearance_T(net, coherent_state(label, grid,
@@ -224,19 +243,6 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
         except ValueError as exc:
             diagnostics.append({"field": "grid", "message": str(exc)})
             break
-    if isinstance(net.coupling, RankOne):
-        # every listed s and e: the worst gap over the whole sweep
-        lam = net.coupling.schedule.value(np.asarray(setup.s_values))
-        span = 6.0 * max(setup.epsilons)
-        energies = (np.asarray(setup.e_values)[:, None]
-                    + np.linspace(-span, span, 97)).ravel()
-        g = rankone_resolvent(net.coupling.form, energies)
-        gap = np.min(np.abs(1.0 - np.multiply.outer(lam, g)))
-        if gap < 5e-2:
-            diagnostics.append({
-                "field": "model",
-                "message": (f"resonance: |1 - lambda g(E)| reaches "
-                            f"{gap:.3g} inside the smearing window")})
     return diagnostics
 
 

@@ -27,7 +27,6 @@ from typing import Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import wofz
 
 from . import _kernels
 from .coherent import StateVector, free_shift
@@ -362,19 +361,51 @@ def _side_mass(state: StateVector, x_cut: float, side: str) -> float:
     return float(dens[sel].sum() / total)
 
 
+def _delayed_tail(coupling: RankOne, state: StateVector) -> float:
+    """Time a rank-one coupling needs to release the state's delayed tail.
+
+    A resonance of width G delays energies near it by up to about 4/G
+    and leaves a tail of weight exp(-G t).  So 1/2 ln(1/CLEARANCE_TOL)
+    times the largest Wigner delay clears that tail with room to spare
+    (a near-resonant two-Gaussian form cleared it after about 5 delays,
+    at the couplings 0.6 and 1).  The delay is maximised over 97
+    energies spanning the state's band (weight above CLEARANCE_TOL of
+    its peak) and over 17 couplings spanning the schedule's range, which
+    the window must serve at every base point.
+    """
+    weight = np.sum(np.abs(np.fft.fft(state.amplitudes, axis=-1)) ** 2,
+                    axis=0)
+    band = state.grid.momenta[weight > CLEARANCE_TOL * weight.max()]
+    energies = np.linspace(band.min(), band.max(), 97)
+    sched = coupling.schedule
+    ends = (*sched.asymptotics(), float(sched.value(sched.b)))
+    lam = np.linspace(min(ends), max(ends), 17)[:, None, None]
+    h = 1e-3  # the energy step of wigner_delay
+    g = rankone_resolvent(coupling.form, np.concatenate(
+        [energies - h, energies, energies + h])).reshape(3, -1)
+    denom = 1.0 - lam * g
+    amp = np.conj(denom) / denom
+    delay = np.real(-1j * (amp[:, 2] - amp[:, 0]) / (2.0 * h)
+                    * np.conj(amp[:, 1]))
+    return 0.5 * math.log(1.0 / CLEARANCE_TOL) * max(float(delay.max()), 0.0)
+
+
 def clearance_T(model: ScatterModel, state: StateVector) -> float:
     """Asymptotic window length that clears the interaction both ways.
 
     The returned T satisfies: shifting the state by -T puts it left of
     the interaction (widened by a margin of 2), by +T right of it, and
     neither shift (nor the driven sweep between them) runs into the
-    periodic seam.
+    periodic seam.  A rank-one coupling delays the scattered wave, and
+    the window grows by the time its tail needs to clear.
     """
     grid = state.grid
     radius = model.interaction_radius() + 2.0
     x_lo, x_hi = _support_bounds(state)
     edge = 0.5 + 8.0 * grid.dx
     t_min = max(x_hi + radius, radius - x_lo)
+    if isinstance(model.coupling, RankOne):
+        t_min += _delayed_tail(model.coupling, state)
     t_max = min(x_lo - grid.x_min, grid.x_max - x_hi) - edge
     if t_min > t_max:
         need = t_min + edge
@@ -560,6 +591,8 @@ def rankone_resolvent_exact(form: GaussianMix, energies):
     """
     if len(form.amps) != 1 or form.centers[0] != 0.0:
         raise ValueError("closed form needs a single centered Gaussian")
+    # imported here: scipy.special costs every `import adiascat` ~0.3 s
+    from scipy.special import wofz
     a, w = form.amps[0], form.widths[0]
     amp = a * a * w * w / 2.0
     z = np.asarray(energies, dtype=float) * w / math.sqrt(2.0)

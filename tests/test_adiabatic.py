@@ -112,6 +112,25 @@ def test_linearized_born_sandwich_recovers_tau():
     assert abs(got - expected) < 1e-6
 
 
+def test_remainder_default_window_clears_rankone_delayed_tail():
+    # the rank-one coupling delays the scattered wave (Wigner delay 2.8
+    # at s, e); without room for its tail the frozen leg leaves 1.25e-4
+    # of the weight in the interaction region on Grid(-96, 96, 2048)
+    model = ScatterModel(2, RankOne(
+        GaussianMix((0.8, 0.6), (-0.6, 1.1), (0.7, 1.2)), BUMP, (0.8, 0.6)),
+        0.1)
+    s, e, eps = 0.7071, 1.0, 0.5
+    cramped = Grid(-96.0, 96.0, 2048)
+    with pytest.raises(ValueError, match="cannot clear"):
+        remainder_exact(model, s, e, eps, grid=cramped)
+    # T = 80 clears the tail on this lattice
+    grid = Grid(-400.0, 400.0, 8192)
+    got = remainder_exact(model, s, e, eps, grid=grid)
+    want = remainder_exact(model, s, e, eps, grid=grid, T=80.0)
+    assert abs(want) > 1e-2
+    assert abs(got - want) < 1e-12
+
+
 def test_remainder_is_first_order_with_second_order_tail():
     s = 1.0 / math.sqrt(2.0)
     grid = Grid(-64.0, 64.0, 2048)

@@ -268,6 +268,21 @@ def test_validate_checks_resonance_at_every_s(tmp_path, capsys, s_values):
     assert "resonance" in diagnostics[0]["message"]
 
 
+def test_validate_reports_no_room_for_rankone_delay(tmp_path, capsys):
+    # this form delays the scattered wave by up to 29 time units; its
+    # tail needs a window far longer than the shipped grid has room for
+    text = (CONFIGS / "epsilon-scaling-rankone.ini").read_text(
+        encoding="ascii")
+    form = "amps = 1.0\ncenters = 0.0\nwidths = 1.0\n"
+    assert form in text
+    path = write_config(tmp_path, text.replace(
+        form, "amps = 0.8, 0.6\ncenters = -0.6, 1.1\nwidths = 0.7, 1.2\n"))
+    assert main(["validate", "--config", path]) == 1
+    diagnostics = json.loads(capsys.readouterr().out)
+    assert [d["field"] for d in diagnostics] == ["grid"]
+    assert "cannot clear" in diagnostics[0]["message"]
+
+
 def test_validate_checks_window_at_every_matched_label(tmp_path, capsys):
     # omega-scaling probes t = s / omega at each omega; s = 4.0 puts the
     # omega = 0.05 label at t = 80, too near the edge of [-96, 96] to clear
@@ -395,3 +410,14 @@ def test_module_entry_point_runs_without_warning(subprocess_env):
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_package_import_loads_no_scipy(subprocess_env):
+    # scipy.special alone is most of the import time of every run
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, adiascat; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=subprocess_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -64,20 +64,26 @@ def test_characteristic_unitary_is_unitary(nc):
                                atol=1e-12)
 
 
-@pytest.mark.parametrize("tau", [4.0, -4.0])
-@pytest.mark.parametrize("sub", [1, 2])
-def test_characteristic_unitary_matches_ordered_exponential(tau, sub):
+@pytest.mark.parametrize("tau,nsteps", [(40.0, 192), (6.0, 100)])
+def test_characteristic_unitary_rejects_off_lattice(tau, nsteps):
+    x, coupling = _unitary_inputs(2)
+    with pytest.raises(ValueError, match="tau = m dx"):
+        _kernels.characteristic_unitary(
+            x, tau, 1.0, nsteps, coupling.value, coupling.schedule.value,
+            0.3, 8.0)
+
+
+def _assert_matches_ordered_exponential(matrices, tau, sub):
     # the factor at x_j is the ordered product along its characteristic
     # [x_j - tau, x_j], later points on the left, with the same midpoint
-    # samples; sx and sz terms do not commute, so the order shows
+    # samples
     x = np.linspace(-8.0, 8.0, 65)
     dx = x[1] - x[0]
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
     coupling = MatrixPotential(
-        (0.9 * sx, 0.6 * sz),
+        matrices,
         (GaussianMix.single(1.0, -0.5, 0.8), GaussianMix.single(1.0, 0.6, 1.1)),
         Schedule("tanh", 0.8, 0.2, 1.5, 0.4))
+    nc = coupling.n_channels
     t1, omega, rmax = 1.5, 0.3, 9.0
     m = round(tau / dx)
     nsteps = abs(m) * sub
@@ -85,13 +91,45 @@ def test_characteristic_unitary_matches_ordered_exponential(tau, sub):
         x, m * dx, t1, nsteps, coupling.value, coupling.schedule.value,
         omega, rmax)
     t0 = t1 - m * dx
-    for j in (28, 30, 32, 33, 34):
+    # the grid ends show a factor window clipped by one point
+    for j in (0, 28, 30, 32, 33, 34, x.shape[0] - 1):
         def generator(u, xj=x[j]):
             f = coupling.schedule.value(omega * (t0 + u - xj + m * dx))
             return -1j * coupling.value(np.array([u]), f)[0]
         want = ordered_exponential(generator, x[j] - m * dx, x[j], nsteps)
-        assert np.max(np.abs(want - np.eye(2))) > 1e-2
+        if 0 < j < x.shape[0] - 1:
+            assert np.max(np.abs(want - np.eye(nc))) > 1e-2
         np.testing.assert_allclose(got[j], want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tau", [4.0, -4.0])
+@pytest.mark.parametrize("sub", [1, 2])
+def test_characteristic_unitary_matches_ordered_exponential(tau, sub):
+    # sx and sz terms do not commute, so the order shows
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    _assert_matches_ordered_exponential((0.9 * sx, 0.6 * sz), tau, sub)
+
+
+def _rotated(diagonal, seed):
+    # a fixed unitary makes the eigenbasis of every sample nontrivial
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return q @ np.diag(diagonal) @ np.conj(q.T)
+
+
+@pytest.mark.parametrize("tau", [4.0, -4.0])
+@pytest.mark.parametrize("sub", [1, 3])
+@pytest.mark.parametrize("field", ["three-channel", "degenerate"])
+def test_characteristic_unitary_three_channels_match_ordered_exponential(
+        field, tau, sub):
+    # three noncommuting channels, and a field whose spectrum is
+    # degenerate at every point, where eigh picks an arbitrary basis
+    if field == "three-channel":
+        matrices = (_rotated([1.0, 0.2, -0.7], 3), _rotated([0.5, -0.4, 0.9], 4))
+    else:
+        matrices = (_rotated([1.0, 1.0, -0.5], 5), 0.3 * np.eye(3))
+    _assert_matches_ordered_exponential(matrices, tau, sub)
 
 
 def test_unitary_product_is_unitary():
@@ -119,6 +157,8 @@ def test_bench_kernels_cases_call_the_kernels():
             (_kernels.characteristic_phase, bench._phase_case(64), (64,)),
             (_kernels.characteristic_unitary, bench._unitary_case(64),
              (64, 2, 2)),
+            (_kernels.characteristic_unitary, bench._unitary_case(64, 3),
+             (64, 3, 3)),
             (_kernels.unitary_product, bench._product_case(16), (4, 4))):
         out = kernel(*case)
         assert out.shape == shape and np.all(np.isfinite(out))
