@@ -4,8 +4,9 @@ run-sized workloads.
     python3 benchmarks/bench_kernels.py [--repeats 3] [--sizes 1024,4096]
 
 ``--sizes`` sets the kernel grids; the rank-one leg runs at the size of
-criterion-09 (n = 512) and the diagnostics at the sizes of the shipped
-coherent-props (n = 2048) and outgoing-state (n = 512) configs.
+criterion-09 (n = 512), the label build at that of combined.ini (n =
+4096) and the diagnostics at the sizes of the shipped coherent-props
+(n = 2048) and outgoing-state (n = 512) configs.
 Throwaway complex GEMMs run before any timing (see ``_warm_blas``):
 best-of-N cannot filter a slow BLAS state that lasts across all of its
 repeats.
@@ -116,6 +117,13 @@ def _residual_case(eps):
     return (state, eps)
 
 
+def _label_case(n):
+    """Drive-sweep's matched label on the combined.ini grid; repeated
+    transforms on one grid reuse its cached phases."""
+    return (CoherentLabel(0.70710678 / 0.1, 1.0, 0.5),
+            Grid(-160.0, 160.0, n))
+
+
 def _outgoing_run(model, grid, densities):
     """One outgoing-state run: three densities sharing one spectrum."""
     adiabatic._shifted_spectrum.cache_clear()  # each run pays its eigh
@@ -132,15 +140,8 @@ def _outgoing_case():
     return (model, Grid(-40.0, 40.0, 512), densities)
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--sizes", default="1024,4096",
-                    help="comma-separated grid sizes")
-    ap.add_argument("--product-steps", type=int, default=4096)
-    args = ap.parse_args()
-    sizes = [int(v) for v in args.sizes.split(",")]
-
+def _cases(sizes, product_steps):
+    """(name, callable, arguments) for every timed case."""
     cases = []
     for n in sizes:
         cases.append((f"characteristic_phase   n={n}",
@@ -148,15 +149,29 @@ def main() -> None:
         for nc in (2, 3):
             cases.append((f"characteristic_unitary n={n} nc={nc}",
                           K.characteristic_unitary, _unitary_case(n, nc)))
-    cases.append((f"unitary_product     steps={args.product_steps}",
-                  K.unitary_product, _product_case(args.product_steps)))
+    cases.append((f"unitary_product     steps={product_steps}",
+                  K.unitary_product, _product_case(product_steps)))
     cases.append(("rank-one propagate n=512 48 units",
                   propagate, _rankone_case()))
     for eps in (0.3, 1.2):
         cases.append((f"identity_resolution_residual eps={eps}",
                       identity_resolution_residual, _residual_case(eps)))
+    cases.append(("coherent_state n=4096",
+                  coherent_state, _label_case(4096)))
     cases.append(("outgoing_state_check n=512 x3 rho",
                   _outgoing_run, _outgoing_case()))
+    return cases
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--sizes", default="1024,4096",
+                    help="comma-separated grid sizes")
+    ap.add_argument("--product-steps", type=int, default=4096)
+    args = ap.parse_args()
+    cases = _cases([int(v) for v in args.sizes.split(",")],
+                   args.product_steps)
 
     _warm_blas()
     header = f"{'kernel':38s} {'best':>11s}"
@@ -164,6 +179,7 @@ def main() -> None:
     print("-" * len(header))
     for name, fn, case in cases:
         print(f"{name:38s} {_best_of(fn, case, args.repeats):9.2f}ms")
+
 
 if __name__ == "__main__":
     main()

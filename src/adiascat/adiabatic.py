@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .coherent import CoherentLabel, StateVector, braket, coherent_state
-from .numerics import Grid, central_derivative
+from .numerics import Grid, central_derivative, read_only
 from .network import (ScatterModel, MatrixPotential, apply_h0, as_soluble,
                       clearance_T, coupling_map, dynamical_S,
                       dynamical_S_adjoint, frozen, frozen_S_apply,
@@ -312,10 +312,13 @@ def rho_polynomial(coeffs: tuple = (0.0, 1.0)) -> Callable:
     return rho
 
 
-def _dense_fourier(grid: Grid) -> np.ndarray:
-    p = grid.momenta
-    x = grid.points
-    return np.exp(-1j * np.outer(p, x)) / math.sqrt(grid.n)
+def _circulant(values: np.ndarray) -> np.ndarray:
+    """Read-only F^dagger diag(values) F for the unitary grid DFT F: as
+    p_m (x_j - x_k) = 2 pi f_m (j - k) / n, entry (j, k) is
+    ifft(values)[(j - k) mod n], a strided view of one inverse FFT."""
+    col = np.fft.ifft(values)
+    return np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((col[1:], col)), col.size)[:, ::-1]
 
 
 def outgoing_state_check(model: ScatterModel | SolubleModel, s: float,
@@ -325,9 +328,11 @@ def outgoing_state_check(model: ScatterModel | SolubleModel, s: float,
 
     Checks S_d rho(H_0) S_d^* = rho(H_0 - omega E_d) with closed-form
     scattering and energy-shift profiles, dense on a small grid (n <=
-    1024).  Schedules with unequal asymptotic values leave a seam jump
-    on the periodic grid, which this check will honestly report.  A
-    model without a soluble view (see as_soluble) is a ValueError.
+    1024): rho(H_0) as the circulant of rho(p), rho(H_0 - omega E_d)
+    from eigenpairs shared by every density.  Schedules with unequal
+    asymptotic values leave a seam jump on the periodic grid, which this
+    check will honestly report.  A model without a soluble view (see
+    as_soluble) is a ValueError.
     """
     soluble = as_soluble(model)
     if grid.n > 1024:
@@ -336,10 +341,9 @@ def outgoing_state_check(model: ScatterModel | SolubleModel, s: float,
     if abs(hi - lo) > 1e-12 * max(1.0, abs(hi), abs(lo)):
         logger.warning("schedule asymptotics differ (%.3g vs %.3g); "
                        "expect a seam-limited residual", lo, hi)
-    fmat, w2, v2 = _shifted_spectrum(soluble, s, grid)
+    w2, v2 = _shifted_spectrum(soluble, s, grid)
     s_diag = dynamical_S_profile(soluble, s, grid)
-    # the dense Fourier matrix diagonalises H_0 by construction
-    rho_h0 = np.conj(fmat.T) @ (rho(grid.momenta)[:, None] * fmat)
+    rho_h0 = _circulant(rho(grid.momenta))
     lhs = (s_diag[:, None] * rho_h0) * np.conj(s_diag)[None, :]
     rhs = (v2 * rho(w2)) @ np.conj(v2.T)
     # both sides are Hermitian, so the operator norm is the largest |eigenvalue|
@@ -348,18 +352,14 @@ def outgoing_state_check(model: ScatterModel | SolubleModel, s: float,
 
 @lru_cache(maxsize=1)
 def _shifted_spectrum(soluble: SolubleModel, s: float, grid: Grid
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only dense Fourier matrix and eigenpairs of H_0 - omega E_d.
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs (w2, v2) of H_0 - omega E_d, with H_0 the
+    circulant of the grid momenta.
 
     Independent of the density, so every density checked at one
     (model, s, grid) shares a single dense ``eigh``.
     """
-    fmat = _dense_fourier(grid)
-    h0 = np.conj(fmat.T) @ (grid.momenta[:, None] * fmat)
-    shift_diag = dynamical_energy_shift_profile(soluble, s, grid)
-    shifted = 0.5 * (h0 + np.conj(h0.T)) - soluble.omega * np.diag(shift_diag)
-    shifted = 0.5 * (shifted + np.conj(shifted.T))
-    w2, v2 = np.linalg.eigh(shifted)
-    for arr in (fmat, w2, v2):
-        arr.setflags(write=False)
-    return fmat, w2, v2
+    shifted = _circulant(grid.momenta) - soluble.omega * np.diag(
+        dynamical_energy_shift_profile(soluble, s, grid))
+    w2, v2 = np.linalg.eigh(0.5 * (shifted + np.conj(shifted.T)))
+    return read_only(w2), read_only(v2)

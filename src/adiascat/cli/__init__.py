@@ -222,19 +222,20 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
                 "field": "model",
                 "message": (f"resonance: |1 - lambda g(E)| reaches "
                             f"{gap:.3g} inside the smearing window")})
-    # the drivers probe the matched label t = s / omega: at every omega of
-    # omega-scaling, at the first of combined and energy-shift
+    # the drivers that propagate probe the matched label t = s / omega: at
+    # every omega of omega-scaling, at the first of combined and
+    # energy-shift; soluble-exact is checked at t = 0.  No other propagates.
+    labels = []
     if experiment == "omega-scaling":
         labels = [CoherentLabel(setup.s_values[0] / w, setup.e_values[0],
                                 setup.epsilons[0]) for w in setup.omegas]
     elif experiment in ("combined", "energy-shift"):
         labels = [CoherentLabel(setup.s_values[0] / setup.omegas[0],
                                 setup.e_values[0], setup.epsilons[0])]
-    else:
+    elif experiment == "soluble-exact":
         labels = [CoherentLabel(0.0, setup.e_values[0], max(setup.epsilons))]
     if resonant:
-        # near a resonance the delay, and with it the window, has no
-        # bound: the resonance is the one problem to report
+        # the delay, and with it the window, has no bound: report only that
         labels = []
     for label in labels:
         try:

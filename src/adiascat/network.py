@@ -31,7 +31,7 @@ from numpy.polynomial.legendre import leggauss
 from . import _kernels
 from .coherent import StateVector, free_shift
 from .numerics import (Grid, NumericalContractError, central_derivative,
-                       hermitize, ordered_exponential)
+                       hermitize, ordered_exponential, read_only)
 from .profiles import GaussianMix, Schedule
 from .soluble import SolubleModel
 
@@ -550,9 +550,7 @@ def _matrix_transfer(model: ScatterModel, s: float) -> np.ndarray:
 def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once."""
     gl_x, gl_w = leggauss(nodes)
-    gl_x.setflags(write=False)
-    gl_w.setflags(write=False)
-    return gl_x, gl_w
+    return read_only(gl_x), read_only(gl_w)
 
 
 def rankone_resolvent(form: GaussianMix, energies):

@@ -26,6 +26,11 @@ class NumericalContractError(RuntimeError):
     """A numerical invariant (norm drift, clearance, wrap) was violated."""
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic position grid on [x_min, x_max), n points."""
@@ -52,12 +57,18 @@ class Grid:
 
     @cached_property
     def points(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n)
+        return read_only(self.x_min + self.dx * np.arange(self.n))
 
     @cached_property
     def momenta(self) -> np.ndarray:
         """Momentum samples in FFT order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+        return read_only(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
+
+    @cached_property
+    def _phases(self) -> np.ndarray:
+        """Rows exp(-i p x_min) and exp(i p x_min) of the transforms."""
+        return read_only(np.stack([np.exp(-1j * self.momenta * self.x_min),
+                                    np.exp(1j * self.momenta * self.x_min)]))
 
     @property
     def p_max(self) -> float:
@@ -73,12 +84,12 @@ class Grid:
         Continuum convention: psi_hat(p) = (2 pi)^{-1/2} integral of
         psi(x) exp(-i p x) dx realized on the grid.
         """
-        phase = np.exp(-1j * self.momenta * self.x_min)
-        return (self.dx / math.sqrt(2.0 * math.pi)) * phase * np.fft.fft(psi, axis=-1)
+        return ((self.dx / math.sqrt(2.0 * math.pi)) * self._phases[0]
+                * np.fft.fft(psi, axis=-1))
 
     def from_momentum(self, phat: np.ndarray) -> np.ndarray:
-        phase = np.exp(1j * self.momenta * self.x_min)
-        return (math.sqrt(2.0 * math.pi) / self.dx) * np.fft.ifft(phase * phat, axis=-1)
+        return ((math.sqrt(2.0 * math.pi) / self.dx)
+                * np.fft.ifft(self._phases[1] * phat, axis=-1))
 
     def snap(self, tau: float) -> tuple[int, float]:
         """Round a duration onto the dx lattice; returns (steps, snapped)."""

@@ -12,8 +12,10 @@ import pytest
 
 from adiascat import cli
 from adiascat.cli import CSV_HEADER, ConfigError, _fmt, _parse_ini, main
+from adiascat.coherent import CoherentLabel, coherent_state
 from adiascat.experiments import EXPERIMENTS, Check, ExperimentResult, Row
-from adiascat.numerics import NumericalContractError
+from adiascat.network import clearance_T
+from adiascat.numerics import Grid, NumericalContractError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -268,19 +270,36 @@ def test_validate_checks_resonance_at_every_s(tmp_path, capsys, s_values):
     assert "resonance" in diagnostics[0]["message"]
 
 
-def test_validate_reports_no_room_for_rankone_delay(tmp_path, capsys):
+def _delaying_rankone_config(tmp_path) -> str:
     # this form delays the scattered wave by up to 29 time units; its
     # tail needs a window far longer than the shipped grid has room for
     text = (CONFIGS / "epsilon-scaling-rankone.ini").read_text(
         encoding="ascii")
     form = "amps = 1.0\ncenters = 0.0\nwidths = 1.0\n"
     assert form in text
-    path = write_config(tmp_path, text.replace(
+    return write_config(tmp_path, text.replace(
         form, "amps = 0.8, 0.6\ncenters = -0.6, 1.1\nwidths = 0.7, 1.2\n"))
-    assert main(["validate", "--config", path]) == 1
-    diagnostics = json.loads(capsys.readouterr().out)
-    assert [d["field"] for d in diagnostics] == ["grid"]
-    assert "cannot clear" in diagnostics[0]["message"]
+
+
+def test_rankone_delay_leaves_no_room_on_the_shipped_grid(tmp_path):
+    cfg = _parse_ini(_delaying_rankone_config(tmp_path))
+    model = cli._build_model(cli._model_section(cfg))
+    grid = Grid(cfg.getfloat("grid", "x_min"), cfg.getfloat("grid", "x_max"),
+                cfg.getint("grid", "n"))
+    ket = coherent_state(CoherentLabel(0.0, 1.0, 0.4), grid, n_channels=2)
+    with pytest.raises(ValueError, match="cannot clear"):
+        clearance_T(model, ket)
+
+
+def test_validate_skips_window_for_epsilon_scaling(tmp_path, capsys):
+    # epsilon-scaling is on-shell quadrature and never propagates, so the
+    # window the delaying form cannot fit is no problem of its run
+    path = _delaying_rankone_config(tmp_path)
+    assert main(["validate", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["status"] == "ok"
 
 
 def test_validate_checks_window_at_every_matched_label(tmp_path, capsys):

@@ -147,8 +147,8 @@ def test_unitary_product_empty_is_identity():
 
 
 def test_bench_kernels_cases_call_the_kernels():
-    # the timing script builds kernel arguments by hand; calling each of
-    # its kernel cases once keeps it in step with the kernel signatures
+    # the timing script builds its arguments by hand; calling each of its
+    # cases once keeps it in step with the signatures it times
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
     spec = importlib.util.spec_from_file_location("bench_kernels", path)
     bench = importlib.util.module_from_spec(spec)
@@ -162,6 +162,8 @@ def test_bench_kernels_cases_call_the_kernels():
             (_kernels.unitary_product, bench._product_case(16), (4, 4))):
         out = kernel(*case)
         assert out.shape == shape and np.all(np.isfinite(out))
+    for _, fn, case in bench._cases([64], 16):
+        fn(*case)
 
 
 def test_backend_is_numpy():

@@ -46,6 +46,22 @@ def test_momentum_roundtrip_is_identity():
     np.testing.assert_allclose(back, psi, atol=1e-12)
 
 
+def test_grid_arrays_are_read_only():
+    grid = Grid(-10.0, 10.0, 128)
+    rng = np.random.default_rng(4)
+    psi = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+    phat = grid.to_momentum(psi)
+    back = grid.from_momentum(phat)
+    for arr in (grid.points, grid.momenta, grid._phases[0],
+                grid._phases[1]):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+    np.testing.assert_array_equal(grid.to_momentum(psi), phat)
+    np.testing.assert_array_equal(grid.from_momentum(phat), back)
+
+
 def test_to_momentum_continuum_normalization():
     # Gaussian pair: exp(-x^2/2) <-> exp(-p^2/2), fixed point of the
     # unitary transform in the continuum convention
