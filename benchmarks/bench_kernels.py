@@ -1,5 +1,5 @@
-"""Time the transport kernels, rank-one transport and two diagnostics on
-run-sized workloads.
+"""Time the transport kernels, the matrix on-shell S, rank-one transport
+and two diagnostics on run-sized workloads.
 
     python3 benchmarks/bench_kernels.py [--repeats 3] [--sizes 1024,4096]
 
@@ -21,7 +21,8 @@ from adiascat import _kernels as K
 from adiascat import adiabatic
 from adiascat.coherent import (CoherentLabel, coherent_state, free_shift,
                                identity_resolution_residual)
-from adiascat.network import MatrixPotential, RankOne, ScatterModel, propagate
+from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
+                              from_soluble, on_shell_S, propagate)
 from adiascat.numerics import Grid
 from adiascat.profiles import GaussianMix, Schedule
 from adiascat.soluble import SolubleModel
@@ -97,6 +98,18 @@ def _product_case(steps):
     return (ks, 1e-3)
 
 
+def _on_shell_case(kind):
+    """The frozen on-shell S of combined.ini's soluble model (one channel,
+    the phase kernel) or of epsilon-scaling-matrix.ini's sx model (two
+    channels, the channel unitaries), each at its config's s."""
+    if kind == "soluble":
+        return (from_soluble(SolubleModel(GaussianMix((0.8,), (0.35,), (1.0,)),
+                                          BUMP, 0.1)), 0.70710678)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return (ScatterModel(2, MatrixPotential(
+        (sx,), (GaussianMix((1.0,), (0.0,), (1.0,)),), BUMP), 0.1), 0.5)
+
+
 def _rankone_case():
     """Criterion-09's driven rank-one leg: two channels, 48 time units."""
     model = ScatterModel(2, RankOne(GaussianMix((0.4,), (0.0,), (1.0,)),
@@ -151,6 +164,8 @@ def _cases(sizes, product_steps):
                           K.characteristic_unitary, _unitary_case(n, nc)))
     cases.append((f"unitary_product     steps={product_steps}",
                   K.unitary_product, _product_case(product_steps)))
+    for kind in ("soluble", "sx"):
+        cases.append((f"on_shell_S {kind}", on_shell_S, _on_shell_case(kind)))
     cases.append(("rank-one propagate n=512 48 units",
                   propagate, _rankone_case()))
     for eps in (0.3, 1.2):

@@ -14,8 +14,16 @@ the coupling once on that lattice's window |y| <= rmax.  The matrix
 field must be linear in its scale: the channel unitaries diagonalise
 V(y) once per window point and reuse the eigenvectors at every step.
 
-_char_phase_py and its helper _active_range are the per-point
-reference the tests hold the vectorized phase kernel against.
+The matrix on-shell S (network._matrix_transfer) is one call of either
+kernel for a single point crossing the interaction: the lattice is that
+point and its neighbour one step on, tau is the whole span, and the
+frozen schedule is constant.
+
+No package code calls unitary_product or _char_phase_py (with its
+helper _active_range).  They are the references the tests hold the
+kernels against: the ordered product, through
+numerics.ordered_exponential, for the channel unitaries and the
+on-shell S, and the per-point loop for the vectorized phase kernel.
 """
 
 from __future__ import annotations
@@ -179,7 +187,11 @@ def characteristic_unitary(x, tau, t1, nsteps, field, schedule, omega, rmax):
 # ---------------------------------------------------------------------------
 
 def unitary_product(ks, dt):
-    """exp(-i ks[-1] dt) ... exp(-i ks[0] dt), by pairwise reduction."""
+    """exp(-i ks[-1] dt) ... exp(-i ks[0] dt), by pairwise reduction.
+
+    Only numerics.ordered_exponential calls this: a reference for the
+    tests and the benchmark, not a transport path of the package.
+    """
     steps = ks.shape[0]
     m = ks.shape[1]
     if steps == 0:

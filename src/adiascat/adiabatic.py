@@ -66,8 +66,9 @@ def coherent_element(op: Callable[[StateVector], StateVector], grid: Grid,
 def _matched_states(model: ScatterModel, s: float, e: float, eps: float,
                     j: int, jp: int, grid: Grid):
     label = CoherentLabel(s / model.omega, e, eps)
-    bra = coherent_state(label, grid, channel=j, n_channels=model.n_channels)
     ket = coherent_state(label, grid, channel=jp, n_channels=model.n_channels)
+    bra = ket if j == jp else coherent_state(label, grid, channel=j,
+                                             n_channels=model.n_channels)
     return label, bra, ket
 
 
@@ -113,8 +114,8 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
         label = CoherentLabel(tp, e, eps)
         ket = coherent_state(label, grid, channel=jp,
                              n_channels=model.n_channels)
-        bra = coherent_state(label, grid, channel=j,
-                             n_channels=model.n_channels)
+        bra = ket if j == jp else coherent_state(
+            label, grid, channel=j, n_channels=model.n_channels)
         T = clearance_T(fmodel, ket)
         w_minus = wave_operator(fmodel, s, -1, ket, T=T)
         w_plus = wave_operator(fmodel, s, +1, bra, T=T)

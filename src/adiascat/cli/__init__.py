@@ -224,7 +224,9 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
                             f"{gap:.3g} inside the smearing window")})
     # the drivers that propagate probe the matched label t = s / omega: at
     # every omega of omega-scaling, at the first of combined and
-    # energy-shift; soluble-exact is checked at t = 0.  No other propagates.
+    # energy-shift; soluble-exact probes t = 0 and t = -2 at every e and
+    # the first eps (its window does not depend on omega).  No other
+    # propagates.
     labels = []
     if experiment == "omega-scaling":
         labels = [CoherentLabel(setup.s_values[0] / w, setup.e_values[0],
@@ -233,7 +235,8 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
         labels = [CoherentLabel(setup.s_values[0] / setup.omegas[0],
                                 setup.e_values[0], setup.epsilons[0])]
     elif experiment == "soluble-exact":
-        labels = [CoherentLabel(0.0, setup.e_values[0], max(setup.epsilons))]
+        labels = [CoherentLabel(t, e, setup.epsilons[0])
+                  for t in (0.0, -2.0) for e in setup.e_values]
     if resonant:
         # the delay, and with it the window, has no bound: report only that
         labels = []

@@ -114,7 +114,11 @@ def coherent_state(label: CoherentLabel, grid: Grid,
         raise ValueError(
             f"energy {label.e:.3g} +- {sp:.3g} too close to the momentum "
             f"band edge {grid.p_max:.3g}")
-    phat = _momentum_profile(label, grid.momenta)
+    # exp of a Gaussian exponent below -746 is exactly 0.0: skip those
+    p = grid.momenta
+    keep = np.flatnonzero((p - label.e) ** 2 < 1492.0 * label.eps ** 2)
+    phat = np.zeros(grid.n, dtype=np.complex128)
+    phat[keep] = _momentum_profile(label, p[keep])
     amps = np.zeros((n_channels, grid.n), dtype=np.complex128)
     amps[channel] = grid.from_momentum(phat)
     return StateVector(grid, amps)

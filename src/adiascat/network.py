@@ -31,7 +31,7 @@ from numpy.polynomial.legendre import leggauss
 from . import _kernels
 from .coherent import StateVector, free_shift
 from .numerics import (Grid, NumericalContractError, central_derivative,
-                       hermitize, ordered_exponential, read_only)
+                       hermitize, read_only)
 from .profiles import GaussianMix, Schedule
 from .soluble import SolubleModel
 
@@ -173,6 +173,11 @@ def frozen(model: ScatterModel, s: float) -> ScatterModel:
 # Propagation
 # ---------------------------------------------------------------------------
 
+def _one_channel_profile(coupling: MatrixPotential):
+    """A one-channel field as the real profile the phase kernel takes."""
+    return lambda y: coupling.value(y, 1.0)[:, 0, 0].real
+
+
 def _matrix_transport(model: ScatterModel, grid: Grid, t0: float,
                       tau: float, m: int):
     """Transport of a matrix coupling over tau = m dx, as an array map.
@@ -189,12 +194,15 @@ def _matrix_transport(model: ScatterModel, grid: Grid, t0: float,
     if model.n_channels == 1:
         phase = _kernels.characteristic_phase(
             grid.points, tau, t1, abs(m),
-            lambda y: coupling.value(y, 1.0)[:, 0, 0].real,
-            schedule, model.omega, rmax)
-        factor = np.exp(-1j * phase)
+            _one_channel_profile(coupling), schedule, model.omega, rmax)
+        # points the coupling never reaches keep their amplitude: exp(0) = 1
+        live = np.flatnonzero(phase)
+        factor = np.exp(-1j * phase[live])
 
         def apply(amps: np.ndarray) -> np.ndarray:
-            return np.roll(amps, m, axis=-1) * factor
+            out = np.roll(amps, m, axis=-1)
+            out[..., live] *= factor
+            return out
     else:
         factors = _kernels.characteristic_unitary(
             grid.points, tau, t1, abs(m), coupling.value, schedule,
@@ -535,15 +543,32 @@ class HermitianOnShell:
 
 
 def _matrix_transfer(model: ScatterModel, s: float) -> np.ndarray:
+    """Frozen on-shell S of a matrix coupling: the characteristic factor
+    of one point crossing [-(r+1), r+1], r = support_radius(1e-16).
+
+    The step count is 40 per unit of span and of the largest field norm
+    on 9 probes of the span, and at least 64.  The kernels then sample
+    the midpoints of the span; the lattice is the crossing point and its
+    neighbour one step on, since the kernels read dx off the grid.
+    """
     coupling: MatrixPotential = model.coupling
-    f = float(coupling.schedule.value(s))
-    radius = coupling.support_radius(1e-16) + 1.0
-
-    def gen(x: float) -> np.ndarray:
-        field = coupling.value(np.array([x]), f)[0]
-        return -1j * field
-
-    return ordered_exponential(gen, -radius, radius)
+    schedule = coupling.schedule.frozen_at(s).value
+    rmax = coupling.support_radius(1e-16)
+    radius = rmax + 1.0
+    span = 2.0 * radius
+    probes = coupling.value(-radius + np.linspace(0.0, 1.0, 9) * span,
+                            schedule(0.0))
+    max_norm = max(float(np.linalg.norm(a, 2)) for a in probes)
+    steps = max(64, int(math.ceil(40.0 * span * max_norm)))
+    x = np.array([radius, radius + span / steps])
+    if model.n_channels == 1:
+        phase = _kernels.characteristic_phase(
+            x, span, radius, steps, _one_channel_profile(coupling),
+            schedule, model.omega, rmax)
+        return np.exp(-1j * phase[:1, None])
+    return _kernels.characteristic_unitary(
+        x, span, radius, steps, coupling.value, schedule, model.omega,
+        rmax)[0]
 
 
 @lru_cache(maxsize=8)

@@ -160,6 +160,12 @@ def ordered_exponential(generator: Callable[[float], np.ndarray],
     midpoint exponential-product rule; factors at larger u multiply on
     the left.  The default step count scales with the integrated
     generator norm.
+
+    Nothing in the package calls this any more: the matrix on-shell S
+    comes from the characteristic kernels.  It stays as the reference
+    the tests hold those kernels against, and because the benchmark's
+    tracer (perfbench/tracing.py) lists it and unitary_product; both
+    move to tests/ once the tracer drops them.
     """
     if u1 == u0:
         a0 = np.atleast_2d(np.asarray(generator(u0), dtype=np.complex128))

@@ -320,6 +320,25 @@ def test_validate_checks_window_at_every_matched_label(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+def test_validate_checks_every_soluble_exact_probe(tmp_path, capsys):
+    # soluble-exact probes t = 0 and t = -2; on [-30, 30] the t = 0 window
+    # fits and the t = -2 one does not, so validate must probe both
+    text = (CONFIGS / "soluble-exact.ini").read_text(encoding="ascii")
+    grid = "x_min = -40.0\nx_max = 40.0\nn = 2048\n"
+    assert grid in text
+    path = write_config(tmp_path, text.replace(
+        grid, "x_min = -30.0\nx_max = 30.0\nn = 1024\n"))
+    assert main(["validate", "--config", path]) == 1
+    diagnostics = json.loads(capsys.readouterr().out)
+    assert [d["field"] for d in diagnostics] == ["grid"]
+    assert "cannot clear" in diagnostics[0]["message"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "validation-error"
+    assert not (out / "results.csv").exists()
+
+
 CLOSED_FORM = ("soluble-exact", "omega-scaling", "energy-shift",
                "outgoing-state", "combined")
 

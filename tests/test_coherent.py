@@ -200,6 +200,26 @@ def test_identity_resolution_rejects_small_box():
         identity_resolution_residual(state, 0.6, t_span=(-1.0, 1.0))
 
 
+@pytest.mark.parametrize("grid", [Grid(-64.0, 64.0, 2048),
+                                  Grid(-160.0, 160.0, 4096)],
+                         ids=["coherent-props", "combined"])
+@pytest.mark.parametrize("eps", [0.3, 1.2])
+@pytest.mark.parametrize("e", [-2.5, 2.5])
+def test_coherent_state_skips_only_exact_zeros(grid, eps, e):
+    # momenta where the Gaussian's exp underflows to 0.0 are left at 0
+    # (all but the combined grid at eps = 1.2 have some); the state
+    # equals the full-grid evaluation bit for bit
+    label = CoherentLabel(1.3, e, eps)
+    p = grid.momenta
+    g = (math.pi * eps ** 2) ** (-0.25) * np.exp(
+        -((p - e) ** 2) / (2.0 * eps ** 2))
+    phat = np.exp(-0.5j * label.t * e) * np.exp(1j * label.t * p) * g
+    want = np.zeros((2, grid.n), dtype=np.complex128)
+    want[1] = grid.from_momentum(phat)
+    got = coherent_state(label, grid, channel=1, n_channels=2).amplitudes
+    assert got.tobytes() == want.tobytes()
+
+
 def test_coherent_state_representability_guards():
     with pytest.raises(ValueError):
         coherent_state(CoherentLabel(46.0, 0.0, 0.4), GRID)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adiascat import _kernels
-from adiascat.network import MatrixPotential
+from adiascat.network import MatrixPotential, on_shell_S
 from adiascat.numerics import ordered_exponential
 from adiascat.profiles import GaussianMix, Schedule
 
@@ -162,6 +162,10 @@ def test_bench_kernels_cases_call_the_kernels():
             (_kernels.unitary_product, bench._product_case(16), (4, 4))):
         out = kernel(*case)
         assert out.shape == shape and np.all(np.isfinite(out))
+    for kind, nc in (("soluble", 1), ("sx", 2)):
+        onshell = on_shell_S(*bench._on_shell_case(kind))
+        assert onshell.matrix.shape == (nc, nc)
+        assert onshell.unitarity_defect() < 1e-12
     for _, fn, case in bench._cases([64], 16):
         fn(*case)
 

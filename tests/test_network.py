@@ -15,6 +15,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import erf
 
+from adiascat import _kernels
 from adiascat.coherent import (CoherentLabel, StateVector, braket,
                                coherent_state, free_shift)
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
@@ -25,9 +26,9 @@ from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
                               omega_dot_residual, on_shell_S, propagate,
                               rankone_resolvent, rankone_resolvent_exact,
                               rankone_scalar_amplitude, wave_operator,
-                              wigner_delay)
+                              wigner_delay, _matrix_transport)
 from adiascat.numerics import (Grid, NumericalContractError,
-                               central_derivative)
+                               central_derivative, ordered_exponential)
 from adiascat.profiles import GaussianMix, Schedule
 from adiascat.soluble import SolubleModel, dynamical_S_profile
 
@@ -92,6 +93,27 @@ def test_propagate_snaps_sub_lattice_duration_to_rest():
     out = propagate(model, state, 0.0, 0.3 * grid.dx)
     assert out is not state
     assert np.array_equal(out.amplitudes, state.amplitudes)
+
+
+def test_one_channel_transport_multiplies_only_where_the_phase_lives():
+    # points whose phase is exactly 0 skip exp and the product; the map
+    # still equals the full-grid product bit for bit, and leaves its
+    # input alone
+    grid = Grid(-40.0, 40.0, 1024)
+    model = soluble_twin(0.3, Schedule("tanh", 0.7, 0.2, 1.1, 0.1))
+    m, tau = grid.snap(16.0)
+    phase = _kernels.characteristic_phase(
+        grid.points, tau, 0.7 + tau, m, model.coupling.profiles[0],
+        model.schedule.value, model.omega,
+        model.coupling.support_radius(1e-16))
+    assert 0 < np.count_nonzero(phase) < grid.n
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=(2, grid.n)) + 1j * rng.normal(size=(2, grid.n))
+    before = amps.copy()
+    got = _matrix_transport(model, grid, 0.7, tau, m)(amps)
+    want = np.roll(amps, m, axis=-1) * np.exp(-1j * phase)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(amps, before)
 
 
 def test_propagate_two_channel_commuting_closed_form():
@@ -434,6 +456,38 @@ def test_on_shell_single_channel_matches_soluble_value():
     model = from_soluble(soluble)
     got = on_shell_S(model, 0.0).matrix[0, 0]
     assert abs(got - frozen_S_value(soluble, 0.0)) < 1e-10
+
+
+def _ordered_on_shell(model, s):
+    """The matrix on-shell S by the ordered product over [-(r+1), r+1]."""
+    coupling = model.coupling
+    f = float(coupling.schedule.value(s))
+    radius = coupling.support_radius(1e-16) + 1.0
+    return ordered_exponential(
+        lambda u: -1j * coupling.value(np.array([u]), f)[0], -radius, radius)
+
+
+JX3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / math.sqrt(2)
+JZ3 = np.diag([1.0, 0.0, -1.0])
+TWO_BUMPS = (GaussianMix.single(1.0, -0.4, 0.9), GaussianMix.single(1.0, 0.5, 1.1))
+
+
+@pytest.mark.parametrize("s", [-0.6, 0.5, 1.3])
+@pytest.mark.parametrize("matrices,profiles", [
+    ((np.array([[1.0]]),), (MIX,)),
+    ((SX,), (MIX,)),
+    ((0.7 * SX, 0.5 * SZ), TWO_BUMPS),
+    ((0.7 * JX3, 0.5 * JZ3), TWO_BUMPS),
+], ids=["one-channel", "two-channel", "two-channel-noncommuting",
+        "three-channel-noncommuting"])
+def test_on_shell_matches_ordered_exponential(matrices, profiles, s):
+    # the characteristic kernels against the ordered product they replace:
+    # the same midpoints, multiplied in another order
+    nc = matrices[0].shape[0]
+    model = ScatterModel(nc, MatrixPotential(matrices, profiles, BUMP), 0.2)
+    got = on_shell_S(model, s).matrix
+    assert got.shape == (nc, nc)
+    assert np.max(np.abs(got - _ordered_on_shell(model, s))) < 1e-12
 
 
 def test_wigner_delay_structure():
