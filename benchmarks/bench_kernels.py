@@ -1,5 +1,5 @@
-"""Time the transport kernels, the matrix on-shell S, rank-one transport
-and two diagnostics on run-sized workloads.
+"""Time the transport kernels, the matrix on-shell S, rank-one transport,
+the rank-one Faddeeva form and two diagnostics on run-sized workloads.
 
     python3 benchmarks/bench_kernels.py [--repeats 3] [--sizes 1024,4096]
 
@@ -22,7 +22,8 @@ from adiascat import adiabatic
 from adiascat.coherent import (CoherentLabel, coherent_state, free_shift,
                                identity_resolution_residual)
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
-                              from_soluble, on_shell_S, propagate)
+                              from_soluble, on_shell_S, propagate,
+                              rankone_resolvent_exact)
 from adiascat.numerics import Grid
 from adiascat.profiles import GaussianMix, Schedule
 from adiascat.soluble import SolubleModel
@@ -168,6 +169,11 @@ def _cases(sizes, product_steps):
         cases.append((f"on_shell_S {kind}", on_shell_S, _on_shell_case(kind)))
     cases.append(("rank-one propagate n=512 48 units",
                   propagate, _rankone_case()))
+    # the multichannel benchmark's Faddeeva check: its form, 13 energies
+    cases.append(("rankone_resolvent_exact 13 energies",
+                  rankone_resolvent_exact,
+                  (GaussianMix((0.4,), (0.0,), (1.0,)),
+                   np.linspace(-3.0, 3.0, 13))))
     for eps in (0.3, 1.2):
         cases.append((f"identity_resolution_residual eps={eps}",
                       identity_resolution_residual, _residual_case(eps)))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -30,8 +30,8 @@ from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .coherent import StateVector, free_shift
-from .numerics import (Grid, NumericalContractError, central_derivative,
-                       hermitize, read_only)
+from .numerics import (Grid, NumericalContractError, _dawson,
+                       central_derivative, hermitize, read_only)
 from .profiles import GaussianMix, Schedule
 from .soluble import SolubleModel
 
@@ -73,9 +73,14 @@ class MatrixPotential:
     def n_channels(self) -> int:
         return self.matrices[0].shape[0]
 
+    @cached_property
+    def _scale(self) -> float:
+        """Largest spectral norm of the (Hermitised) term matrices."""
+        return max(float(np.linalg.norm(m, 2)) for m in self.matrices)
+
     def support_radius(self, tol: float = 1e-14) -> float:
-        scale = max(float(np.linalg.norm(m, 2)) for m in self.matrices)
-        return max(p.support_radius(tol / max(1.0, scale)) for p in self.profiles)
+        return max(p.support_radius(tol / max(1.0, self._scale))
+                   for p in self.profiles)
 
     def value(self, x: np.ndarray, f: float) -> np.ndarray:
         """Potential matrix field f * sum_i M_i v_i(x), shape (nx, nc, nc)."""
@@ -610,17 +615,16 @@ def rankone_resolvent_exact(form: GaussianMix, energies):
 
     Independent reference route for rankone_resolvent, via the Faddeeva
     function: for rho(k) = A exp(-k^2 w^2 / 2) the boundary value is
-    A pi [Im w(z) - i Re w(z)] at z = E w / sqrt(2).
+    A pi [Im w(z) - i Re w(z)] at z = E w / sqrt(2).  On the real axis
+    w(z) = exp(-z^2) + 2i D(z) / sqrt(pi), D Dawson's integral.
     """
     if len(form.amps) != 1 or form.centers[0] != 0.0:
         raise ValueError("closed form needs a single centered Gaussian")
-    # imported here: scipy.special costs every `import adiascat` ~0.3 s
-    from scipy.special import wofz
     a, w = form.amps[0], form.widths[0]
     amp = a * a * w * w / 2.0
     z = np.asarray(energies, dtype=float) * w / math.sqrt(2.0)
-    fad = wofz(z)
-    out = amp * math.pi * (np.imag(fad) - 1j * np.real(fad))
+    out = amp * math.pi * (2.0 / math.sqrt(math.pi) * _dawson(z)
+                           - 1j * np.exp(-z * z))
     return out if np.ndim(energies) else complex(out)
 
 

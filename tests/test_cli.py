@@ -459,3 +459,18 @@ def test_package_import_loads_no_scipy(subprocess_env):
         env=subprocess_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_rankone_resolvents_load_no_scipy(subprocess_env):
+    # the Faddeeva oracle and the quadrature route are numpy only
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from adiascat.network import rankone_resolvent, "
+         "rankone_resolvent_exact; from adiascat.profiles import GaussianMix; "
+         "form = GaussianMix((0.9,), (0.0,), (1.2,)); "
+         "rankone_resolvent_exact(form, [0.0, 1.0]); "
+         "rankone_resolvent(form, [0.0, 1.0]); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=subprocess_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erf
+from scipy.special import erf, wofz
 
 from adiascat import _kernels
 from adiascat.coherent import (CoherentLabel, StateVector, braket,
@@ -556,6 +556,19 @@ def test_rankone_resolvent_against_faddeeva_closed_form():
     assert isinstance(rankone_resolvent(form, 0.5), complex)
     with pytest.raises(ValueError):
         rankone_resolvent_exact(GaussianMix((0.9,), (0.3,), (1.2,)), 0.0)
+
+
+def test_rankone_resolvent_exact_matches_wofz():
+    # the Faddeeva form with scipy's wofz, inline, as the reference
+    energies = np.linspace(-30.0, 30.0, 6001)
+    for form in (GaussianMix((0.9,), (0.0,), (1.2,)),
+                 GaussianMix((-1.7,), (0.0,), (0.4,))):
+        a, w = form.amps[0], form.widths[0]
+        fad = wofz(energies * w / math.sqrt(2.0))
+        ref = a * a * w * w / 2.0 * math.pi * (fad.imag - 1j * fad.real)
+        got = rankone_resolvent_exact(form, energies)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(np.abs(ref), 1.0))
+    assert isinstance(rankone_resolvent_exact(form, 0.5), complex)
 
 
 def test_rankone_frozen_scattering_diagonal_in_momentum():

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import dawsn
 
-from adiascat.numerics import (Grid, NumericalContractError, central_derivative,
-                               fit_slope, hermitize, ordered_exponential)
+from adiascat.numerics import (Grid, NumericalContractError, _dawson,
+                               central_derivative, fit_slope, hermitize,
+                               ordered_exponential)
 
 
 def test_grid_basic_geometry():
@@ -162,3 +164,19 @@ def test_ordered_exponential_rejects_nonantihermitian():
 
 def test_contract_error_is_runtime_error():
     assert issubclass(NumericalContractError, RuntimeError)
+
+
+def test_dawson_matches_scipy_dawsn():
+    # both sides of the Taylor/Rybicki switch at |x| = 0.2, tiny and large x
+    edge = 0.2 + np.arange(-4, 5) * np.spacing(0.2)
+    tail = np.geomspace(1e-300, 1e3, 2000)
+    x = np.concatenate([np.linspace(-60.0, 60.0, 20001), tail, -tail,
+                        edge, -edge, [0.0]])
+    ref = dawsn(x)
+    got = _dawson(x)
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+    assert np.array_equal(_dawson(-x), -got)
+    scalar = _dawson(0.5)
+    assert isinstance(scalar, float)
+    assert scalar == pytest.approx(dawsn(0.5), rel=1e-13)
