@@ -7,22 +7,22 @@ from .numerics import (Grid, NumericalContractError, SlopeFit,
 from .profiles import GaussianMix, Schedule
 from .coherent import (CoherentLabel, StateVector, braket, coherent_state,
                        free_shift, identity_resolution_residual, label_box,
-                       label_spreads, overlap, plane_wave_amplitude)
-from .soluble import SolubleModel, default_model
+                       overlap, plane_wave_amplitude)
+from .soluble import SolubleModel
 from .network import (HermitianOnShell, MatrixPotential, OnShellMatrix,
                       RankOne, ScatterModel, apply_h0, apply_hamiltonian,
-                      as_soluble, clearance_T, dot_S_residual, dynamical_S,
+                      as_soluble, clearance_T, dynamical_S,
                       dynamical_S_adjoint, from_soluble, frozen,
                       frozen_S_apply, frozen_energy_shift_onshell,
                       intertwine_residual, omega_dot_residual, on_shell_S,
                       propagate, rankone_resolvent, rankone_resolvent_exact,
                       wave_operator, wigner_delay)
 from .adiabatic import (ErrorReport, adiabatic_tau, born_correction,
-                        coherent_element, combined_report,
-                        energy_shift_operator, onshell_vs_frozen,
-                        outgoing_state_check, remainder_exact, rho_fermi,
-                        rho_gaussian, rho_polynomial,
-                        smeared_frozen_element, thawed_energy_shift_report)
+                        combined_report, energy_shift_operator,
+                        onshell_vs_frozen, outgoing_state_check,
+                        remainder_exact, rho_fermi, rho_gaussian,
+                        rho_polynomial, smeared_frozen_element,
+                        thawed_energy_shift_report)
 from .experiments import (EXPERIMENTS, Check, ExperimentResult, Row, Setup)
 # loaded with the package, as perfbench/tracing.py expects; a package
 # with a __main__, so ``python -m adiascat.cli`` does not run it twice

@@ -19,11 +19,10 @@ kernel for a single point crossing the interaction: the lattice is that
 point and its neighbour one step on, tau is the whole span, and the
 frozen schedule is constant.
 
-No package code calls unitary_product or _char_phase_py (with its
-helper _active_range).  They are the references the tests hold the
-kernels against: the ordered product, through
-numerics.ordered_exponential, for the channel unitaries and the
-on-shell S, and the per-point loop for the vectorized phase kernel.
+No package code calls unitary_product.  It is the ordered product,
+through numerics.ordered_exponential, that the tests hold the channel
+unitaries and the on-shell S against; the per-point reference loop for
+the phase kernel lives in the tests.
 """
 
 from __future__ import annotations
@@ -33,47 +32,9 @@ import math
 import numpy as np
 
 
-def _active_range(c0, dt, rmax, nsteps):
-    """Index range of steps whose characteristic point lies in |u| <= rmax.
-
-    u_k = c0 + k*dt; returns (klo, khi) inclusive, possibly empty (khi < klo).
-    """
-    if dt > 0.0:
-        lo = (-rmax - c0) / dt
-        hi = (rmax - c0) / dt
-    else:
-        lo = (rmax - c0) / dt
-        hi = (-rmax - c0) / dt
-    klo = int(math.ceil(lo))
-    khi = int(math.floor(hi))
-    if klo < 0:
-        klo = 0
-    if khi > nsteps - 1:
-        khi = nsteps - 1
-    return klo, khi
-
-
 # ---------------------------------------------------------------------------
 # Single-channel characteristic phase
 # ---------------------------------------------------------------------------
-
-def _char_phase_py(x, tau, t1, nsteps, profile, schedule, omega, rmax):
-    """Per-point reference loop for characteristic_phase."""
-    n = x.shape[0]
-    dt = tau / nsteps
-    t0 = t1 - tau
-    out = np.zeros(n)
-    for j in range(n):
-        c0 = x[j] - tau + 0.5 * dt
-        klo, khi = _active_range(c0, dt, rmax, nsteps)
-        k = np.arange(klo, khi + 1)
-        acc = 0.0
-        for f, v in zip(schedule(omega * (t0 + (k + 0.5) * dt)),
-                        profile(c0 + k * dt)):
-            acc += f * v
-        out[j] = acc * dt
-    return out
-
 
 def _fine_window(x, tau, nsteps, rmax):
     """Lattice check and fine-lattice window shared by both kernels.
@@ -114,7 +75,7 @@ def characteristic_phase(x, tau, t1, nsteps, profile, schedule, omega, rmax):
     the profile once on the fine-lattice window |y| <= rmax, and phase_j
     is every S-th output of their correlation.  Each output is a dot
     product over exactly the active steps, taken in the order of k, as
-    the per-point loop of _char_phase_py takes it.
+    a per-point loop over the steps takes it.
     """
     n = x.shape[0]
     sub, ilo, y = _fine_window(x, tau, nsteps, rmax)

@@ -51,18 +51,6 @@ class ErrorReport:
         return abs(self.value_exact - self.value_approx)
 
 
-def coherent_element(op: Callable[[StateVector], StateVector], grid: Grid,
-                     bra: CoherentLabel, ket: CoherentLabel,
-                     n_channels: int = 1, bra_channel: int = 0,
-                     ket_channel: int = 0) -> complex:
-    """Matrix element of a state map between two coherent labels."""
-    bra_state = coherent_state(bra, grid, channel=bra_channel,
-                               n_channels=n_channels)
-    ket_state = coherent_state(ket, grid, channel=ket_channel,
-                               n_channels=n_channels)
-    return braket(bra_state, op(ket_state))
-
-
 def _matched_states(model: ScatterModel, s: float, e: float, eps: float,
                     j: int, jp: int, grid: Grid):
     label = CoherentLabel(s / model.omega, e, eps)
@@ -81,8 +69,7 @@ def remainder_exact(model: ScatterModel, s: float, e: float, eps: float,
     difference isolates the drive, not the windowing.
     """
     _, bra, ket = _matched_states(model, s, e, eps, j, jp, grid)
-    if T is None:
-        T = clearance_T(model, ket)
+    T = _network._window(model, ket, T)
     out_dyn = dynamical_S(model, 0.0, ket, T=T)
     out_froz = frozen_S_apply(model, s, ket, T=T)
     return braket(bra, out_dyn) - braket(bra, out_froz)
@@ -142,7 +129,7 @@ def born_correction(model: ScatterModel, s: float,
 
     def apply(state: StateVector) -> StateVector:
         grid = state.grid
-        T_use = clearance_T(model, state) if T is None else grid.snap(T)[1]
+        T_use = _network._window(model, state, T)
         steps, _ = grid.snap(2.0 * T_use)
         delta = grid.dx
         fdot = float(model.schedule.derivative(s))
@@ -198,7 +185,13 @@ def smeared_frozen_element(model: ScatterModel, s: float, e: float, eps: float,
 
 def _smearing_bound(model: ScatterModel, s: float, e: float,
                     eps: float) -> float:
-    """eps^2 (|tau_w|^2 + |dtau_w/dE|) from the Wigner delay matrix tau_w."""
+    """eps^2 (|tau_w|^2 + |dtau_w/dE|) from the Wigner delay matrix tau_w.
+
+    A matrix coupling's delay is exactly zero (see wigner_delay), and so
+    is the bound.
+    """
+    if isinstance(model.coupling, MatrixPotential):
+        return 0.0
     tw = wigner_delay(model, s, e)
 
     def tw_fun(en: float) -> np.ndarray:
@@ -233,8 +226,7 @@ def combined_report(model: ScatterModel, s: float, e: float, eps: float,
     precomputed response coefficient across a sweep.
     """
     _, bra, ket = _matched_states(model, s, e, eps, j, jp, grid)
-    if T is None:
-        T = clearance_T(model, ket)
+    T = _network._window(model, ket, T)
     exact = braket(bra, dynamical_S(model, 0.0, ket, T=T))
     approx = complex(on_shell_S(model, s, e).matrix[j, jp])
     smearing = _smearing_bound(model, s, e, eps)
@@ -251,7 +243,7 @@ def energy_shift_operator(model: ScatterModel, s: float,
     s, as a state map."""
 
     def apply(state: StateVector) -> StateVector:
-        T_use = clearance_T(model, state) if T is None else T
+        T_use = _network._window(model, state, T)
         adj = dynamical_S_adjoint(model, s, state, T=T_use)
         h0adj = apply_h0(adj)
         back = dynamical_S(model, s, h0adj, T=T_use)
@@ -272,8 +264,7 @@ def thawed_energy_shift_report(model: ScatterModel, s: float, e: float,
     the on-shell family at s.  Agreement is first order in omega.
     """
     _, bra, ket = _matched_states(model, s, e, eps, j, jp, grid)
-    if T is None:
-        T = clearance_T(model, ket)
+    T = _network._window(model, ket, T)
     op = energy_shift_operator(model, 0.0, T=T)
     exact = braket(bra, op(ket))
     approx = complex(frozen_energy_shift_onshell(model, s, e).matrix[j, jp])

@@ -177,15 +177,6 @@ def _grid_moments(state: StateVector) -> tuple[float, float, float, float]:
     return float(mean_x), float(var_x), float(mean_p), float(var_p)
 
 
-def label_spreads(state: StateVector) -> tuple[float, float]:
-    """Measured (energy spread, time spread) from grid moments.
-
-    Time spread is the position spread read at unit velocity.
-    """
-    _, var_x, _, var_p = _grid_moments(state)
-    return math.sqrt(var_p), math.sqrt(var_x)
-
-
 def plane_wave_amplitude(state: StateVector, energies) -> np.ndarray:
     """Amplitudes (E| state on each channel for the given energy values.
 

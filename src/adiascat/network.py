@@ -15,7 +15,8 @@ Two interaction backends share one model container:
 
 Scattering operators are realized through finite asymptotic windows:
 free (or reference) legs sandwich one driven leg, with clearance of the
-interaction region checked at every seam.
+interaction region checked at every seam.  Here and in ``adiabatic``
+the window is ``_window``: clearance_T when T is None, else T snapped.
 """
 
 from __future__ import annotations
@@ -364,16 +365,6 @@ def _support_bounds(state: StateVector, cut: float = 1e-11) -> tuple[float, floa
     return float(live.min()), float(live.max())
 
 
-def _side_mass(state: StateVector, x_cut: float, side: str) -> float:
-    dens = np.sum(np.abs(state.amplitudes) ** 2, axis=0)
-    total = dens.sum()
-    if side == "right":
-        sel = state.grid.points > x_cut
-    else:
-        sel = state.grid.points < x_cut
-    return float(dens[sel].sum() / total)
-
-
 def _delayed_tail(coupling: RankOne, state: StateVector) -> float:
     """Time a rank-one coupling needs to release the state's delayed tail.
 
@@ -431,10 +422,23 @@ def clearance_T(model: ScatterModel, state: StateVector) -> float:
     return snapped
 
 
+def _window(model: ScatterModel, state: StateVector,
+            T: float | None) -> float:
+    """The asymptotic window: clearance_T when T is None, else T snapped
+    onto the grid lattice."""
+    if T is None:
+        return clearance_T(model, state)
+    return state.grid.snap(T)[1]
+
+
 def _check_cleared(state: StateVector, radius: float, side: str,
                    what: str) -> None:
-    cut = -radius if side == "left" else radius
-    mass = _side_mass(state, cut, "right" if side == "left" else "left")
+    """Raise unless the state lies on the given side of |x| < radius, up
+    to CLEARANCE_TOL of its weight."""
+    dens = np.sum(np.abs(state.amplitudes) ** 2, axis=0)
+    x = state.grid.points
+    behind = x > -radius if side == "left" else x < radius
+    mass = float(dens[behind].sum() / dens.sum())
     if mass > CLEARANCE_TOL:
         raise NumericalContractError(
             f"{what}: {mass:.2e} relative weight has not cleared the "
@@ -455,10 +459,7 @@ def wave_operator(model: ScatterModel, s: float, sign: int,
     """
     if sign not in (-1, +1):
         raise ValueError("sign must be -1 or +1")
-    if T is None:
-        T = clearance_T(model, state)
-    else:
-        _, T = state.grid.snap(T)
+    T = _window(model, state, T)
     t_c = s / model.omega
     radius = model.interaction_radius()
     leg1 = free_shift(state, sign * T)
@@ -473,11 +474,7 @@ def _scatter(model: ScatterModel, s: float, state: StateVector,
     """Outer leg, driven leg over [t_c - T, t_c + T], outer leg: run
     forward (direction=+1) or backward (direction=-1), with clearance of
     the interaction region checked at both seams."""
-    grid = state.grid
-    if T is None:
-        T = clearance_T(model, state)
-    else:
-        _, T = grid.snap(T)
+    T = _window(model, state, T)
     if reference is not None:
         if not reference.schedule.is_constant:
             raise ValueError("reference model must be frozen")
@@ -552,7 +549,8 @@ def _matrix_transfer(model: ScatterModel, s: float) -> np.ndarray:
     of one point crossing [-(r+1), r+1], r = support_radius(1e-16).
 
     The step count is 40 per unit of span and of the largest field norm
-    on 9 probes of the span, and at least 64.  The kernels then sample
+    on 9 probes of the span, and at least 64; the field is Hermitian, so
+    its norm is its largest |eigenvalue|.  The kernels then sample
     the midpoints of the span; the lattice is the crossing point and its
     neighbour one step on, since the kernels read dx off the grid.
     """
@@ -563,7 +561,7 @@ def _matrix_transfer(model: ScatterModel, s: float) -> np.ndarray:
     span = 2.0 * radius
     probes = coupling.value(-radius + np.linspace(0.0, 1.0, 9) * span,
                             schedule(0.0))
-    max_norm = max(float(np.linalg.norm(a, 2)) for a in probes)
+    max_norm = float(np.abs(np.linalg.eigvalsh(probes)).max())
     steps = max(64, int(math.ceil(40.0 * span * max_norm)))
     x = np.array([radius, radius + span / steps])
     if model.n_channels == 1:
@@ -706,8 +704,7 @@ def intertwine_residual(model: ScatterModel, s: float, state: StateVector,
     floor.
     """
     fmodel = frozen(model, s)
-    if T is None:
-        T = clearance_T(fmodel, state)
+    T = _window(fmodel, state, T)
     h0state = apply_h0(state)
     worst = 0.0
     for sign in (-1, +1):
@@ -729,8 +726,7 @@ def omega_dot_residual(model: ScatterModel, s: float, state: StateVector,
     central difference (step 1e-3) over the base point.  The equation is
     exact, so the residual sits at the differencing and grid floor.
     """
-    if T is None:
-        T = clearance_T(model, state)
+    T = _window(model, state, T)
 
     def family(sv: float) -> np.ndarray:
         return wave_operator(model, sv, -1, state, T=T).amplitudes
@@ -741,26 +737,4 @@ def omega_dot_residual(model: ScatterModel, s: float, state: StateVector,
     lhs = apply_hamiltonian(fmodel, s / model.omega, om).amplitudes
     rhs = wave_operator(model, s, -1, apply_h0(state), T=T).amplitudes
     resid = 1j * model.omega * dom - (lhs - rhs)
-    return StateVector(state.grid, resid).norm() / state.norm()
-
-
-def dot_S_residual(model: ScatterModel, s: float, state: StateVector,
-                   T: float | None = None) -> float:
-    """Base-point commutator defect of the dynamical scattering family.
-
-    Checks omega dS_d/ds = -i [H_0, S_d(s)] applied to the state, with
-    the s-derivative by central difference (step 1e-2), which encodes
-    that moving the base point is free transport.
-    """
-    if T is None:
-        T = clearance_T(model, state)
-
-    def family(sv: float) -> np.ndarray:
-        return dynamical_S(model, sv, state, T=T).amplitudes
-
-    ds = central_derivative(family, s, 1e-2)
-    sd = dynamical_S(model, s, state, T=T)
-    h0_sd = apply_h0(sd).amplitudes
-    sd_h0 = dynamical_S(model, s, apply_h0(state), T=T).amplitudes
-    resid = model.omega * ds + 1j * (h0_sd - sd_h0)
     return StateVector(state.grid, resid).norm() / state.norm()

@@ -37,10 +37,6 @@ class SolubleModel:
             raise ValueError("omega must be positive")
 
 
-def default_model(omega: float = 0.1) -> SolubleModel:
-    return SolubleModel(GaussianMix.single(), Schedule("tanh", 1.0), omega)
-
-
 def _support_samples(model: SolubleModel, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     radius = model.potential.support_radius(1e-18)
     x = grid.points
@@ -82,21 +78,6 @@ def frozen_S_value(model: SolubleModel, s: float, grid: Grid | None = None) -> c
     return complex(np.exp(-1j * model.schedule.value(s) * w))
 
 
-def frozen_energy_shift_value(model: SolubleModel, s: float,
-                              grid: Grid | None = None) -> float:
-    """Frozen-family energy shift f'(s) W."""
-    if grid is None:
-        w = model.potential.weight
-    else:
-        w = float(grid.quadrature(model.potential(grid.points)))
-    return float(model.schedule.derivative(s)) * w
-
-
-def wigner_delay_value(model: SolubleModel, s: float) -> float:
-    """The frozen amplitude has no energy dependence, so the delay is zero."""
-    return 0.0
-
-
 def tau_first_order(model: SolubleModel, s: float) -> complex:
     """First-order adiabatic response coefficient f'(s) m1 S_f(s).
 
@@ -106,16 +87,3 @@ def tau_first_order(model: SolubleModel, s: float) -> complex:
     """
     return (float(model.schedule.derivative(s)) * model.potential.first_moment
             * frozen_S_value(model, s))
-
-
-def tau_profile(model: SolubleModel, s: float, grid: Grid) -> np.ndarray:
-    """Multiplication profile -f'(s) (x W - m1) S_f(s).
-
-    Its diagonal coherent element at time label zero reproduces
-    tau_first_order; at nonzero labels the x-dependence contributes.
-    """
-    w = model.potential.weight
-    m1 = model.potential.first_moment
-    sf = frozen_S_value(model, s)
-    return (-float(model.schedule.derivative(s))
-            * (grid.points * w - m1) * sf)

@@ -15,13 +15,13 @@ import pytest
 
 from adiascat import adiabatic
 from adiascat.adiabatic import (ErrorReport, adiabatic_tau,
-                                born_correction, coherent_element,
-                                combined_report, energy_shift_operator,
+                                born_correction, combined_report,
+                                energy_shift_operator,
                                 onshell_vs_frozen, outgoing_state_check,
                                 remainder_exact, rho_fermi, rho_gaussian,
                                 rho_polynomial, smeared_frozen_element,
                                 thawed_energy_shift_report)
-from adiascat.coherent import CoherentLabel, braket, coherent_state, overlap
+from adiascat.coherent import CoherentLabel, braket, coherent_state
 from adiascat.network import (RankOne, ScatterModel, clearance_T, frozen,
                               from_soluble, on_shell_S,
                               rankone_scalar_amplitude, wave_operator)
@@ -50,14 +50,6 @@ def rankone_model(lam: float = 0.6) -> ScatterModel:
 def test_error_report_abs_error():
     report = ErrorReport(1.0 + 1.0j, 1.0)
     assert report.abs_error == pytest.approx(1.0)
-
-
-def test_coherent_element_of_identity_is_overlap():
-    grid = Grid(-48.0, 48.0, 1536)
-    bra = CoherentLabel(0.4, 0.9, 0.6)
-    ket = CoherentLabel(-0.8, 1.2, 0.6)
-    got = coherent_element(lambda state: state, grid, bra, ket)
-    assert abs(got - overlap(bra, ket)) < 1e-10
 
 
 def test_adiabatic_tau_matches_moment_formula():

@@ -112,6 +112,13 @@ def test_validate_clean_config_exits_zero(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == []
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")),
+                         ids=lambda path: path.stem)
+def test_shipped_config_validates_clean(path, capsys):
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "[]"
+
+
 def test_validate_reports_cramped_response_window(tmp_path, capsys):
     path = write_config(tmp_path, GOOD_CONFIG.replace("eps = 0.5",
                                                       "eps = 0.05"))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from adiascat.coherent import (CoherentLabel, StateVector, braket,
                                coherent_state, free_shift,
                                identity_resolution_residual, label_box,
-                               label_spreads, overlap, plane_wave_amplitude)
+                               overlap, plane_wave_amplitude)
 from adiascat.numerics import Grid, NumericalContractError
 
 GRID = Grid(-48.0, 48.0, 1536)
@@ -90,12 +90,16 @@ def test_plane_wave_amplitude_closed_form():
     np.testing.assert_allclose(amps[0], expected, atol=1e-12)
 
 
-def test_label_spreads_match_width():
+def test_label_box_of_coherent_state():
+    # the measured spreads of a label are eps / sqrt(2) in energy and
+    # 1 / (sqrt(2) eps) in time, so against its own width the box is
+    # twelve of each wide on either side of (t, e)
     eps = 0.7
     state = coherent_state(CoherentLabel(0.5, 1.0, eps), GRID)
-    de, dt = label_spreads(state)
-    assert de == pytest.approx(eps / math.sqrt(2.0), rel=1e-6)
-    assert dt == pytest.approx(1.0 / (eps * math.sqrt(2.0)), rel=1e-6)
+    (t_lo, t_hi), (e_lo, e_hi) = label_box(state, eps)
+    pad_t, pad_e = 12.0 / (math.sqrt(2.0) * eps), 12.0 * eps / math.sqrt(2.0)
+    assert (t_lo, t_hi) == pytest.approx((0.5 - pad_t, 0.5 + pad_t), rel=1e-6)
+    assert (e_lo, e_hi) == pytest.approx((1.0 - pad_e, 1.0 + pad_e), rel=1e-6)
 
 
 def test_identity_resolution_residual_small():

@@ -19,9 +19,9 @@ from adiascat import _kernels
 from adiascat.coherent import (CoherentLabel, StateVector, braket,
                                coherent_state, free_shift)
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
-                              clearance_T, dot_S_residual, dynamical_S,
+                              clearance_T, dynamical_S,
                               dynamical_S_adjoint, frozen, frozen_energy_shift_onshell,
-                              from_soluble, frozen_one_step,
+                              from_soluble, frozen_one_step, frozen_S_apply,
                               intertwine_residual,
                               omega_dot_residual, on_shell_S, propagate,
                               rankone_resolvent, rankone_resolvent_exact,
@@ -490,6 +490,38 @@ def test_on_shell_matches_ordered_exponential(matrices, profiles, s):
     assert np.max(np.abs(got - _ordered_on_shell(model, s))) < 1e-12
 
 
+def test_noncommuting_on_shell_error_is_second_order():
+    # test_on_shell_matches_ordered_exponential compares two routes on the
+    # same midpoints, so it cannot see the step error, which for
+    # non-commuting terms is second order.  Here the reference is a
+    # 2^17-step midpoint product (it moves by 1.3e-10 at 2^18).  Measured when this test was written: on_shell_S is 7.6e-5
+    # off, and the (1, 0) element of frozen_S_apply 3.0e-4, 7.4e-5 and
+    # 1.8e-5 at n = 2048, 4096 and 8192.
+    profiles = (GaussianMix.single(1.0, -0.7, 1.0),
+                GaussianMix.single(1.0, 0.9, 0.8))
+    coupling = MatrixPotential((0.8 * SZ, 0.6 * SX), profiles, BUMP)
+    model = ScatterModel(2, coupling, 0.1)
+    s = 0.7071
+    radius = coupling.support_radius(1e-16) + 1.0
+    steps = 2 ** 17
+    dt = 2.0 * radius / steps
+    midpoints = -radius + (np.arange(steps) + 0.5) * dt
+    ref = _kernels.unitary_product(
+        coupling.value(midpoints, float(coupling.schedule.value(s))), dt)
+    assert np.max(np.abs(on_shell_S(model, s).matrix - ref)) < 1e-4
+    label = CoherentLabel(0.0, 1.0, 0.5)
+    errors = []
+    for n in (2048, 4096, 8192):
+        grid = Grid(-160.0, 160.0, n)
+        ket = coherent_state(label, grid, channel=0, n_channels=2)
+        bra = coherent_state(label, grid, channel=1, n_channels=2)
+        element = braket(bra, frozen_S_apply(model, s, ket))
+        errors.append(abs(element - ref[1, 0]))
+    assert errors[1] < 1e-4
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 < coarse / fine < 4.5
+
+
 def test_wigner_delay_structure():
     matrix_model = ScatterModel(
         2, MatrixPotential((SX,), (MIX,), Schedule("constant", 0.9, 0.0, 1.0)),
@@ -608,10 +640,3 @@ def test_omega_dot_residual_small():
     model = soluble_twin(0.1)
     state = coherent_state(CoherentLabel(4.0, 1.0, 0.5), grid)
     assert omega_dot_residual(model, 0.4, state) < 1e-5
-
-
-def test_dot_S_residual_small():
-    grid = Grid(-48.0, 48.0, 1536)
-    model = soluble_twin(0.1)
-    state = coherent_state(CoherentLabel(4.0, 1.0, 0.5), grid)
-    assert dot_S_residual(model, 0.4, state) < 1e-7

@@ -8,12 +8,9 @@ from scipy.integrate import quad
 
 from adiascat.numerics import Grid
 from adiascat.profiles import GaussianMix, Schedule
-from adiascat.soluble import (SolubleModel, default_model,
-                              dynamical_S_profile,
+from adiascat.soluble import (SolubleModel, dynamical_S_profile,
                               dynamical_energy_shift_profile,
-                              frozen_S_value, frozen_energy_shift_value,
-                              gauge_phase, tau_first_order, tau_profile,
-                              wigner_delay_value)
+                              frozen_S_value, gauge_phase, tau_first_order)
 
 GRID = Grid(-40.0, 40.0, 2048)
 MODEL = SolubleModel(GaussianMix((0.8, 0.4), (0.35, -1.1), (1.0, 0.7)),
@@ -92,17 +89,6 @@ def test_gaussian_mix_moments():
     assert GRID.quadrature(x * mix(x)) == pytest.approx(m1_ref, abs=1e-12)
 
 
-def test_frozen_energy_shift_value():
-    s = 0.25
-    expected = MODEL.schedule.derivative(s) * MODEL.potential.weight
-    assert frozen_energy_shift_value(MODEL, s) == pytest.approx(expected)
-
-
-def test_wigner_delay_identically_zero():
-    for s in (-1.0, 0.0, 0.8):
-        assert wigner_delay_value(MODEL, s) == 0.0
-
-
 def test_tau_first_order_formula():
     s = 0.5
     expected = (MODEL.schedule.derivative(s) * MODEL.potential.first_moment
@@ -110,18 +96,6 @@ def test_tau_first_order_formula():
     assert tau_first_order(MODEL, s) == pytest.approx(expected)
 
 
-def test_tau_profile_center_value():
-    s = 0.5
-    prof = tau_profile(MODEL, s, GRID)
-    # x = 0 is a grid point; there the profile reduces to tau_first_order
-    j = int(round((0.0 - GRID.x_min) / GRID.dx))
-    assert GRID.points[j] == 0.0
-    assert prof[j] == pytest.approx(tau_first_order(MODEL, s), abs=1e-14)
-
-
-def test_default_model_shape():
-    model = default_model(0.05)
-    assert model.omega == 0.05
-    assert model.schedule.kind == "tanh"
+def test_soluble_model_rejects_nonpositive_omega():
     with pytest.raises(ValueError):
         SolubleModel(MODEL.potential, MODEL.schedule, -0.1)
