@@ -319,12 +319,16 @@ def outgoing_state_check(model: ScatterModel | SolubleModel, s: float,
     """Operator-norm defect of rho-transport through dynamical scattering.
 
     Checks S_d rho(H_0) S_d^* = rho(H_0 - omega E_d) with closed-form
-    scattering and energy-shift profiles, dense on a small grid (n <=
-    1024): rho(H_0) as the circulant of rho(p), rho(H_0 - omega E_d)
-    from eigenpairs shared by every density.  Schedules with unequal
-    asymptotic values leave a seam jump on the periodic grid, which this
-    check will honestly report.  A model without a soluble view (see
-    as_soluble) is a ValueError.
+    scattering and energy-shift profiles on a small grid (n <= 1024,
+    for one dense eigh).  Neither side is formed: the difference is
+    applied to vectors, the left side as S_d ifft(rho(p) fft(S_d^* x))
+    (rho(H_0) is diagonal in momentum) and the right side as
+    V rho(w) V^* x from the eigenpairs (w, V) of H_0 - omega E_d, which
+    every density at one (model, s, grid) shares.  The norm of that Hermitian map is its
+    largest |eigenvalue|, found by Lanczos iteration (_hermitian_norm).
+    Schedules with unequal asymptotic values leave a seam jump on the
+    periodic grid, which this check will honestly report.  A model
+    without a soluble view (see as_soluble) is a ValueError.
     """
     soluble = as_soluble(model)
     if grid.n > 1024:
@@ -333,19 +337,56 @@ def outgoing_state_check(model: ScatterModel | SolubleModel, s: float,
     if abs(hi - lo) > 1e-12 * max(1.0, abs(hi), abs(lo)):
         logger.warning("schedule asymptotics differ (%.3g vs %.3g); "
                        "expect a seam-limited residual", lo, hi)
-    w2, v2 = _shifted_spectrum(soluble, s, grid)
+    w, v = _shifted_spectrum(soluble, s, grid)
     s_diag = dynamical_S_profile(soluble, s, grid)
-    rho_h0 = _circulant(rho(grid.momenta))
-    lhs = (s_diag[:, None] * rho_h0) * np.conj(s_diag)[None, :]
-    rhs = (v2 * rho(w2)) @ np.conj(v2.T)
-    # both sides are Hermitian, so the operator norm is the largest |eigenvalue|
-    return float(np.max(np.abs(np.linalg.eigvalsh(lhs - rhs))))
+    rho_p = rho(grid.momenta)
+    rho_w = rho(w)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        lhs = s_diag * np.fft.ifft(rho_p * np.fft.fft(np.conj(s_diag) * x))
+        # V^* x as the conjugate of x^* V, which reads V in its own layout
+        return lhs - v @ (rho_w * np.conj(np.conj(x) @ v))
+
+    return _hermitian_norm(apply, grid.n)
+
+
+def _hermitian_norm(apply: Callable[[np.ndarray], np.ndarray],
+                    n: int) -> float:
+    """Operator norm of the Hermitian map x -> apply(x) on C^n.
+
+    Lanczos iteration with full reorthogonalisation (two Gram-Schmidt
+    passes) from a fixed-seed random start, so the value is
+    deterministic.  Stops when the Ritz pair of largest |theta| has
+    residual beta |y_last| <= 2^-52 |theta|, or after n steps, where the
+    Ritz values are the eigenvalues; returns that |theta|.
+    """
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q /= np.linalg.norm(q)
+    # rows are the Lanczos vectors; np.empty commits only the rows used
+    basis = np.empty((n, n), dtype=np.complex128)
+    tri = np.zeros((n, n))
+    for k in range(n):
+        basis[k] = q
+        r = apply(q)
+        tri[k, k] = np.vdot(q, r).real
+        for _ in range(2):
+            r = r - (np.conj(basis[:k + 1]) @ r) @ basis[:k + 1]
+        beta = float(np.linalg.norm(r))
+        theta, y = np.linalg.eigh(tri[:k + 1, :k + 1])
+        top = int(np.argmax(np.abs(theta)))
+        # an exhausted Krylov space (beta = 0) always stops here
+        if beta * abs(y[-1, top]) <= 2.0 ** -52 * abs(theta[top]):
+            break
+        tri[k, k + 1] = tri[k + 1, k] = beta
+        q = r / beta
+    return float(abs(theta[top]))
 
 
 @lru_cache(maxsize=1)
 def _shifted_spectrum(soluble: SolubleModel, s: float, grid: Grid
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenpairs (w2, v2) of H_0 - omega E_d, with H_0 the
+    """Read-only eigenpairs (w, V) of H_0 - omega E_d, with H_0 the
     circulant of the grid momenta.
 
     Independent of the density, so every density checked at one

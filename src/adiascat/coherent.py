@@ -193,6 +193,8 @@ def label_box(state: StateVector, eps: float
               ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Label-plane box that captures the state against width-eps packets,
     six spreads wide on each side."""
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
     mean_x, var_x, mean_p, var_p = _grid_moments(state)
     de, dt = math.sqrt(var_p), math.sqrt(var_x)
     pad_t = 6.0 * (dt + 1.0 / (math.sqrt(2.0) * eps))
@@ -215,7 +217,14 @@ def identity_resolution_residual(state: StateVector, eps: float,
     every width-eps Gaussian of the box is below 1e-17 of its peak, so
     the reconstruction vanishes to that precision, and the state's weight
     outside that band counts in full as error.
+
+    The label times enter relative to the box centre t_c, so the wave
+    rows of mirrored times are complex conjugates and only half of them
+    need cos and sin; the state's amplitudes take the unimodular factor
+    exp(-i t_c p), which leaves the error norm unchanged.
     """
+    if nt < 2 or ne < 2:
+        raise ValueError("nt and ne must be at least 2")
     required_t, required_e = label_box(state, eps)
     if t_span is None:
         t_span = required_t
@@ -242,11 +251,16 @@ def identity_resolution_residual(state: StateVector, eps: float,
     reach = math.sqrt(2.0 * math.log(1e17)) * eps
     band = (p >= e_span[0] - reach) & (p <= e_span[1] + reach)
     p_band = p[band]
-    # waves = exp(-i ts p), filled as cos and sin of the real phases
-    phase = np.outer(-ts, p_band)
-    waves = np.empty(phase.shape, dtype=np.complex128)
-    np.cos(phase, out=waves.real)
-    np.sin(phase, out=waves.imag)
+    # waves = exp(-i (ts - t_c) p): cos and sin of the real phases for
+    # the first half of the rows, conjugates for their mirror images
+    t_c = 0.5 * (ts[0] + ts[-1])
+    half = (nt + 1) // 2
+    phase = np.outer(t_c - ts[:half], p_band)
+    waves = np.empty((nt, p_band.size), dtype=np.complex128)
+    np.cos(phase, out=waves[:half].real)
+    np.sin(phase, out=waves[:half].imag)
+    waves[half:] = np.conj(waves[:nt - half][::-1])
+    centre = np.exp(-1j * t_c * p_band)
     g = (math.pi * eps ** 2) ** (-0.25) * np.exp(
         -((p_band[None, :] - es[:, None]) ** 2) / (2.0 * eps ** 2))
     total_err = 0.0
@@ -254,7 +268,7 @@ def identity_resolution_residual(state: StateVector, eps: float,
     phat_all = state.momentum_amplitudes()
     for ch in range(state.channels):
         phat = phat_all[ch]
-        phat_band = phat[band]
+        phat_band = centre * phat[band]
         # coherent amplitudes on the (e, t) label lattice, then their
         # trapezoid-weighted superposition back onto the band
         coeff = (g * (phat_band * dp)) @ waves.T

@@ -275,6 +275,32 @@ def test_outgoing_state_check_matches_two_eigh_route():
             arr[0] = 0.0
 
 
+def hermitian_cases():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(96, 96)) + 1j * rng.normal(size=(96, 96))
+    full = 0.5 * (a + np.conj(a.T))
+    # extremes +2.5 and -2.5: the largest |eigenvalue| is degenerate in
+    # modulus with opposite signs
+    q, _ = np.linalg.qr(a)
+    values = np.concatenate(([2.5, -2.5], rng.uniform(-2.0, 2.0, 94)))
+    paired = (q * values) @ np.conj(q.T)
+    # rank one: the Krylov space is exhausted after a step or two
+    u = rng.normal(size=96) + 1j * rng.normal(size=96)
+    rank_one = 0.7 * np.outer(u, np.conj(u))
+    return {"full": full, "paired": paired, "rank-one": rank_one,
+            "zero": np.zeros((96, 96), dtype=complex),
+            "n=1": np.array([[-1.75 + 0.0j]])}
+
+
+@pytest.mark.parametrize("name", ["full", "paired", "rank-one", "zero", "n=1"])
+def test_hermitian_norm_matches_eigvalsh(name):
+    mat = hermitian_cases()[name]
+    ref = float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+    with np.errstate(all="raise"):
+        got = adiabatic._hermitian_norm(lambda x: mat @ x, mat.shape[0])
+    assert abs(got - ref) <= 1e-14 * ref
+
+
 def test_outgoing_state_check_guards():
     _, model = soluble_pair(0.1)
     with pytest.raises(ValueError):

@@ -148,7 +148,7 @@ def test_identity_resolution_matches_per_energy_reference():
     # percent-level defect, so agreement there pins the arithmetic
     for state in (one, two):
         box_t, box_e = label_box(state, eps)
-        for nt, ne in ((64, 64), (16, 12)):
+        for nt, ne in ((64, 64), (16, 12), (17, 12)):
             got = identity_resolution_residual(state, eps, nt=nt, ne=ne)
             ref = residual_per_energy(state, eps, box_t, box_e, nt, ne)
             assert abs(got - ref) <= 1e-14
@@ -192,7 +192,7 @@ def test_band_limit_at_extreme_labels(eps, e):
     # the momentum edge (eps = 1.2, |e| = 2.5) of the coherent-props labels
     state = coherent_state(CoherentLabel(4.0 * np.sign(e), e, eps), PROPS_GRID)
     box_t, box_e = label_box(state, eps)
-    for nt, ne in ((64, 64), (16, 12)):
+    for nt, ne in ((64, 64), (16, 12), (17, 12)):
         got = identity_resolution_residual(state, eps, nt=nt, ne=ne)
         ref = residual_per_energy(state, eps, box_t, box_e, nt, ne)
         assert abs(got - ref) <= 1e-14
@@ -202,6 +202,26 @@ def test_identity_resolution_rejects_small_box():
     state = coherent_state(CoherentLabel(0.0, 0.0, 0.6), GRID)
     with pytest.raises(ValueError):
         identity_resolution_residual(state, 0.6, t_span=(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("eps, nt, ne, message", [
+    (-0.6, 64, 64, "eps must be positive"),
+    (0.0, 64, 64, "eps must be positive"),
+    (math.nan, 64, 64, "eps must be positive"),
+    (0.6, 1, 64, "nt and ne must be at least 2"),
+    (0.6, 64, 1, "nt and ne must be at least 2"),
+    (0.6, 0, 0, "nt and ne must be at least 2"),
+], ids=["eps<0", "eps=0", "eps=nan", "nt=1", "ne=1", "nt=ne=0"])
+def test_identity_resolution_rejects_bad_width_and_lattice(eps, nt, ne,
+                                                           message):
+    # a negative width once gave a residual of 1.0, a zero width a
+    # ZeroDivisionError and a one-point lattice an IndexError
+    state = coherent_state(CoherentLabel(0.0, 0.0, 0.6), GRID)
+    with pytest.raises(ValueError, match=message):
+        identity_resolution_residual(state, eps, nt=nt, ne=ne)
+    if nt >= 2 and ne >= 2:
+        with pytest.raises(ValueError, match=message):
+            label_box(state, eps)
 
 
 @pytest.mark.parametrize("grid", [Grid(-64.0, 64.0, 2048),
