@@ -6,8 +6,7 @@ the rank-one Faddeeva form and two diagnostics on run-sized workloads.
 ``--sizes`` sets the kernel grids; the rank-one leg runs at the size of
 criterion-09 (n = 512), the label build at that of combined.ini (n =
 4096) and the diagnostics at the sizes of the shipped coherent-props
-(n = 2048) and outgoing-state (n = 512) configs; the outgoing-state
-check runs once paying its eigh and once with it cached.
+(n = 2048) and outgoing-state (n = 512) configs.
 Throwaway complex GEMMs run before any timing (see ``_warm_blas``):
 best-of-N cannot filter a slow BLAS state that lasts across all of its
 repeats.
@@ -139,11 +138,9 @@ def _label_case(n):
             Grid(-160.0, 160.0, n))
 
 
-def _outgoing_run(model, grid, densities, cold):
-    """One outgoing-state run: three densities sharing one spectrum.
-    A cold run pays its eigh; a warm one times the three norms alone."""
-    if cold:
-        adiabatic._shifted_spectrum.cache_clear()
+def _outgoing_run(model, grid, densities):
+    """One outgoing-state run: three densities sharing one spectrum."""
+    adiabatic._shifted_spectrum.cache_clear()  # each run pays its eigh
     for rho in densities:
         adiabatic.outgoing_state_check(model, 0.5, rho, grid)
 
@@ -183,9 +180,7 @@ def _cases(sizes, product_steps):
     cases.append(("coherent_state n=4096",
                   coherent_state, _label_case(4096)))
     cases.append(("outgoing_state_check n=512 x3 rho",
-                  _outgoing_run, _outgoing_case() + (True,)))
-    cases.append(("outgoing_state_check n=512 x3 rho, cached eigh",
-                  _outgoing_run, _outgoing_case() + (False,)))
+                  _outgoing_run, _outgoing_case()))
     return cases
 
 
@@ -200,11 +195,11 @@ def main() -> None:
                    args.product_steps)
 
     _warm_blas()
-    header = f"{'kernel':46s} {'best':>11s}"
+    header = f"{'kernel':38s} {'best':>11s}"
     print(header)
     print("-" * len(header))
     for name, fn, case in cases:
-        print(f"{name:46s} {_best_of(fn, case, args.repeats):9.2f}ms")
+        print(f"{name:38s} {_best_of(fn, case, args.repeats):9.2f}ms")
 
 
 if __name__ == "__main__":

@@ -324,8 +324,9 @@ def outgoing_state_check(model: ScatterModel | SolubleModel, s: float,
     applied to vectors, the left side as S_d ifft(rho(p) fft(S_d^* x))
     (rho(H_0) is diagonal in momentum) and the right side as
     V rho(w) V^* x from the eigenpairs (w, V) of H_0 - omega E_d, which
-    every density at one (model, s, grid) shares.  The norm of that Hermitian map is its
-    largest |eigenvalue|, found by Lanczos iteration (_hermitian_norm).
+    every density at one (model, s, grid) shares.  The norm of that
+    Hermitian map is its largest |eigenvalue|, found by Lanczos
+    iteration (_hermitian_norm) to the rounding level of the two sides.
     Schedules with unequal asymptotic values leave a seam jump on the
     periodic grid, which this check will honestly report.  A model
     without a soluble view (see as_soluble) is a ValueError.
@@ -347,18 +348,22 @@ def outgoing_state_check(model: ScatterModel | SolubleModel, s: float,
         # V^* x as the conjugate of x^* V, which reads V in its own layout
         return lhs - v @ (rho_w * np.conj(np.conj(x) @ v))
 
-    return _hermitian_norm(apply, grid.n)
+    scale = float(np.max(np.abs(rho_p)) + np.max(np.abs(rho_w)))
+    return _hermitian_norm(apply, grid.n, scale)
 
 
-def _hermitian_norm(apply: Callable[[np.ndarray], np.ndarray],
-                    n: int) -> float:
+def _hermitian_norm(apply: Callable[[np.ndarray], np.ndarray], n: int,
+                    scale: float) -> float:
     """Operator norm of the Hermitian map x -> apply(x) on C^n.
 
     Lanczos iteration with full reorthogonalisation (two Gram-Schmidt
     passes) from a fixed-seed random start, so the value is
-    deterministic.  Stops when the Ritz pair of largest |theta| has
-    residual beta |y_last| <= 2^-52 |theta|, or after n steps, where the
-    Ritz values are the eigenvalues; returns that |theta|.
+    deterministic.  Stops when both extreme Ritz pairs, the smallest
+    and the largest theta, have residual beta |y_last| <= 2^-52
+    max(|theta|, scale), or after n steps, where the Ritz values are the
+    eigenvalues; returns the largest |theta|.  scale bounds the terms
+    that apply sums, so a map that is zero up to their rounding (beta
+    and theta both noise) stops too.
     """
     rng = np.random.default_rng(0)
     q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -374,13 +379,14 @@ def _hermitian_norm(apply: Callable[[np.ndarray], np.ndarray],
             r = r - (np.conj(basis[:k + 1]) @ r) @ basis[:k + 1]
         beta = float(np.linalg.norm(r))
         theta, y = np.linalg.eigh(tri[:k + 1, :k + 1])
-        top = int(np.argmax(np.abs(theta)))
+        top = max(-theta[0], theta[-1])
+        tol = 2.0 ** -52 * max(top, scale)
         # an exhausted Krylov space (beta = 0) always stops here
-        if beta * abs(y[-1, top]) <= 2.0 ** -52 * abs(theta[top]):
+        if k == n - 1 or beta * max(abs(y[-1, 0]), abs(y[-1, -1])) <= tol:
             break
         tri[k, k + 1] = tri[k + 1, k] = beta
         q = r / beta
-    return float(abs(theta[top]))
+    return float(top)
 
 
 @lru_cache(maxsize=1)

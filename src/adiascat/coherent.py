@@ -217,11 +217,6 @@ def identity_resolution_residual(state: StateVector, eps: float,
     every width-eps Gaussian of the box is below 1e-17 of its peak, so
     the reconstruction vanishes to that precision, and the state's weight
     outside that band counts in full as error.
-
-    The label times enter relative to the box centre t_c, so the wave
-    rows of mirrored times are complex conjugates and only half of them
-    need cos and sin; the state's amplitudes take the unimodular factor
-    exp(-i t_c p), which leaves the error norm unchanged.
     """
     if nt < 2 or ne < 2:
         raise ValueError("nt and ne must be at least 2")
@@ -251,16 +246,11 @@ def identity_resolution_residual(state: StateVector, eps: float,
     reach = math.sqrt(2.0 * math.log(1e17)) * eps
     band = (p >= e_span[0] - reach) & (p <= e_span[1] + reach)
     p_band = p[band]
-    # waves = exp(-i (ts - t_c) p): cos and sin of the real phases for
-    # the first half of the rows, conjugates for their mirror images
-    t_c = 0.5 * (ts[0] + ts[-1])
-    half = (nt + 1) // 2
-    phase = np.outer(t_c - ts[:half], p_band)
-    waves = np.empty((nt, p_band.size), dtype=np.complex128)
-    np.cos(phase, out=waves[:half].real)
-    np.sin(phase, out=waves[:half].imag)
-    waves[half:] = np.conj(waves[:nt - half][::-1])
-    centre = np.exp(-1j * t_c * p_band)
+    # waves = exp(-i ts p), filled as cos and sin of the real phases
+    phase = np.outer(-ts, p_band)
+    waves = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=waves.real)
+    np.sin(phase, out=waves.imag)
     g = (math.pi * eps ** 2) ** (-0.25) * np.exp(
         -((p_band[None, :] - es[:, None]) ** 2) / (2.0 * eps ** 2))
     total_err = 0.0
@@ -268,7 +258,7 @@ def identity_resolution_residual(state: StateVector, eps: float,
     phat_all = state.momentum_amplitudes()
     for ch in range(state.channels):
         phat = phat_all[ch]
-        phat_band = centre * phat[band]
+        phat_band = phat[band]
         # coherent amplitudes on the (e, t) label lattice, then their
         # trapezoid-weighted superposition back onto the band
         coeff = (g * (phat_band * dp)) @ waves.T

@@ -297,8 +297,56 @@ def test_hermitian_norm_matches_eigvalsh(name):
     mat = hermitian_cases()[name]
     ref = float(np.max(np.abs(np.linalg.eigvalsh(mat))))
     with np.errstate(all="raise"):
-        got = adiabatic._hermitian_norm(lambda x: mat @ x, mat.shape[0])
+        got = adiabatic._hermitian_norm(lambda x: mat @ x, mat.shape[0],
+                                        float(np.linalg.norm(mat)))
     assert abs(got - ref) <= 1e-14 * ref
+
+
+def test_hermitian_norm_of_rounding_noise():
+    # A x - V (w V^* x) with A = V diag(w) V^* is zero but for rounding:
+    # theta and beta are both noise, so only the scale of the terms
+    # (|w| <= 1 on each side) can stop the iteration early
+    rng = np.random.default_rng(5)
+    n = 96
+    v, _ = np.linalg.qr(rng.normal(size=(n, n))
+                        + 1j * rng.normal(size=(n, n)))
+    w = rng.uniform(-1.0, 1.0, n)
+    a = (v * w) @ np.conj(v.T)
+    calls = []
+
+    def apply(x):
+        calls.append(x)
+        return a @ x - v @ (w * (np.conj(v.T) @ x))
+
+    assert adiabatic._hermitian_norm(apply, n, 2.0) <= 1e-13
+    assert len(calls) <= 5
+    # noise unrelated to its input never converges without a scale, so
+    # the iteration runs to step n, where its basis spans C^n, and ends
+    calls.clear()
+
+    def noise(x):
+        calls.append(x)
+        return 1e-16 * (rng.normal(size=8) + 1j * rng.normal(size=8))
+
+    assert adiabatic._hermitian_norm(noise, 8, 0.0) <= 1e-13
+    assert len(calls) == 8
+
+
+def test_outgoing_state_check_of_constant_density(monkeypatch):
+    # S 1 S^* = 1 exactly, so the defect is rounding alone and the
+    # iteration must stop at the scale of rho, not run to n = 512 steps
+    _, model = soluble_pair(0.1)
+    calls = []
+    norm = adiabatic._hermitian_norm
+
+    def counted(apply, n, scale):
+        return norm(lambda x: calls.append(x) or apply(x), n, scale)
+
+    monkeypatch.setattr(adiabatic, "_hermitian_norm", counted)
+    got = outgoing_state_check(model, 0.5, rho_polynomial((1.0,)),
+                               Grid(-40.0, 40.0, 512))
+    assert got <= 1e-13
+    assert len(calls) <= 20
 
 
 def test_outgoing_state_check_guards():
