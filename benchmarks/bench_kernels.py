@@ -22,13 +22,15 @@ from adiascat import adiabatic
 from adiascat.coherent import (CoherentLabel, coherent_state, free_shift,
                                identity_resolution_residual)
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
-                              from_soluble, on_shell_S, propagate,
-                              rankone_resolvent_exact)
+                              on_shell_S, propagate, rankone_resolvent_exact)
 from adiascat.numerics import Grid
 from adiascat.profiles import GaussianMix, Schedule
-from adiascat.soluble import SolubleModel
 
 BUMP = Schedule("bump", 1.0)
+# the soluble model of combined.ini and outgoing-state.ini: one channel,
+# one matrix term
+SOLUBLE = ScatterModel(1, MatrixPotential(
+    (1.0,), (GaussianMix((0.8,), (0.35,), (1.0,)),), BUMP), 0.1)
 
 
 def _warm_blas():
@@ -104,8 +106,7 @@ def _on_shell_case(kind):
     the phase kernel) or of epsilon-scaling-matrix.ini's sx model (two
     channels, the channel unitaries), each at its config's s."""
     if kind == "soluble":
-        return (from_soluble(SolubleModel(GaussianMix((0.8,), (0.35,), (1.0,)),
-                                          BUMP, 0.1)), 0.70710678)
+        return (SOLUBLE, 0.70710678)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     return (ScatterModel(2, MatrixPotential(
         (sx,), (GaussianMix((1.0,), (0.0,), (1.0,)),), BUMP), 0.1), 0.5)
@@ -146,12 +147,10 @@ def _outgoing_run(model, grid, densities):
 
 
 def _outgoing_case():
-    model = SolubleModel(GaussianMix((0.8,), (0.35,), (1.0,)),
-                         Schedule("bump", 1.0, 0.0, 1.0), 0.1)
     densities = (adiabatic.rho_fermi(mu=0.5, width=0.2, floor=-12.0),
                  adiabatic.rho_gaussian(center=0.0, width=1.0),
                  adiabatic.rho_polynomial((0.0, 1.0)))
-    return (model, Grid(-40.0, 40.0, 512), densities)
+    return (SOLUBLE, Grid(-40.0, 40.0, 512), densities)
 
 
 def _cases(sizes, product_steps):

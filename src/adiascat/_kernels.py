@@ -70,9 +70,9 @@ def _fine_window(x, tau, nsteps, rmax):
 def characteristic_phase(x, tau, t1, nsteps, profile, schedule, omega, rmax):
     """Characteristic phase as one 1-D correlation.
 
-    On the lattice of _fine_window (``propagate`` and ``frozen_one_step``
-    pass S = 1), the schedule is sampled once on its nsteps midpoints,
-    the profile once on the fine-lattice window |y| <= rmax, and phase_j
+    On the lattice of _fine_window (``propagate`` passes S = 1), the
+    schedule is sampled once on its nsteps midpoints, the profile once
+    on the fine-lattice window |y| <= rmax, and phase_j
     is every S-th output of their correlation.  Each output is a dot
     product over exactly the active steps, taken in the order of k, as
     a per-point loop over the steps takes it.

@@ -8,7 +8,6 @@ first-order structures that predict it:
 * remainder between dynamical and frozen scattering on matched labels,
 * the first-order response coefficient tau (a label-time-weighted
   integral of frozen wave-operator elements of the drive derivative),
-* a windowed Duhamel (Born) correction operator,
 * the dynamical energy shift operator and its frozen on-shell twin,
 * a dense functional-calculus identity check for outgoing states.
 
@@ -28,14 +27,14 @@ import numpy as np
 
 from .coherent import CoherentLabel, StateVector, braket, coherent_state
 from .numerics import Grid, central_derivative, read_only
-from .network import (ScatterModel, MatrixPotential, apply_h0, as_soluble,
+from .network import (ScatterModel, MatrixPotential, apply_h0,
                       clearance_T, coupling_map, dynamical_S,
                       dynamical_S_adjoint, frozen, frozen_S_apply,
-                      frozen_energy_shift_onshell, on_shell_S, propagate,
+                      frozen_energy_shift_onshell, on_shell_S,
                       wave_operator, wigner_delay)
-from .soluble import (SolubleModel, dynamical_S_profile,
-                      dynamical_energy_shift_profile)
-from . import network as _network
+from .profiles import GaussianMix, Schedule
+from .soluble import dynamical_S_profile, soluble_potential
+from . import network as _network, soluble as _soluble
 
 logger = logging.getLogger(__name__)
 
@@ -109,55 +108,6 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
         drive = StateVector(grid, dh_ds(w_minus.amplitudes))
         total += wgt * tp * braket(w_plus, drive)
     return -total
-
-
-def born_correction(model: ScatterModel, s: float,
-                    linearized: bool = False, T: float | None = None
-                    ) -> Callable[[StateVector], StateVector]:
-    """Windowed Duhamel correction against the frozen flow at s, as a
-    state map.
-
-    Realizes -i integral over the window of U_s(0,u) dH(u) U_s(u,0)
-    where U_s is the flow of the model frozen at s and dH(u) is the
-    drive offset f(s + omega u) - f(s) times the coupling (or the
-    linearization omega u fdot(s) when ``linearized``).  Adding the
-    identity gives a first-order surrogate for the dynamical operator
-    taken relative to the frozen reference; sandwiching the linearized
-    version between frozen wave operators recovers the tau integrand.
-    """
-    fmodel = frozen(model, s)
-
-    def apply(state: StateVector) -> StateVector:
-        grid = state.grid
-        T_use = _network._window(model, state, T)
-        steps, _ = grid.snap(2.0 * T_use)
-        delta = grid.dx
-        fdot = float(model.schedule.derivative(s))
-        f_s = float(model.schedule.value(s))
-        step = _network.frozen_one_step(fmodel, grid)
-        drive = coupling_map(model, grid, 1.0)
-        t_c = s / model.omega
-
-        def offset(u: float) -> float:
-            if linearized:
-                return model.omega * u * fdot
-            return float(model.schedule.value(s + model.omega * u)) - f_s
-
-        phi = propagate(fmodel, state, t_c, t_c - T_use).amplitudes
-        beta = np.zeros_like(phi)
-        u = -T_use
-        g_prev = offset(u) * drive(phi)
-        for _ in range(steps):
-            beta = step(beta + 0.5 * delta * g_prev)
-            phi = step(phi)
-            u += delta
-            g_prev = offset(u) * drive(phi)
-            beta = beta + 0.5 * delta * g_prev
-        tail = propagate(fmodel, StateVector(grid, beta), t_c + T_use, t_c,
-                         norm_tol=math.inf)
-        return StateVector(grid, -1j * tail.amplitudes)
-
-    return apply
 
 
 def smeared_frozen_element(model: ScatterModel, s: float, e: float, eps: float,
@@ -313,7 +263,7 @@ def _circulant(values: np.ndarray) -> np.ndarray:
         np.concatenate((col[1:], col)), col.size)[:, ::-1]
 
 
-def outgoing_state_check(model: ScatterModel | SolubleModel, s: float,
+def outgoing_state_check(model: ScatterModel, s: float,
                          rho: Callable[[np.ndarray], np.ndarray],
                          grid: Grid) -> float:
     """Operator-norm defect of rho-transport through dynamical scattering.
@@ -329,17 +279,17 @@ def outgoing_state_check(model: ScatterModel | SolubleModel, s: float,
     iteration (_hermitian_norm) to the rounding level of the two sides.
     Schedules with unequal asymptotic values leave a seam jump on the
     periodic grid, which this check will honestly report.  A model
-    without a soluble view (see as_soluble) is a ValueError.
+    without a soluble potential (see soluble_potential) is a ValueError.
     """
-    soluble = as_soluble(model)
+    potential = soluble_potential(model)
     if grid.n > 1024:
         raise ValueError("dense check limited to grids with n <= 1024")
-    lo, hi = soluble.schedule.asymptotics()
+    lo, hi = model.schedule.asymptotics()
     if abs(hi - lo) > 1e-12 * max(1.0, abs(hi), abs(lo)):
         logger.warning("schedule asymptotics differ (%.3g vs %.3g); "
                        "expect a seam-limited residual", lo, hi)
-    w, v = _shifted_spectrum(soluble, s, grid)
-    s_diag = dynamical_S_profile(soluble, s, grid)
+    w, v = _shifted_spectrum(potential, model.schedule, model.omega, s, grid)
+    s_diag = dynamical_S_profile(model, s, grid)
     rho_p = rho(grid.momenta)
     rho_w = rho(w)
 
@@ -390,15 +340,18 @@ def _hermitian_norm(apply: Callable[[np.ndarray], np.ndarray], n: int,
 
 
 @lru_cache(maxsize=1)
-def _shifted_spectrum(soluble: SolubleModel, s: float, grid: Grid
+def _shifted_spectrum(potential: GaussianMix, schedule: Schedule,
+                      omega: float, s: float, grid: Grid
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenpairs (w, V) of H_0 - omega E_d, with H_0 the
     circulant of the grid momenta.
 
     Independent of the density, so every density checked at one
-    (model, s, grid) shares a single dense ``eigh``.
+    (model, s, grid) shares a single dense ``eigh``.  The model enters
+    as its hashable parts, the soluble potential, the schedule and
+    omega, which key the cache.
     """
-    shifted = _circulant(grid.momenta) - soluble.omega * np.diag(
-        dynamical_energy_shift_profile(soluble, s, grid))
+    shifted = _circulant(grid.momenta) - omega * np.diag(_soluble._swept(
+        potential, schedule.derivative, omega, s, grid))
     w2, v2 = np.linalg.eigh(0.5 * (shifted + np.conj(shifted.T)))
     return read_only(w2), read_only(v2)

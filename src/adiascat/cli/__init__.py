@@ -26,11 +26,12 @@ import numpy as np
 
 from ..experiments import (CLOSED_FORM_EXPERIMENTS, EXPERIMENTS,
                           ExperimentResult, Row, Setup)
-from ..network import (RankOne, MatrixPotential, ScatterModel, as_soluble,
-                      clearance_T, rankone_resolvent)
+from ..network import (RankOne, MatrixPotential, ScatterModel, clearance_T,
+                      rankone_resolvent)
 from ..coherent import CoherentLabel, coherent_state
 from ..numerics import Grid, NumericalContractError
 from ..profiles import GaussianMix, Schedule
+from ..soluble import soluble_potential
 
 logger = logging.getLogger(__name__)
 
@@ -102,7 +103,7 @@ def _model_section(cfg: configparser.ConfigParser) -> dict:
 
 def _build_model(spec: dict) -> ScatterModel:
     """The model of a resolved [model] section; kind = soluble is the
-    one-channel, one-term [[1.0]] matrix model that from_soluble builds."""
+    one-channel, one-term [[1.0]] matrix model."""
     schedule = Schedule(spec["schedule"], a=spec["schedule_a"],
                         b=spec["schedule_b"], c=spec["schedule_c"],
                         d=spec["schedule_d"])
@@ -145,6 +146,10 @@ def _build_setup(cfg: configparser.ConfigParser, args) -> tuple[Setup, dict]:
         else _floats(sweep.get("eps", "0.5"))
     s_values = _floats(sweep.get("s", "0.5"))
     e_values = _floats(sweep.get("e", "1.0"))
+    for name, values in (("omega", omegas), ("eps", epsilons),
+                         ("s", s_values), ("e", e_values)):
+        if not values:
+            raise ConfigError(f"sweep.{name} needs at least one value")
     if any(w <= 0 for w in omegas):
         raise ConfigError("sweep omega values must be positive")
     if any(ep <= 0 for ep in epsilons):
@@ -179,7 +184,7 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
     net = setup.model
     if experiment in CLOSED_FORM_EXPERIMENTS:
         try:
-            as_soluble(net)
+            soluble_potential(net)
         except ValueError as exc:
             diagnostics.append({"field": "model",
                                 "message": f"{experiment}: {exc}"})

@@ -25,13 +25,13 @@ from .adiabatic import (ErrorReport, adiabatic_tau, combined_report,
 from .coherent import (CoherentLabel, StateVector, braket, coherent_state,
                        free_shift, identity_resolution_residual, overlap,
                        plane_wave_amplitude)
-from .network import (RankOne, ScatterModel, as_soluble, clearance_T,
-                      dynamical_S, dynamical_S_adjoint, from_soluble,
-                      on_shell_S, wigner_delay)
+from .network import (MatrixPotential, RankOne, ScatterModel, clearance_T,
+                      dynamical_S, dynamical_S_adjoint, on_shell_S,
+                      wigner_delay)
 from .numerics import Grid, central_derivative, fit_slope
-from .profiles import GaussianMix
-from .soluble import (SolubleModel, dynamical_energy_shift_profile,
-                      gauge_phase, tau_first_order)
+from .profiles import GaussianMix, Schedule
+from .soluble import (dynamical_energy_shift_profile, gauge_phase,
+                      soluble_potential, tau_first_order)
 
 
 @dataclass
@@ -74,11 +74,8 @@ class ExperimentResult:
 
 @dataclass
 class Setup:
-    """Resolved inputs of a single run.
-
-    A SolubleModel given as the model is stored as its from_soluble
-    twin; drivers that need the closed forms read them via as_soluble.
-    """
+    """Resolved inputs of a single run.  Drivers that need the closed
+    forms check the model with soluble_potential before propagating."""
 
     model: ScatterModel
     grid: Grid
@@ -90,10 +87,6 @@ class Setup:
     jp: int = 0
     seed: int = 0
     timing: bool = False
-
-    def __post_init__(self):
-        if not isinstance(self.model, ScatterModel):
-            self.model = from_soluble(self.model)
 
 
 def _with_omega(model, w: float):
@@ -185,15 +178,15 @@ def run_coherent_props(setup: Setup) -> ExperimentResult:
 
 def run_soluble_exact(setup: Setup) -> ExperimentResult:
     """Brute-force propagation against the closed-form scattering phase."""
+    soluble_potential(setup.model)
     rows = _Rows(setup.timing)
-    sol = as_soluble(setup.model)
     grid = setup.grid
     s = setup.s_values[0]
     eps = setup.epsilons[0]
     worst_dist = 0.0
     for w in setup.omegas:
         net = _with_omega(setup.model, w)
-        profile = np.exp(-1j * gauge_phase(_with_omega(sol, w), s, grid))
+        profile = np.exp(-1j * gauge_phase(net, s, grid))
         for t_label in (0.0, -2.0):
             for e in setup.e_values:
                 ket = coherent_state(CoherentLabel(t_label, e, eps), grid)
@@ -234,8 +227,8 @@ def _random_equal_weight_pair(rng) -> tuple[GaussianMix, GaussianMix]:
 def run_omega_scaling(setup: Setup) -> ExperimentResult:
     """First-order law of the dynamical-minus-frozen remainder, plus the
     frozen-data degeneracy and its failure to see the remainder."""
+    potential = soluble_potential(setup.model)
     rows = _Rows(setup.timing)
-    sol = as_soluble(setup.model)
     grid = setup.grid
     rng = np.random.default_rng(setup.seed)
     checks: list[Check] = []
@@ -268,7 +261,7 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
     worst_sf, worst_tw = 0.0, 0.0
     for k in range(5):
         first, second = _random_equal_weight_pair(rng)
-        nets = [from_soluble(SolubleModel(p, sol.schedule, w_deg))
+        nets = [_one_term(p, setup.model.schedule, w_deg)
                 for p in (first, second)]
         sf = [complex(on_shell_S(n, s, e).matrix[0, 0]) for n in nets]
         tw = [float(np.linalg.norm(wigner_delay(n, s, e).matrix))
@@ -285,11 +278,10 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
                                  "worst_wigner_delay": worst_tw,
                                  "pairs": 5}))
 
-    mirror = GaussianMix(sol.potential.amps, tuple(-c for c in
-                                                   sol.potential.centers),
-                         sol.potential.widths)
+    mirror = GaussianMix(potential.amps, tuple(-c for c in potential.centers),
+                         potential.widths)
     net_a = _with_omega(setup.model, w_deg)
-    net_b = from_soluble(SolubleModel(mirror, sol.schedule, w_deg))
+    net_b = _one_term(mirror, setup.model.schedule, w_deg)
     rem_pair = [remainder_exact(n, s, e, eps, grid=grid)
                 for n in (net_a, net_b)]
     sf_pair = [complex(on_shell_S(n, s, e).matrix[0, 0])
@@ -306,6 +298,13 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
     return ExperimentResult(rows, checks,
                             info={"remainder_slope": rem_fit.exponent,
                                   "residual_slope": res_fit.exponent})
+
+
+def _one_term(potential: GaussianMix, schedule: Schedule,
+              w: float) -> ScatterModel:
+    """The soluble model of potential: one channel, the matrix [[1.0]]."""
+    return ScatterModel(1, MatrixPotential(([[1.0]],), (potential,),
+                                           schedule), w)
 
 
 def _tau_grid(grid: Grid) -> Grid:
@@ -381,8 +380,8 @@ def _joint_sweep(setup: Setup, rows: _Rows, label: str, criterion: str,
 def run_energy_shift(setup: Setup) -> ExperimentResult:
     """Algebraic energy shift against s-differencing, the closed profile,
     base-point conjugation, and the thawed-vs-frozen joint sweep."""
+    soluble_potential(setup.model)
     rows = _Rows(setup.timing)
-    sol = as_soluble(setup.model)
     grid = setup.grid
     checks: list[Check] = []
     s = setup.s_values[0]
@@ -412,7 +411,7 @@ def run_energy_shift(setup: Setup) -> ExperimentResult:
                                  "tol": 1e-6, "h": h}))
 
     # (b) soluble closed profile
-    profile = dynamical_energy_shift_profile(_with_omega(sol, w0), s, grid)
+    profile = dynamical_energy_shift_profile(net, s, grid)
     op_s = energy_shift_operator(net, s)
     probe_b = coherent_state(CoherentLabel(0.0, e, eps), grid)
     exact_b = braket(probe_b, op_s(probe_b))
@@ -454,21 +453,21 @@ def run_energy_shift(setup: Setup) -> ExperimentResult:
 
 def run_outgoing_state(setup: Setup) -> ExperimentResult:
     """Dense functional-calculus transport check for several densities."""
+    soluble_potential(setup.model)
     rows = _Rows(setup.timing)
-    sol = as_soluble(setup.model)
     grid = setup.grid
     if grid.n > 512:
         grid = Grid(grid.x_min, grid.x_max, 512)
     s = setup.s_values[0]
     w0 = setup.omegas[0]
-    model = _with_omega(sol, w0)
+    net = _with_omega(setup.model, w0)
     # the floor keeps the occupation smooth across the momentum band seam
     densities = [("fermi", rho_fermi(mu=0.5, width=0.2, floor=-12.0)),
                  ("gaussian", rho_gaussian(center=0.0, width=1.0)),
                  ("poly", rho_polynomial((0.0, 1.0)))]
     residuals = {}
     for name, rho in densities:
-        res = outgoing_state_check(model, s, rho, grid)
+        res = outgoing_state_check(net, s, rho, grid)
         residuals[name] = res
         rows.add(f"outgoing-state/{name}", complex(res), 0.0j, omega=w0, s=s,
                  j=0, jp=0)
@@ -486,8 +485,8 @@ def run_outgoing_state(setup: Setup) -> ExperimentResult:
 def run_combined(setup: Setup) -> ExperimentResult:
     """Dynamical element against the frozen on-shell value with the
     first-order error bound, plus a joint shrink of both small parameters."""
+    soluble_potential(setup.model)
     rows = _Rows(setup.timing)
-    sol = as_soluble(setup.model)
     grid = setup.grid
     checks: list[Check] = []
     s = setup.s_values[0]
@@ -508,9 +507,9 @@ def run_combined(setup: Setup) -> ExperimentResult:
                                  "margin": 3.0}))
 
     def joint(w_k: float, eps_k: float, s_k: float) -> ErrorReport:
-        tau_k = tau_first_order(_with_omega(sol, w_k), s_k)
-        return combined_report(_with_omega(setup.model, w_k), s_k, e, eps_k,
-                               grid=grid, tau_value=tau_k)
+        net_k = _with_omega(setup.model, w_k)
+        return combined_report(net_k, s_k, e, eps_k, grid=grid,
+                               tau_value=tau_first_order(net_k, s_k))
 
     checks.append(_joint_sweep(setup, rows, "combined/joint", "criterion-04",
                                "joint-monotone", joint))
@@ -527,7 +526,8 @@ EXPERIMENTS: dict[str, Callable[[Setup], ExperimentResult]] = {
     "combined": run_combined,
 }
 
-# experiments that read the soluble closed forms (as_soluble) of the model
+# experiments that read the soluble closed forms (soluble_potential) of the
+# model
 CLOSED_FORM_EXPERIMENTS = frozenset({"soluble-exact", "omega-scaling",
                                      "energy-shift", "outgoing-state",
                                      "combined"})

@@ -34,7 +34,6 @@ from .coherent import StateVector, free_shift
 from .numerics import (Grid, NumericalContractError, _dawson,
                        central_derivative, hermitize, read_only)
 from .profiles import GaussianMix, Schedule
-from .soluble import SolubleModel
 
 CLEARANCE_TOL = 1e-10
 DEFAULT_NORM_TOL = 1e-6
@@ -141,33 +140,6 @@ class ScatterModel:
         return self.coupling.support_radius(tol)
 
 
-def from_soluble(model: SolubleModel) -> ScatterModel:
-    """Single-channel matrix-backend twin of a soluble model."""
-    coupling = MatrixPotential((np.array([[1.0]]),), (model.potential,),
-                               model.schedule)
-    return ScatterModel(1, coupling, model.omega)
-
-
-def as_soluble(model: ScatterModel | SolubleModel) -> SolubleModel:
-    """Soluble view of a one-channel, one-term matrix model, the inverse
-    of from_soluble; any other model is a ValueError saying why."""
-    if isinstance(model, SolubleModel):
-        return model
-    coupling = model.coupling
-    if isinstance(coupling, RankOne) or model.n_channels != 1 \
-            or len(coupling.matrices) != 1:
-        terms = ("a rank-one coupling" if isinstance(coupling, RankOne)
-                 else f"{len(coupling.matrices)} matrix term(s)")
-        raise ValueError(
-            "the soluble closed forms need one channel and one matrix "
-            f"term; this model has {model.n_channels} channel(s) and {terms}")
-    scale = float(coupling.matrices[0][0, 0].real)
-    mix = coupling.profiles[0]
-    return SolubleModel(GaussianMix(tuple(scale * a for a in mix.amps),
-                                    mix.centers, mix.widths),
-                        coupling.schedule, model.omega)
-
-
 def frozen(model: ScatterModel, s: float) -> ScatterModel:
     """Freeze the drive at slow time s."""
     sched = model.schedule.frozen_at(s)
@@ -184,16 +156,19 @@ def _one_channel_profile(coupling: MatrixPotential):
     return lambda y: coupling.value(y, 1.0)[:, 0, 0].real
 
 
-def _matrix_transport(model: ScatterModel, grid: Grid, t0: float,
-                      tau: float, m: int):
-    """Transport of a matrix coupling over tau = m dx, as an array map.
+def _matrix_transport(model: ScatterModel, grid: Grid, amps: np.ndarray,
+                      t0: float, tau: float, m: int) -> np.ndarray:
+    """Amplitudes transported under a matrix coupling over tau = m dx.
 
-    Builds the characteristic factors once from the coupling's field and
-    schedule (a phase for one channel, unitaries otherwise), in |m|
-    steps of dx; the map rolls amplitudes by m lattice steps and applies
-    them.
+    Rolls them by m lattice steps and applies the characteristic factors
+    of the coupling's field and schedule (a phase for one channel,
+    unitaries otherwise), built in |m| steps of dx.  A schedule that is
+    constantly zero only rolls.
     """
     coupling: MatrixPotential = model.coupling
+    out = np.roll(amps, m, axis=-1)
+    if coupling.schedule.is_constant and coupling.schedule.a == 0.0:
+        return out
     schedule = coupling.schedule.value
     rmax = coupling.support_radius(1e-16)
     t1 = t0 + tau
@@ -203,29 +178,12 @@ def _matrix_transport(model: ScatterModel, grid: Grid, t0: float,
             _one_channel_profile(coupling), schedule, model.omega, rmax)
         # points the coupling never reaches keep their amplitude: exp(0) = 1
         live = np.flatnonzero(phase)
-        factor = np.exp(-1j * phase[live])
-
-        def apply(amps: np.ndarray) -> np.ndarray:
-            out = np.roll(amps, m, axis=-1)
-            out[..., live] *= factor
-            return out
-    else:
-        factors = _kernels.characteristic_unitary(
-            grid.points, tau, t1, abs(m), coupling.value, schedule,
-            model.omega, rmax)
-
-        def apply(amps: np.ndarray) -> np.ndarray:
-            return np.einsum("jab,bj->aj", factors, np.roll(amps, m, axis=-1))
-    return apply
-
-
-def _propagate_matrix(model: ScatterModel, state: StateVector,
-                      t0: float, tau_snapped: float, m: int) -> np.ndarray:
-    schedule = model.coupling.schedule
-    if schedule.is_constant and schedule.a == 0.0:
-        return np.roll(state.amplitudes, m, axis=-1)
-    transport = _matrix_transport(model, state.grid, t0, tau_snapped, m)
-    return transport(state.amplitudes)
+        out[..., live] *= np.exp(-1j * phase[live])
+        return out
+    factors = _kernels.characteristic_unitary(
+        grid.points, tau, t1, abs(m), coupling.value, schedule,
+        model.omega, rmax)
+    return np.einsum("jab,bj->aj", factors, out)
 
 
 def _volterra_trapezoid(f: np.ndarray, K: np.ndarray, lam: np.ndarray,
@@ -294,7 +252,7 @@ def propagate(model: ScatterModel, state: StateVector, t0: float, t1: float,
     if m == 0:
         return state.copy()
     if isinstance(model.coupling, MatrixPotential):
-        out = _propagate_matrix(model, state, t0, tau, m)
+        out = _matrix_transport(model, grid, state.amplitudes, t0, tau, m)
     else:
         out = _propagate_rankone(model, state, t0, m)
     result = StateVector(grid, out)
@@ -303,22 +261,6 @@ def propagate(model: ScatterModel, state: StateVector, t0: float, t1: float,
         raise NumericalContractError(
             f"propagation norm drift {drift:.2e} exceeds {norm_tol:.2e}")
     return result
-
-
-def frozen_one_step(model: ScatterModel, grid: Grid):
-    """One-lattice-step propagator of a frozen model, as an array map.
-
-    The model must have a constant schedule; the returned callable
-    advances raw amplitude arrays by dx of time.  Matrix backends get a
-    precomputed roll-and-factor map; the rank-one backend solves its
-    Volterra equation over the one step.
-    """
-    if not model.schedule.is_constant:
-        raise ValueError("frozen_one_step needs a constant schedule")
-    if isinstance(model.coupling, MatrixPotential):
-        return _matrix_transport(model, grid, 0.0, grid.dx, 1)
-    return lambda amps: _propagate_rankone(model, StateVector(grid, amps),
-                                           0.0, 1)
 
 
 def coupling_map(model: ScatterModel, grid: Grid, scale: float):

@@ -18,17 +18,23 @@ from adiascat.coherent import (CoherentLabel, StateVector, braket,
                                coherent_state, free_shift)
 from adiascat.experiments import EXPERIMENTS, Setup
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
-                              clearance_T, dynamical_S, from_soluble, frozen,
+                              clearance_T, dynamical_S, frozen,
                               frozen_S_apply, intertwine_residual,
                               omega_dot_residual, on_shell_S, wave_operator)
 from adiascat.numerics import Grid
 from adiascat.profiles import GaussianMix, Schedule
-from adiascat.soluble import SolubleModel
 
 BUMP = Schedule("bump", 1.0, 0.0, 1.0)
 MIX = GaussianMix((0.8,), (0.35,), (1.0,))
 UNIT = GaussianMix((1.0,), (0.0,), (1.0,))
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def soluble_model(potential: GaussianMix, omega: float) -> ScatterModel:
+    """The soluble model: one channel, the one-term matrix [[1.0]]."""
+    return ScatterModel(1, MatrixPotential(([[1.0]],), (potential,), BUMP),
+                        omega)
+
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -49,14 +55,14 @@ def _by_criterion(result) -> dict:
 
 @pytest.fixture(scope="module")
 def coherent_checks():
-    setup = Setup(SolubleModel(MIX, BUMP, 0.1), Grid(-64.0, 64.0, 2048),
+    setup = Setup(soluble_model(MIX, 0.1), Grid(-64.0, 64.0, 2048),
                   (0.1,), (0.5,), (0.0,), (1.0,), seed=0)
     return _by_criterion(EXPERIMENTS["coherent-props"](setup))
 
 
 @pytest.fixture(scope="module")
 def soluble_checks():
-    setup = Setup(SolubleModel(UNIT, BUMP, 0.2), Grid(-40.0, 40.0, 2048),
+    setup = Setup(soluble_model(UNIT, 0.2), Grid(-40.0, 40.0, 2048),
                   (0.2, 0.1), (0.7,), (0.4,), (1.0, -0.5), seed=7)
     return _by_criterion(EXPERIMENTS["soluble-exact"](setup))
 
@@ -64,7 +70,7 @@ def soluble_checks():
 @pytest.fixture(scope="module")
 def omega_checks():
     # epoch at the schedule inflection keeps the quadratic tail small
-    setup = Setup(SolubleModel(MIX, BUMP, 0.1), Grid(-96.0, 96.0, 6144),
+    setup = Setup(soluble_model(MIX, 0.1), Grid(-96.0, 96.0, 6144),
                   (0.2, 0.1, 0.05), (0.5,), (0.70710678,), (1.0,), seed=11)
     return _by_criterion(EXPERIMENTS["omega-scaling"](setup))
 
@@ -84,14 +90,14 @@ def smearing_checks():
 
 @pytest.fixture(scope="module")
 def energy_checks():
-    setup = Setup(SolubleModel(MIX, BUMP, 0.1), Grid(-160.0, 160.0, 4096),
+    setup = Setup(soluble_model(MIX, 0.1), Grid(-160.0, 160.0, 4096),
                   (0.1,), (0.4, 0.2, 0.1), (0.5,), (1.0,), seed=0)
     return _by_criterion(EXPERIMENTS["energy-shift"](setup))
 
 
 @pytest.fixture(scope="module")
 def outgoing_checks():
-    setup = Setup(SolubleModel(MIX, BUMP, 0.1), Grid(-40.0, 40.0, 512),
+    setup = Setup(soluble_model(MIX, 0.1), Grid(-40.0, 40.0, 512),
                   (0.1,), (0.5,), (0.5,), (1.0,), seed=0)
     return _by_criterion(EXPERIMENTS["outgoing-state"](setup))
 
@@ -186,7 +192,7 @@ def test_criterion_08_thawed_vs_frozen_joint_sweep(energy_checks):
 
 def test_criterion_09_structural_identities():
     grid = Grid(-64.0, 64.0, 2048)
-    soluble = from_soluble(SolubleModel(MIX, BUMP, 0.2))
+    soluble = soluble_model(MIX, 0.2)
     matrix = ScatterModel(2, MatrixPotential((SX,), (MIX,), BUMP), 0.2)
     rankone = ScatterModel(
         2, RankOne(GaussianMix((0.4,), (0.0,), (1.0,)), BUMP, (0.8, 0.6)), 0.2)
@@ -208,7 +214,7 @@ def test_criterion_09_structural_identities():
         on_shell_S(matrix, 0.4, 1.0).unitarity_defect(),
         on_shell_S(rankone, 0.4, 1.0).unitarity_defect())
 
-    model = from_soluble(SolubleModel(MIX, BUMP, 0.1))
+    model = soluble_model(MIX, 0.1)
     s = 0.4
     t_c = s / model.omega
     probe = coherent_state(CoherentLabel(4.0, 1.0, 0.5), grid)

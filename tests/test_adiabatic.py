@@ -1,11 +1,10 @@
 """First-order diagnostics against closed forms and quadrature oracles.
 
 The soluble single-channel family gives every operator here an exact
-profile: the Duhamel correction collapses to multiplication by the
-difference between the swept and the frozen gauge phase, the energy
-shift to the slow-time derivative of the swept phase, and the response
-coefficient tau to a moment formula.  Tests pin the grid realizations
-to those forms and to plain trapezoid or Gauss-Legendre re-derivations.
+profile: the energy shift is the slow-time derivative of the swept
+gauge phase, and the response coefficient tau a moment formula.  Tests
+pin the grid realizations to those forms and to plain trapezoid or
+Gauss-Legendre re-derivations.
 """
 
 import math
@@ -15,29 +14,26 @@ import pytest
 
 from adiascat import adiabatic
 from adiascat.adiabatic import (ErrorReport, adiabatic_tau,
-                                born_correction, combined_report,
-                                energy_shift_operator,
+                                combined_report, energy_shift_operator,
                                 onshell_vs_frozen, outgoing_state_check,
                                 remainder_exact, rho_fermi, rho_gaussian,
                                 rho_polynomial, smeared_frozen_element,
                                 thawed_energy_shift_report)
-from adiascat.coherent import CoherentLabel, braket, coherent_state
-from adiascat.network import (RankOne, ScatterModel, clearance_T, frozen,
-                              from_soluble, on_shell_S,
-                              rankone_scalar_amplitude, wave_operator)
+from adiascat.coherent import CoherentLabel, coherent_state
+from adiascat.network import (MatrixPotential, RankOne, ScatterModel, frozen,
+                              on_shell_S, rankone_scalar_amplitude)
 from adiascat.numerics import Grid
 from adiascat.profiles import GaussianMix, Schedule
-from adiascat.soluble import (SolubleModel, dynamical_S_profile,
-                              dynamical_energy_shift_profile, gauge_phase,
-                              tau_first_order)
+from adiascat.soluble import (dynamical_S_profile,
+                              dynamical_energy_shift_profile,
+                              soluble_potential, tau_first_order)
 
 MIX = GaussianMix((0.8,), (0.35,), (1.0,))
 BUMP = Schedule("bump", 1.0, 0.0, 1.0)
 
 
-def soluble_pair(omega: float):
-    soluble = SolubleModel(MIX, BUMP, omega)
-    return soluble, from_soluble(soluble)
+def soluble_model(omega: float) -> ScatterModel:
+    return ScatterModel(1, MatrixPotential(([[1.0]],), (MIX,), BUMP), omega)
 
 
 def rankone_model(lam: float = 0.6) -> ScatterModel:
@@ -53,55 +49,12 @@ def test_error_report_abs_error():
 
 
 def test_adiabatic_tau_matches_moment_formula():
-    soluble, model = soluble_pair(0.1)
+    model = soluble_model(0.1)
     grid = Grid(-64.0, 64.0, 2048)
     via_elements = adiabatic_tau(model, 0.4, 1.0, 0.7, grid=grid)
-    closed = tau_first_order(soluble, 0.4)
+    closed = tau_first_order(model, 0.4)
     assert abs(via_elements - closed) < 1e-10
     assert abs(closed) > 0.05
-
-
-def test_born_correction_full_closed_form():
-    # -i (Phi_s(x) - f(s) W) as a multiplication operator
-    soluble, model = soluble_pair(0.1)
-    grid = Grid(-64.0, 64.0, 2048)
-    s = 0.4
-    state = coherent_state(CoherentLabel(0.0, 0.9, 0.6), grid)
-    out = born_correction(model, s)(state)
-    swept = gauge_phase(soluble, s, grid)
-    lam = float(BUMP.value(s))
-    expected = -1j * (swept - lam * MIX.weight) * state.amplitudes
-    err = np.max(np.abs(out.amplitudes - expected))
-    assert err < 2e-4
-
-
-def test_born_correction_linearized_closed_form():
-    # -i omega fdot(s) (m1 - x W) on the support of the state
-    soluble, model = soluble_pair(0.1)
-    grid = Grid(-64.0, 64.0, 2048)
-    s = 0.4
-    state = coherent_state(CoherentLabel(0.0, 0.9, 0.6), grid)
-    out = born_correction(model, s, linearized=True)(state)
-    fdot = float(BUMP.derivative(s))
-    profile = model.omega * fdot * (MIX.first_moment - grid.points * MIX.weight)
-    expected = -1j * profile * state.amplitudes
-    err = np.max(np.abs(out.amplitudes - expected))
-    assert err < 2e-4
-
-
-def test_linearized_born_sandwich_recovers_tau():
-    soluble, model = soluble_pair(0.1)
-    grid = Grid(-64.0, 64.0, 2048)
-    s = 0.4
-    fmodel = frozen(model, s)
-    state = coherent_state(CoherentLabel(0.0, 1.0, 0.5), grid)
-    T = clearance_T(fmodel, state)
-    om_plus = wave_operator(fmodel, s, +1, state, T=T)
-    om_minus = wave_operator(fmodel, s, -1, state, T=T)
-    blin = born_correction(model, s, linearized=True, T=T)
-    got = braket(om_plus, blin(om_minus))
-    expected = -1j * model.omega * tau_first_order(soluble, s)
-    assert abs(got - expected) < 1e-6
 
 
 def test_remainder_default_window_clears_rankone_delayed_tail():
@@ -128,9 +81,9 @@ def test_remainder_is_first_order_with_second_order_tail():
     grid = Grid(-64.0, 64.0, 2048)
     curvatures = []
     for omega in (0.2, 0.1):
-        soluble, model = soluble_pair(omega)
+        model = soluble_model(omega)
         rem = remainder_exact(model, s, 1.0, 0.5, grid=grid)
-        tau = tau_first_order(soluble, s)
+        tau = tau_first_order(model, s)
         curvatures.append((rem + 1j * omega * tau) / omega ** 2)
     assert abs(curvatures[0]) > 0.1
     assert abs(curvatures[0] - curvatures[1]) < 0.3 * abs(curvatures[1])
@@ -150,7 +103,7 @@ def test_smeared_frozen_element_rankone_trapezoid_oracle():
 
 
 def test_smeared_frozen_element_matrix_backend_is_on_shell():
-    _, model = soluble_pair(0.1)
+    model = soluble_model(0.1)
     fmodel = frozen(model, 0.4)
     got = smeared_frozen_element(fmodel, 0.4, 1.0, 0.5)
     assert got == complex(on_shell_S(fmodel, 0.4, 1.0).matrix[0, 0])
@@ -167,22 +120,22 @@ def test_onshell_vs_frozen_scales_quadratically_in_eps():
 
 
 def test_energy_shift_operator_matches_profile():
-    soluble, model = soluble_pair(0.1)
+    model = soluble_model(0.1)
     grid = Grid(-64.0, 64.0, 2048)
     s = 0.4
     state = coherent_state(CoherentLabel(4.0, 1.0, 0.5), grid)
     out = energy_shift_operator(model, s)(state)
-    expected = dynamical_energy_shift_profile(soluble, s, grid) \
+    expected = dynamical_energy_shift_profile(model, s, grid) \
         * state.amplitudes
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-7
 
 
 def test_combined_report_error_within_bound():
-    soluble, model = soluble_pair(0.1)
+    model = soluble_model(0.1)
     grid = Grid(-64.0, 64.0, 2048)
     s = 1.0 / math.sqrt(2.0)
     report = combined_report(model, s, 1.0, 0.5, grid=grid,
-                             tau_value=tau_first_order(soluble, s))
+                             tau_value=tau_first_order(model, s))
     assert report.abs_error > 0.0
     assert report.abs_error <= 3.0 * report.predicted_bound
 
@@ -193,7 +146,7 @@ def test_thawed_energy_shift_report_improves_with_joint_scaling():
     grid = Grid(-128.0, 128.0, 2560)
     errors = []
     for omega in (0.16, 0.04):
-        _, model = soluble_pair(omega)
+        model = soluble_model(omega)
         report = thawed_energy_shift_report(model, 0.5, 1.0,
                                             math.sqrt(omega), grid=grid)
         errors.append(report.abs_error)
@@ -202,7 +155,7 @@ def test_thawed_energy_shift_report_improves_with_joint_scaling():
 
 
 def test_outgoing_state_check_densities():
-    _, model = soluble_pair(0.1)
+    model = soluble_model(0.1)
     grid = Grid(-40.0, 40.0, 512)
     banded = outgoing_state_check(model, 0.4,
                                   rho_fermi(mu=0.5, width=0.2, floor=-12.0),
@@ -235,41 +188,43 @@ def test_circulant_matches_dense_fourier_sandwich():
             atol=1e-13 * max(1.0, float(np.max(np.abs(values)))))
 
 
-def outgoing_two_eigh(soluble, s, rho, grid):
+def outgoing_two_eigh(model, s, rho, grid):
     """Reference: rho(H_0) and rho(H_0 - omega E_d) each by a dense eigh."""
     fmat = np.exp(-1j * np.outer(grid.momenta, grid.points)) / math.sqrt(grid.n)
     h0 = np.conj(fmat.T) @ (grid.momenta[:, None] * fmat)
     h0 = 0.5 * (h0 + np.conj(h0.T))
-    s_diag = dynamical_S_profile(soluble, s, grid)
+    s_diag = dynamical_S_profile(model, s, grid)
     w, v = np.linalg.eigh(h0)
     lhs = (s_diag[:, None] * ((v * rho(w)) @ np.conj(v.T))) \
         * np.conj(s_diag)[None, :]
-    shifted = h0 - soluble.omega * np.diag(
-        dynamical_energy_shift_profile(soluble, s, grid))
+    shifted = h0 - model.omega * np.diag(
+        dynamical_energy_shift_profile(model, s, grid))
     w2, v2 = np.linalg.eigh(0.5 * (shifted + np.conj(shifted.T)))
     rhs = (v2 * rho(w2)) @ np.conj(v2.T)
     return float(np.linalg.norm(lhs - rhs, 2))
 
 
 def test_outgoing_state_check_matches_two_eigh_route():
-    soluble, model = soluble_pair(0.1)
+    model = soluble_model(0.1)
     grid = Grid(-40.0, 40.0, 512)
     # the densities of run_outgoing_state
     densities = (rho_fermi(mu=0.5, width=0.2, floor=-12.0),
                  rho_gaussian(center=0.0, width=1.0),
                  rho_polynomial((0.0, 1.0)))
     for rho in densities:
-        ref = outgoing_two_eigh(soluble, 0.5, rho, grid)
+        ref = outgoing_two_eigh(model, 0.5, rho, grid)
         got = outgoing_state_check(model, 0.5, rho, grid)
         assert abs(got - ref) <= 1e-12 * max(ref, 1.0)
     # a new s must not be served the cached spectrum of the last one
     rho = densities[0]
-    at_half = outgoing_state_check(soluble, 0.5, rho, grid)
-    ref = outgoing_two_eigh(soluble, -0.3, rho, grid)
-    got = outgoing_state_check(soluble, -0.3, rho, grid)
+    at_half = outgoing_state_check(model, 0.5, rho, grid)
+    ref = outgoing_two_eigh(model, -0.3, rho, grid)
+    got = outgoing_state_check(model, -0.3, rho, grid)
     assert abs(got - ref) <= 1e-12 * max(ref, 1.0)
     assert abs(got - at_half) > 1e-3 * at_half
-    for arr in adiabatic._shifted_spectrum(soluble, -0.3, grid):
+    for arr in adiabatic._shifted_spectrum(soluble_potential(model),
+                                           model.schedule, model.omega,
+                                           -0.3, grid):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -335,7 +290,7 @@ def test_hermitian_norm_of_rounding_noise():
 def test_outgoing_state_check_of_constant_density(monkeypatch):
     # S 1 S^* = 1 exactly, so the defect is rounding alone and the
     # iteration must stop at the scale of rho, not run to n = 512 steps
-    _, model = soluble_pair(0.1)
+    model = soluble_model(0.1)
     calls = []
     norm = adiabatic._hermitian_norm
 
@@ -350,10 +305,10 @@ def test_outgoing_state_check_of_constant_density(monkeypatch):
 
 
 def test_outgoing_state_check_guards():
-    _, model = soluble_pair(0.1)
+    model = soluble_model(0.1)
     with pytest.raises(ValueError):
         outgoing_state_check(model, 0.4, rho_gaussian(), Grid(-40.0, 40.0, 2048))
-    # no soluble view: a configuration problem, so a ValueError
+    # no soluble potential: a configuration problem, so a ValueError
     with pytest.raises(ValueError, match="one channel and one matrix term"):
         outgoing_state_check(rankone_model(), 0.4, rho_gaussian(),
                              Grid(-40.0, 40.0, 512))

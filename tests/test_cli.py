@@ -3,6 +3,7 @@
 import configparser
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -344,6 +345,31 @@ def test_validate_checks_every_soluble_exact_probe(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "validation-error"
     assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("field", ["omega", "eps", "s", "e"])
+def test_empty_sweep_list_is_a_config_error(tmp_path, capsys, field,
+                                            command):
+    # a comma-only flag or an empty INI value leaves no sweep point
+    text, flags = GOOD_CONFIG, []
+    if field in ("omega", "eps"):
+        flags = [f"--{field}", ","]
+    else:
+        text = re.sub(rf"^{field} = .*$", f"{field} =", text, flags=re.M)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", path, "--out", str(out), *flags]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if command == "run":
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "config-error"
+        diagnostics = summary["diagnostics"]
+    else:
+        diagnostics = json.loads(captured.out)
+    [diagnostic] = diagnostics
+    assert f"sweep.{field}" in diagnostic["message"]
 
 
 CLOSED_FORM = ("soluble-exact", "omega-scaling", "energy-shift",

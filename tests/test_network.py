@@ -21,8 +21,7 @@ from adiascat.coherent import (CoherentLabel, StateVector, braket,
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
                               clearance_T, dynamical_S,
                               dynamical_S_adjoint, frozen, frozen_energy_shift_onshell,
-                              from_soluble, frozen_one_step, frozen_S_apply,
-                              intertwine_residual,
+                              frozen_S_apply, intertwine_residual,
                               omega_dot_residual, on_shell_S, propagate,
                               rankone_resolvent, rankone_resolvent_exact,
                               rankone_scalar_amplitude, wave_operator,
@@ -30,7 +29,7 @@ from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
 from adiascat.numerics import (Grid, NumericalContractError,
                                central_derivative, ordered_exponential)
 from adiascat.profiles import GaussianMix, Schedule
-from adiascat.soluble import SolubleModel, dynamical_S_profile
+from adiascat.soluble import dynamical_S_profile, frozen_S_value
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -39,8 +38,11 @@ MIX = GaussianMix((0.8,), (0.35,), (1.0,))
 BUMP = Schedule("bump", 1.0, 0.0, 1.0)
 
 
-def soluble_twin(omega: float, schedule: Schedule = BUMP) -> ScatterModel:
-    return from_soluble(SolubleModel(MIX, schedule, omega))
+def soluble_twin(omega: float, schedule: Schedule = BUMP,
+                 entry: float = 1.0) -> ScatterModel:
+    """The soluble model: MIX times the one-channel matrix [[entry]]."""
+    return ScatterModel(1, MatrixPotential(([[entry]],), (MIX,), schedule),
+                        omega)
 
 
 def phase_quadrature(model, points, t0, t1, nodes=400):
@@ -110,7 +112,7 @@ def test_one_channel_transport_multiplies_only_where_the_phase_lives():
     rng = np.random.default_rng(3)
     amps = rng.normal(size=(2, grid.n)) + 1j * rng.normal(size=(2, grid.n))
     before = amps.copy()
-    got = _matrix_transport(model, grid, 0.7, tau, m)(amps)
+    got = _matrix_transport(model, grid, amps, 0.7, tau, m)
     want = np.roll(amps, m, axis=-1) * np.exp(-1j * phase)
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(amps, before)
@@ -184,48 +186,6 @@ def test_propagate_rankone_matches_dense_lattice_evolution():
                         * (np.conj(vecs.T) @ state.amplitudes.ravel()))
         out = propagate(model, state, 0.0, tau).amplitudes.ravel()
         assert np.linalg.norm(out - exact) < 1e-6 * np.linalg.norm(exact)
-
-
-def test_frozen_one_step_rankone_matches_propagate():
-    # m single steps against one leg of m steps; the packet starts at
-    # x = -3 and crosses the form
-    grid = Grid(-40.0, 40.0, 512)
-    bump = ScatterModel(2, RankOne(GaussianMix((0.4,), (0.0,), (1.0,)),
-                                   BUMP, (0.8, 0.6)), 0.2)
-    model = frozen(bump, 0.0)
-    state = coherent_state(CoherentLabel(3.0, 1.0, 0.7), grid, channel=0,
-                           n_channels=2)
-    m = 38
-    step = frozen_one_step(model, grid)
-    amps = state.amplitudes
-    for _ in range(m):
-        amps = step(amps)
-    leg = propagate(model, state, 0.0, m * grid.dx).amplitudes
-    assert np.linalg.norm(amps - leg) < 1e-6 * np.linalg.norm(leg)
-    # the leg is not free motion
-    free = np.roll(state.amplitudes, m, axis=-1)
-    assert np.linalg.norm(leg - free) > 0.1 * np.linalg.norm(leg)
-
-
-def test_frozen_one_step_matrix_matches_propagate():
-    # two non-commuting terms, so the step map is a field of 2x2 unitaries
-    grid = Grid(-40.0, 40.0, 1024)
-    coupling = MatrixPotential((SX, SZ),
-                               (MIX, GaussianMix((0.5,), (-0.6,), (0.9,))),
-                               BUMP)
-    model = frozen(ScatterModel(2, coupling, 0.25), 0.3)
-    state = coherent_state(CoherentLabel(6.0, 0.8, 0.6), grid, channel=1,
-                           n_channels=2)
-    m = 200
-    step = frozen_one_step(model, grid)
-    amps = state.amplitudes
-    for _ in range(m):
-        amps = step(amps)
-    leg = propagate(model, state, 0.0, m * grid.dx).amplitudes
-    assert np.linalg.norm(amps - leg) < 1e-12 * np.linalg.norm(leg)
-    # the leg is not free motion
-    free = np.roll(state.amplitudes, m, axis=-1)
-    assert np.linalg.norm(leg - free) > 0.1 * np.linalg.norm(leg)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +315,20 @@ def test_reference_change_preserves_matrix_elements():
 
 def test_dynamical_S_matches_soluble_profile():
     grid = Grid(-64.0, 64.0, 2048)
-    soluble = SolubleModel(MIX, BUMP, 0.1)
-    model = from_soluble(soluble)
+    model = soluble_twin(0.1)
     state = coherent_state(CoherentLabel(4.0, 1.0, 0.5), grid)
     out = dynamical_S(model, 0.4, state)
-    expected = dynamical_S_profile(soluble, 0.4, grid) * state.amplitudes
+    expected = dynamical_S_profile(model, 0.4, grid) * state.amplitudes
+    assert np.max(np.abs(out.amplitudes - expected)) < 1e-9
+
+
+def test_dynamical_S_matches_soluble_profile_of_scaled_entry():
+    # the matrix entry c = -0.7 enters the closed form as c MIX
+    grid = Grid(-64.0, 64.0, 2048)
+    model = soluble_twin(0.1, entry=-0.7)
+    state = coherent_state(CoherentLabel(4.0, 1.0, 0.5), grid)
+    out = dynamical_S(model, 0.4, state)
+    expected = dynamical_S_profile(model, 0.4, grid) * state.amplitudes
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-9
 
 
@@ -450,12 +419,9 @@ def test_on_shell_unitarity_and_energy_dependence():
 
 
 def test_on_shell_single_channel_matches_soluble_value():
-    from adiascat.soluble import frozen_S_value
-
-    soluble = SolubleModel(MIX, Schedule("constant", 0.9, 0.0, 1.0), 0.2)
-    model = from_soluble(soluble)
+    model = soluble_twin(0.2, Schedule("constant", 0.9, 0.0, 1.0))
     got = on_shell_S(model, 0.0).matrix[0, 0]
-    assert abs(got - frozen_S_value(soluble, 0.0)) < 1e-10
+    assert abs(got - frozen_S_value(model, 0.0)) < 1e-10
 
 
 def _ordered_on_shell(model, s):
@@ -565,8 +531,7 @@ def test_matrix_wigner_delay_matches_finite_difference(matrices):
 
 def test_frozen_energy_shift_onshell_closed_form():
     sched = Schedule("tanh", 0.7, 0.2, 1.1, 0.1)
-    soluble = SolubleModel(MIX, sched, 0.2)
-    model = from_soluble(soluble)
+    model = soluble_twin(0.2, sched)
     shift = frozen_energy_shift_onshell(model, 0.3)
     expected = float(sched.derivative(0.3)) * MIX.weight
     assert shift.hermiticity_defect < 1e-12

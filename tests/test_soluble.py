@@ -1,4 +1,7 @@
-"""Closed forms of the scalar commuting model against direct quadrature."""
+"""Closed forms of the scalar commuting model against direct quadrature.
+
+The soluble model is the one-channel, one-term matrix ScatterModel; its
+potential is the profile times the matrix entry."""
 
 import math
 
@@ -6,22 +9,32 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from adiascat.adiabatic import outgoing_state_check, rho_fermi
+from adiascat.network import MatrixPotential, ScatterModel
 from adiascat.numerics import Grid
 from adiascat.profiles import GaussianMix, Schedule
-from adiascat.soluble import (SolubleModel, dynamical_S_profile,
+from adiascat.soluble import (dynamical_S_profile,
                               dynamical_energy_shift_profile,
                               frozen_S_value, gauge_phase, tau_first_order)
 
 GRID = Grid(-40.0, 40.0, 2048)
-MODEL = SolubleModel(GaussianMix((0.8, 0.4), (0.35, -1.1), (1.0, 0.7)),
-                     Schedule("tanh", 1.0, 0.0, 1.3), 0.2)
+MIX = GaussianMix((0.8, 0.4), (0.35, -1.1), (1.0, 0.7))
+TANH = Schedule("tanh", 1.0, 0.0, 1.3)
+
+
+def one_term(entry: float, mix: GaussianMix, omega: float = 0.2):
+    """The one-channel model mix times the matrix [[entry]]."""
+    return ScatterModel(1, MatrixPotential(([[entry]],), (mix,), TANH), omega)
+
+
+MODEL = one_term(1.0, MIX)
 
 
 def _phase_oracle(model, s, x):
     # Phi_s(x) = integral f(s - omega (x - u)) v(u) du, by adaptive quadrature
     def integrand(u):
         return (model.schedule.value(s - model.omega * (x - u))
-                * model.potential(np.array([u]))[0])
+                * MIX(np.array([u]))[0])
     val, err = quad(integrand, -12.0, 12.0, limit=200)
     assert err < 1e-9
     return val
@@ -52,7 +65,7 @@ def test_energy_shift_profile_matches_quadrature():
 
     def integrand(u):
         return (MODEL.schedule.derivative(s - MODEL.omega * (GRID.points[j] - u))
-                * MODEL.potential(np.array([u]))[0])
+                * MIX(np.array([u]))[0])
     val, err = quad(integrand, -12.0, 12.0, limit=200)
     assert prof[j] == pytest.approx(val, abs=1e-8)
 
@@ -68,12 +81,10 @@ def test_energy_shift_profile_is_s_derivative_of_phase():
 
 def test_frozen_value_closed_form():
     s = 0.7
-    w = MODEL.potential.weight
+    w = MIX.weight
     expected = np.exp(-1j * MODEL.schedule.value(s) * w)
     assert frozen_S_value(MODEL, s) == pytest.approx(expected)
     assert abs(frozen_S_value(MODEL, s)) == pytest.approx(1.0)
-    # grid quadrature route agrees with the closed-form weight
-    assert frozen_S_value(MODEL, s, GRID) == pytest.approx(expected, abs=1e-12)
 
 
 def test_gaussian_mix_moments():
@@ -91,11 +102,41 @@ def test_gaussian_mix_moments():
 
 def test_tau_first_order_formula():
     s = 0.5
-    expected = (MODEL.schedule.derivative(s) * MODEL.potential.first_moment
+    expected = (MODEL.schedule.derivative(s) * MIX.first_moment
                 * frozen_S_value(MODEL, s))
     assert tau_first_order(MODEL, s) == pytest.approx(expected)
 
 
-def test_soluble_model_rejects_nonpositive_omega():
-    with pytest.raises(ValueError):
-        SolubleModel(MODEL.potential, MODEL.schedule, -0.1)
+CLOSED_FORMS = {
+    "gauge_phase": lambda m: gauge_phase(m, 0.3, GRID),
+    "dynamical_S_profile": lambda m: dynamical_S_profile(m, 0.3, GRID),
+    "dynamical_energy_shift_profile":
+        lambda m: dynamical_energy_shift_profile(m, 0.3, GRID),
+    "frozen_S_value": lambda m: frozen_S_value(m, 0.3),
+    "tau_first_order": lambda m: tau_first_order(m, 0.3),
+}
+
+
+@pytest.mark.parametrize("form", sorted(CLOSED_FORMS))
+def test_closed_forms_fold_the_matrix_entry_into_the_potential(form):
+    # c MIX on the matrix [[c]] is the [[1.0]] model of the scaled MIX
+    c = -0.7
+    prescaled = GaussianMix(tuple(c * a for a in MIX.amps), MIX.centers,
+                            MIX.widths)
+    got = CLOSED_FORMS[form](one_term(c, MIX))
+    want = CLOSED_FORMS[form](one_term(1.0, prescaled))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+SOLUBLE_ONLY = CLOSED_FORMS | {
+    "outgoing_state_check": lambda m: outgoing_state_check(
+        m, 0.3, rho_fermi(), Grid(-20.0, 20.0, 256)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(SOLUBLE_ONLY))
+def test_closed_forms_reject_two_matrix_terms(form):
+    model = ScatterModel(1, MatrixPotential(([[1.0]], [[0.5]]), (MIX, MIX),
+                                            TANH), 0.2)
+    with pytest.raises(ValueError, match="one channel and one matrix term"):
+        SOLUBLE_ONLY[form](model)
