@@ -38,6 +38,9 @@ from . import network as _network, soluble as _soluble
 
 logger = logging.getLogger(__name__)
 
+# largest grid of outgoing_state_check, which takes one dense eigh of it
+OUTGOING_N_MAX = 1024
+
 
 @dataclass
 class ErrorReport:
@@ -50,13 +53,14 @@ class ErrorReport:
         return abs(self.value_exact - self.value_approx)
 
 
-def _matched_states(model: ScatterModel, s: float, e: float, eps: float,
-                    j: int, jp: int, grid: Grid):
-    label = CoherentLabel(s / model.omega, e, eps)
+def _label_states(model: ScatterModel, t: float, e: float, eps: float,
+                  j: int, jp: int, grid: Grid):
+    """Bra on channel j and ket on channel jp of the label (t, e, eps)."""
+    label = CoherentLabel(t, e, eps)
     ket = coherent_state(label, grid, channel=jp, n_channels=model.n_channels)
     bra = ket if j == jp else coherent_state(label, grid, channel=j,
                                              n_channels=model.n_channels)
-    return label, bra, ket
+    return bra, ket
 
 
 def remainder_exact(model: ScatterModel, s: float, e: float, eps: float,
@@ -67,7 +71,7 @@ def remainder_exact(model: ScatterModel, s: float, e: float, eps: float,
     Both operators are realized with the same asymptotic window so the
     difference isolates the drive, not the windowing.
     """
-    _, bra, ket = _matched_states(model, s, e, eps, j, jp, grid)
+    bra, ket = _label_states(model, s / model.omega, e, eps, j, jp, grid)
     T = _network._window(model, ket, T)
     out_dyn = dynamical_S(model, 0.0, ket, T=T)
     out_froz = frozen_S_apply(model, s, ket, T=T)
@@ -90,18 +94,13 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
     reach = radius + sigma_x * math.sqrt(2.0 * math.log(1e14))
     nodes = np.linspace(-8.0 / eps, 8.0 / eps, 49)
     weights = np.full(49, nodes[1] - nodes[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
+    weights[[0, -1]] *= 0.5
     dh_ds = coupling_map(model, grid, float(model.schedule.derivative(s)))
     total = 0.0 + 0.0j
     for tp, wgt in zip(nodes, weights):
         if abs(tp) > reach:
             continue
-        label = CoherentLabel(tp, e, eps)
-        ket = coherent_state(label, grid, channel=jp,
-                             n_channels=model.n_channels)
-        bra = ket if j == jp else coherent_state(
-            label, grid, channel=j, n_channels=model.n_channels)
+        bra, ket = _label_states(model, tp, e, eps, j, jp, grid)
         T = clearance_T(fmodel, ket)
         w_minus = wave_operator(fmodel, s, -1, ket, T=T)
         w_plus = wave_operator(fmodel, s, +1, bra, T=T)
@@ -167,7 +166,6 @@ def onshell_vs_frozen(model: ScatterModel, s: float, e: float, eps: float,
 
 def combined_report(model: ScatterModel, s: float, e: float, eps: float,
                     j: int = 0, jp: int = 0, *, grid: Grid,
-                    T: float | None = None,
                     tau_value: complex | None = None) -> ErrorReport:
     """Dynamical element against the frozen on-shell value, with bound.
 
@@ -175,9 +173,8 @@ def combined_report(model: ScatterModel, s: float, e: float, eps: float,
     and the drive term omega |tau|.  Pass tau_value to reuse a
     precomputed response coefficient across a sweep.
     """
-    _, bra, ket = _matched_states(model, s, e, eps, j, jp, grid)
-    T = _network._window(model, ket, T)
-    exact = braket(bra, dynamical_S(model, 0.0, ket, T=T))
+    bra, ket = _label_states(model, s / model.omega, e, eps, j, jp, grid)
+    exact = braket(bra, dynamical_S(model, 0.0, ket))
     approx = complex(on_shell_S(model, s, e).matrix[j, jp])
     smearing = _smearing_bound(model, s, e, eps)
     if tau_value is None:
@@ -205,18 +202,15 @@ def energy_shift_operator(model: ScatterModel, s: float,
 
 def thawed_energy_shift_report(model: ScatterModel, s: float, e: float,
                                eps: float, j: int = 0, jp: int = 0, *,
-                               grid: Grid,
-                               T: float | None = None) -> ErrorReport:
+                               grid: Grid) -> ErrorReport:
     """Dynamical energy shift element against the frozen on-shell one.
 
     The dynamical operator sits at base point 0 and is probed at the
     matched label t = s/omega; the frozen comparison is i dS/ds S^* of
     the on-shell family at s.  Agreement is first order in omega.
     """
-    _, bra, ket = _matched_states(model, s, e, eps, j, jp, grid)
-    T = _network._window(model, ket, T)
-    op = energy_shift_operator(model, 0.0, T=T)
-    exact = braket(bra, op(ket))
+    bra, ket = _label_states(model, s / model.omega, e, eps, j, jp, grid)
+    exact = braket(bra, energy_shift_operator(model, 0.0)(ket))
     approx = complex(frozen_energy_shift_onshell(model, s, e).matrix[j, jp])
     return ErrorReport(exact, approx)
 
@@ -269,21 +263,23 @@ def outgoing_state_check(model: ScatterModel, s: float,
     """Operator-norm defect of rho-transport through dynamical scattering.
 
     Checks S_d rho(H_0) S_d^* = rho(H_0 - omega E_d) with closed-form
-    scattering and energy-shift profiles on a small grid (n <= 1024,
-    for one dense eigh).  Neither side is formed: the difference is
-    applied to vectors, the left side as S_d ifft(rho(p) fft(S_d^* x))
-    (rho(H_0) is diagonal in momentum) and the right side as
-    V rho(w) V^* x from the eigenpairs (w, V) of H_0 - omega E_d, which
-    every density at one (model, s, grid) shares.  The norm of that
-    Hermitian map is its largest |eigenvalue|, found by Lanczos
-    iteration (_hermitian_norm) to the rounding level of the two sides.
+    scattering and energy-shift profiles on a small grid (n <=
+    OUTGOING_N_MAX, for one dense eigh).  Neither side is formed: the
+    difference is applied to vectors, the left side as
+    S_d ifft(rho(p) fft(S_d^* x)) (rho(H_0) is diagonal in momentum) and
+    the right side as V rho(w) V^* x from the eigenpairs (w, V) of
+    H_0 - omega E_d, which every density at one (model, s, grid) shares.
+    The norm of that Hermitian map is its largest |eigenvalue|, found by
+    Lanczos iteration (_hermitian_norm) to the rounding level of the two
+    sides.
     Schedules with unequal asymptotic values leave a seam jump on the
     periodic grid, which this check will honestly report.  A model
     without a soluble potential (see soluble_potential) is a ValueError.
     """
     potential = soluble_potential(model)
-    if grid.n > 1024:
-        raise ValueError("dense check limited to grids with n <= 1024")
+    if grid.n > OUTGOING_N_MAX:
+        raise ValueError(f"dense check limited to grids with n <= "
+                         f"{OUTGOING_N_MAX}, not {grid.n}")
     lo, hi = model.schedule.asymptotics()
     if abs(hi - lo) > 1e-12 * max(1.0, abs(hi), abs(lo)):
         logger.warning("schedule asymptotics differ (%.3g vs %.3g); "

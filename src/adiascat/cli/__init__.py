@@ -26,6 +26,7 @@ import numpy as np
 
 from ..experiments import (CLOSED_FORM_EXPERIMENTS, EXPERIMENTS,
                           ExperimentResult, Row, Setup)
+from ..adiabatic import OUTGOING_N_MAX
 from ..network import (RankOne, MatrixPotential, ScatterModel, clearance_T,
                       rankone_resolvent)
 from ..coherent import CoherentLabel, coherent_state
@@ -189,6 +190,10 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
             diagnostics.append({"field": "model",
                                 "message": f"{experiment}: {exc}"})
     grid = setup.grid
+    if experiment == "outgoing-state" and grid.n > OUTGOING_N_MAX:
+        diagnostics.append({"field": "grid", "message": (
+            f"outgoing-state takes one dense eigh, so it needs grid n <= "
+            f"{OUTGOING_N_MAX}, not {grid.n}")})
     half_window = 0.5 * (grid.x_max - grid.x_min)
     eps_min = min(setup.epsilons)
     if 8.0 / eps_min > half_window:

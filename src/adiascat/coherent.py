@@ -138,17 +138,17 @@ def overlap(a: CoherentLabel, b: CoherentLabel) -> complex:
 def free_shift(state: StateVector, duration: float) -> StateVector:
     """Free chiral evolution by the given duration: translation by +duration.
 
-    Lattice-aligned durations are exact index rolls; anything else goes
-    through the momentum representation.  Rejects shifts that leave more
-    than WRAP_TOL of the weight at the periodic seam.
+    The duration must lie on the dx lattice (see Grid.snap), where the
+    shift is an exact index roll.  Rejects shifts that leave more than
+    WRAP_TOL of the weight at the periodic seam.
     """
     grid = state.grid
     m, snapped = grid.snap(duration)
-    if abs(snapped - duration) < 1e-12 * max(1.0, abs(duration)):
-        out = np.roll(state.amplitudes, m, axis=-1)
-    else:
-        phat = grid.to_momentum(state.amplitudes)
-        out = grid.from_momentum(phat * np.exp(-1j * grid.momenta * duration))
+    if abs(snapped - duration) >= 1e-12 * max(1.0, abs(duration)):
+        raise ValueError(
+            f"free shift by {duration!r} is off the dx = {grid.dx!r} "
+            "lattice; snap it with Grid.snap")
+    out = np.roll(state.amplitudes, m, axis=-1)
     shifted = StateVector(grid, out)
     edge = grid.edge_mass(out)
     if edge > WRAP_TOL:
@@ -203,45 +203,31 @@ def label_box(state: StateVector, eps: float
 
 
 def identity_resolution_residual(state: StateVector, eps: float,
-                                 t_span: tuple[float, float] | None = None,
-                                 e_span: tuple[float, float] | None = None,
                                  nt: int = 64, ne: int = 64) -> float:
     """Relative defect of the label-plane resolution of identity.
 
-    Reconstructs the state from its coherent amplitudes over a finite
-    label box with measure dt de / (2 pi) and returns the relative L2
-    error.  Rejects boxes that cannot capture the state, quoting an
-    adequate box in the error.
+    Reconstructs the state from its coherent amplitudes over the label
+    box of label_box(state, eps), on an nt x ne lattice with measure
+    dt de / (2 pi), and returns the relative L2 error.
 
-    Only momenta within e_span +- 8.8 eps enter the reconstruction: there
-    every width-eps Gaussian of the box is below 1e-17 of its peak, so
-    the reconstruction vanishes to that precision, and the state's weight
-    outside that band counts in full as error.
+    Only momenta within 8.8 eps of the box's energies enter the
+    reconstruction: beyond them every width-eps Gaussian of the box is
+    below 1e-17 of its peak, so the reconstruction vanishes to that
+    precision, and the state's weight outside that band counts in full
+    as error.
     """
     if nt < 2 or ne < 2:
         raise ValueError("nt and ne must be at least 2")
-    required_t, required_e = label_box(state, eps)
-    if t_span is None:
-        t_span = required_t
-    if e_span is None:
-        e_span = required_e
-    if t_span[0] > required_t[0] or t_span[1] < required_t[1] \
-            or e_span[0] > required_e[0] or e_span[1] < required_e[1]:
-        raise ValueError(
-            f"label box too small; need t in [{required_t[0]:.3g}, "
-            f"{required_t[1]:.3g}] and e in [{required_e[0]:.3g}, "
-            f"{required_e[1]:.3g}]")
+    t_span, e_span = label_box(state, eps)
     grid = state.grid
     p = grid.momenta
     dp = _TWO_PI / (grid.n * grid.dx)
     ts = np.linspace(t_span[0], t_span[1], nt)
     es = np.linspace(e_span[0], e_span[1], ne)
     wt = np.full(nt, ts[1] - ts[0])
-    wt[0] *= 0.5
-    wt[-1] *= 0.5
+    wt[[0, -1]] *= 0.5
     we = np.full(ne, es[1] - es[0])
-    we[0] *= 0.5
-    we[-1] *= 0.5
+    we[[0, -1]] *= 0.5
     # a width-eps Gaussian is below 1e-17 of its peak beyond this distance
     reach = math.sqrt(2.0 * math.log(1e17)) * eps
     band = (p >= e_span[0] - reach) & (p <= e_span[1] + reach)

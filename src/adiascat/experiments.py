@@ -456,8 +456,6 @@ def run_outgoing_state(setup: Setup) -> ExperimentResult:
     soluble_potential(setup.model)
     rows = _Rows(setup.timing)
     grid = setup.grid
-    if grid.n > 512:
-        grid = Grid(grid.x_min, grid.x_max, 512)
     s = setup.s_values[0]
     w0 = setup.omegas[0]
     net = _with_omega(setup.model, w0)

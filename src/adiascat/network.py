@@ -36,7 +36,7 @@ from .numerics import (Grid, NumericalContractError, _dawson,
 from .profiles import GaussianMix, Schedule
 
 CLEARANCE_TOL = 1e-10
-DEFAULT_NORM_TOL = 1e-6
+NORM_TOL = 1e-6
 
 
 @dataclass
@@ -136,8 +136,8 @@ class ScatterModel:
     def schedule(self) -> Schedule:
         return self.coupling.schedule
 
-    def interaction_radius(self, tol: float = 1e-14) -> float:
-        return self.coupling.support_radius(tol)
+    def interaction_radius(self) -> float:
+        return self.coupling.support_radius()
 
 
 def frozen(model: ScatterModel, s: float) -> ScatterModel:
@@ -239,12 +239,12 @@ def _propagate_rankone(model: ScatterModel, state: StateVector,
     return np.roll(out, m, axis=-1)
 
 
-def propagate(model: ScatterModel, state: StateVector, t0: float, t1: float,
-              norm_tol: float = DEFAULT_NORM_TOL) -> StateVector:
+def propagate(model: ScatterModel, state: StateVector, t0: float,
+              t1: float) -> StateVector:
     """Evolve a state under the driven Hamiltonian from t0 to t1.
 
     Durations snap onto the grid lattice, whose spacing dx is also the
-    transport step.  Norm drift beyond norm_tol is a contract violation,
+    transport step.  Norm drift beyond NORM_TOL is a contract violation,
     not a warning.
     """
     grid = state.grid
@@ -257,9 +257,9 @@ def propagate(model: ScatterModel, state: StateVector, t0: float, t1: float,
         out = _propagate_rankone(model, state, t0, m)
     result = StateVector(grid, out)
     drift = abs(result.norm() - state.norm())
-    if drift > norm_tol * max(state.norm(), 1e-30):
+    if drift > NORM_TOL * max(state.norm(), 1e-30):
         raise NumericalContractError(
-            f"propagation norm drift {drift:.2e} exceeds {norm_tol:.2e}")
+            f"propagation norm drift {drift:.2e} exceeds {NORM_TOL:.2e}")
     return result
 
 
@@ -301,9 +301,9 @@ def apply_hamiltonian(model: ScatterModel, t: float, state: StateVector) -> Stat
 # Clearance bookkeeping
 # ---------------------------------------------------------------------------
 
-def _support_bounds(state: StateVector, cut: float = 1e-11) -> tuple[float, float]:
+def _support_bounds(state: StateVector) -> tuple[float, float]:
     mag = np.abs(state.amplitudes).max(axis=0)
-    live = state.grid.points[mag > cut * mag.max()]
+    live = state.grid.points[mag > 1e-11 * mag.max()]
     return float(live.min()), float(live.max())
 
 
@@ -536,15 +536,8 @@ def rankone_resolvent(form: GaussianMix, energies):
     k = energies[:, None] + half[:, None] * gl_x[None, :]
     rho = np.abs(form.fourier(k)) ** 2
     rho_e = np.abs(form.fourier(energies)) ** 2
-    diff = energies[:, None] - k
-    chi_e = form.fourier(energies)
-    dchi_e = form.fourier_derivative(energies)
-    drho_e = 2.0 * np.real(np.conj(chi_e) * dchi_e)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = (rho - rho_e[:, None]) / diff
-    tiny = np.abs(diff) < 1e-9
-    if np.any(tiny):
-        integrand = np.where(tiny, -drho_e[:, None], integrand)
+    # an even node count puts no node on E: |E - k| >= 4 min|x_i| = 7.8e-3
+    integrand = (rho - rho_e[:, None]) / (energies[:, None] - k)
     real_part = np.sum(integrand * (half[:, None] * gl_w[None, :]), axis=1)
     out = real_part - 1j * math.pi * rho_e
     return out if out.size > 1 else complex(out[0])
@@ -607,29 +600,25 @@ def wigner_delay(model: ScatterModel, s: float,
         nc = model.n_channels
         return HermitianOnShell(np.zeros((nc, nc), dtype=np.complex128), s,
                                 float(energy), 0.0)
-    base = on_shell_S(model, s, energy).matrix
-
-    def sfun(en: float) -> np.ndarray:
-        return on_shell_S(model, s, en).matrix
-
-    ds = central_derivative(sfun, energy, 1e-3)
-    raw = -1j * ds @ np.conj(base.T)
-    herm, defect = hermitize(raw)
-    return HermitianOnShell(herm, s, float(energy), defect)
+    return _times_adjoint(model, s, energy, -1j,
+                          lambda en: on_shell_S(model, s, en).matrix, energy)
 
 
 def frozen_energy_shift_onshell(model: ScatterModel, s: float,
                                 energy: float = 0.0) -> HermitianOnShell:
     """Frozen-family energy shift i dS/ds S^dagger, Hermitized with defect;
     dS/ds by central difference with step 1e-3."""
+    return _times_adjoint(model, s, energy, 1j,
+                          lambda sv: on_shell_S(model, sv, energy).matrix, s)
+
+
+def _times_adjoint(model: ScatterModel, s: float, energy: float,
+                   factor: complex, sfun, x0: float) -> HermitianOnShell:
+    """factor S' S^dagger at (s, energy), Hermitized with defect; S' is
+    the central difference of sfun at x0 with step 1e-3."""
     base = on_shell_S(model, s, energy).matrix
-
-    def sfun(sv: float) -> np.ndarray:
-        return on_shell_S(model, sv, energy).matrix
-
-    ds = central_derivative(sfun, s, 1e-3)
-    raw = 1j * ds @ np.conj(base.T)
-    herm, defect = hermitize(raw)
+    ds = central_derivative(sfun, x0, 1e-3)
+    herm, defect = hermitize(factor * ds @ np.conj(base.T))
     return HermitianOnShell(herm, s, float(energy), defect)
 
 
@@ -637,8 +626,8 @@ def frozen_energy_shift_onshell(model: ScatterModel, s: float,
 # Residual diagnostics
 # ---------------------------------------------------------------------------
 
-def intertwine_residual(model: ScatterModel, s: float, state: StateVector,
-                        T: float | None = None) -> float:
+def intertwine_residual(model: ScatterModel, s: float,
+                        state: StateVector) -> float:
     """Frozen intertwining defect max over both wave operators.
 
     Measures |H_s Omega psi - Omega H_0 psi| / |psi| for the frozen
@@ -646,7 +635,7 @@ def intertwine_residual(model: ScatterModel, s: float, state: StateVector,
     floor.
     """
     fmodel = frozen(model, s)
-    T = _window(fmodel, state, T)
+    T = clearance_T(fmodel, state)
     h0state = apply_h0(state)
     worst = 0.0
     for sign in (-1, +1):
@@ -658,8 +647,8 @@ def intertwine_residual(model: ScatterModel, s: float, state: StateVector,
     return worst
 
 
-def omega_dot_residual(model: ScatterModel, s: float, state: StateVector,
-                       T: float | None = None) -> float:
+def omega_dot_residual(model: ScatterModel, s: float,
+                       state: StateVector) -> float:
     """Base-point equation of motion defect of the incoming dynamical
     wave operator.
 
@@ -668,7 +657,7 @@ def omega_dot_residual(model: ScatterModel, s: float, state: StateVector,
     central difference (step 1e-3) over the base point.  The equation is
     exact, so the residual sits at the differencing and grid floor.
     """
-    T = _window(model, state, T)
+    T = clearance_T(model, state)
 
     def family(sv: float) -> np.ndarray:
         return wave_operator(model, sv, -1, state, T=T).amplitudes

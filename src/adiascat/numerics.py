@@ -51,10 +51,6 @@ class Grid:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n
 
-    @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
     @cached_property
     def points(self) -> np.ndarray:
         return read_only(self.x_min + self.dx * np.arange(self.n))
@@ -74,9 +70,9 @@ class Grid:
     def p_max(self) -> float:
         return np.pi / self.dx
 
-    def quadrature(self, values: np.ndarray, axis: int = -1):
+    def quadrature(self, values: np.ndarray):
         """Periodic trapezoid rule: dx times the plain sum."""
-        return self.dx * np.sum(values, axis=axis)
+        return self.dx * np.sum(values, axis=-1)
 
     def to_momentum(self, psi: np.ndarray) -> np.ndarray:
         """Unitary transform to momentum amplitudes (FFT order).
@@ -99,15 +95,15 @@ class Grid:
             logger.debug("duration %.6g snapped to %.6g (%d steps)", tau, snapped, m)
         return m, snapped
 
-    def edge_mass(self, psi: np.ndarray, band: int = 8) -> float:
-        """Relative amplitude-squared weight in the outermost grid points."""
+    def edge_mass(self, psi: np.ndarray) -> float:
+        """Relative |psi|^2 weight in the 8 outermost points at each end."""
         dens = np.abs(psi) ** 2
         if dens.ndim > 1:
             dens = dens.sum(axis=0)
         total = dens.sum()
         if total == 0.0:
             return 0.0
-        return (dens[:band].sum() + dens[-band:].sum()) / total
+        return (dens[:8].sum() + dens[-8:].sum()) / total
 
 
 def central_derivative(f: Callable, x0: float, h: float):

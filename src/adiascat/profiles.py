@@ -71,16 +71,6 @@ class GaussianMix:
                  * np.exp(-1j * k[..., None] * c))
         return np.sum(terms, axis=-1)
 
-    def fourier_derivative(self, k):
-        """d/dk of fourier(k), in closed form."""
-        a, c, w = self._arrays
-        k = np.asarray(k, dtype=float)
-        base = (a * w / math.sqrt(2.0)
-                * np.exp(-0.25 * (k[..., None] * w) ** 2)
-                * np.exp(-1j * k[..., None] * c))
-        factor = -0.5 * k[..., None] * w ** 2 - 1j * c
-        return np.sum(base * factor, axis=-1)
-
     def support_radius(self, tol: float = 1e-14) -> float:
         """Radius beyond which the profile is below tol in absolute value."""
         nterms = len(self.amps)

@@ -218,6 +218,34 @@ def test_grid_n_override_is_checked_like_the_config(tmp_path):
         {"field": "config", "message": "grid n must be at least 16"}]
 
 
+def test_outgoing_state_grid_above_dense_limit_is_a_grid_error(tmp_path,
+                                                             capsys):
+    # the driver runs the grid it is given, and one dense eigh of n = 2048
+    # is over the limit: validate says so, and run stops before computing
+    path = str(CONFIGS / "outgoing-state.ini")
+    assert main(["validate", "--config", path, "--grid-n", "2048"]) == 1
+    [diagnostic] = json.loads(capsys.readouterr().out)
+    assert diagnostic["field"] == "grid"
+    assert "n <= 1024" in diagnostic["message"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out),
+                 "--grid-n", "2048"]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "validation-error"
+    assert summary["diagnostics"] == [diagnostic]
+    assert not (out / "results.csv").exists()
+
+
+def test_outgoing_state_runs_the_configured_grid(tmp_path):
+    path = write_config(tmp_path, GOOD_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out),
+                 "--grid-n", "768"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    [check] = summary["checks"]
+    assert check["details"]["grid_n"] == summary["config"]["grid"]["n"] == 768
+
+
 def test_cli_overrides_reach_the_summary(tmp_path):
     path = write_config(tmp_path, GOOD_CONFIG)
     out = tmp_path / "out"

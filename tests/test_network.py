@@ -15,7 +15,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import erf, wofz
 
-from adiascat import _kernels
+from adiascat import _kernels, network
 from adiascat.coherent import (CoherentLabel, StateVector, braket,
                                coherent_state, free_shift)
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
@@ -553,6 +553,25 @@ def test_rankone_resolvent_against_faddeeva_closed_form():
     assert isinstance(rankone_resolvent(form, 0.5), complex)
     with pytest.raises(ValueError):
         rankone_resolvent_exact(GaussianMix((0.9,), (0.3,), (1.2,)), 0.0)
+
+
+def test_rankone_resolvent_nodes_keep_off_the_pole(monkeypatch):
+    # the integrand divides by E - k at k = E + half x_i, half >= 4: an
+    # even node count keeps every x_i, and so every k, off E (no 0/0)
+    counts = []
+    original = network.gauss_legendre
+
+    def recording(nodes):
+        counts.append(nodes)
+        return original(nodes)
+
+    monkeypatch.setattr(network, "gauss_legendre", recording)
+    g = rankone_resolvent(MIX, np.array([-1.0, 0.0, 0.5, 2.0]))
+    assert np.all(np.isfinite(g))
+    [nodes] = counts
+    gap = float(np.min(np.abs(original(nodes)[0])))
+    assert nodes % 2 == 0 and gap > 1e-3
+    assert 4.0 * gap > 1e-9
 
 
 def test_rankone_resolvent_exact_matches_wofz():

@@ -15,7 +15,6 @@ from adiascat.numerics import (Grid, NumericalContractError, _dawson,
 def test_grid_basic_geometry():
     grid = Grid(-8.0, 8.0, 64)
     assert grid.dx == pytest.approx(0.25)
-    assert grid.width == pytest.approx(16.0)
     assert grid.points[0] == pytest.approx(-8.0)
     assert grid.points[-1] == pytest.approx(8.0 - 0.25)
     assert grid.p_max == pytest.approx(math.pi / 0.25)
