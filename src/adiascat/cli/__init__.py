@@ -26,13 +26,13 @@ import numpy as np
 
 from ..experiments import (CLOSED_FORM_EXPERIMENTS, EXPERIMENTS,
                           ExperimentResult, Row, Setup)
-from ..adiabatic import OUTGOING_N_MAX
+from ..adiabatic import OUTGOING_N_MAX, OUTGOING_SEAM_MAX
 from ..network import (RankOne, MatrixPotential, ScatterModel, clearance_T,
                       rankone_resolvent)
 from ..coherent import CoherentLabel, coherent_state
 from ..numerics import Grid, NumericalContractError
 from ..profiles import GaussianMix, Schedule
-from ..soluble import soluble_potential
+from ..soluble import dynamical_S_profile, soluble_potential
 
 logger = logging.getLogger(__name__)
 
@@ -183,10 +183,12 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
     """All problems a run would hit, without propagating anything."""
     diagnostics: list[dict] = []
     net = setup.model
+    soluble = True
     if experiment in CLOSED_FORM_EXPERIMENTS:
         try:
             soluble_potential(net)
         except ValueError as exc:
+            soluble = False
             diagnostics.append({"field": "model",
                                 "message": f"{experiment}: {exc}"})
     grid = setup.grid
@@ -194,6 +196,19 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
         diagnostics.append({"field": "grid", "message": (
             f"outgoing-state takes one dense eigh, so it needs grid n <= "
             f"{OUTGOING_N_MAX}, not {grid.n}")})
+    elif experiment == "outgoing-state" and soluble:
+        # the run's profile at its first omega and s, O(n * support)
+        profile = dynamical_S_profile(
+            dataclasses.replace(net, omega=setup.omegas[0]),
+            setup.s_values[0], grid)
+        jump = float(abs(profile[0] - profile[-1]))
+        if jump > OUTGOING_SEAM_MAX:
+            diagnostics.append({"field": "grid", "message": (
+                f"outgoing-state: the scattering profile jumps by "
+                f"{jump:.3g} across the periodic seam, above "
+                f"{OUTGOING_SEAM_MAX:.3g}; the transport residual is about "
+                "0.38 times the jump, so widen the grid window or raise "
+                "omega")})
     half_window = 0.5 * (grid.x_max - grid.x_min)
     eps_min = min(setup.epsilons)
     if 8.0 / eps_min > half_window:

@@ -158,16 +158,16 @@ def free_shift(state: StateVector, duration: float) -> StateVector:
     return shifted
 
 
-def _grid_moments(state: StateVector) -> tuple[float, float, float, float]:
+def _grid_moments(state: StateVector, phat: np.ndarray
+                  ) -> tuple[float, float, float, float]:
     """(mean x, variance of x, mean p, variance of p) of the densities
-    summed over channels; one transform to momenta."""
+    summed over channels; phat is state.momentum_amplitudes()."""
     grid = state.grid
     dens_x = np.sum(np.abs(state.amplitudes) ** 2, axis=0)
     wx = grid.quadrature(dens_x)
     x = grid.points
     mean_x = grid.quadrature(dens_x * x) / wx
     var_x = grid.quadrature(dens_x * (x - mean_x) ** 2) / wx
-    phat = state.momentum_amplitudes()
     dens_p = np.sum(np.abs(phat) ** 2, axis=0)
     dp = _TWO_PI / (grid.n * grid.dx)
     wp = dp * np.sum(dens_p)
@@ -193,9 +193,15 @@ def label_box(state: StateVector, eps: float
               ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Label-plane box that captures the state against width-eps packets,
     six spreads wide on each side."""
+    return _label_box(state, eps, state.momentum_amplitudes())
+
+
+def _label_box(state: StateVector, eps: float, phat: np.ndarray
+               ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """label_box from the state's momentum amplitudes phat."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    mean_x, var_x, mean_p, var_p = _grid_moments(state)
+    mean_x, var_x, mean_p, var_p = _grid_moments(state, phat)
     de, dt = math.sqrt(var_p), math.sqrt(var_x)
     pad_t = 6.0 * (dt + 1.0 / (math.sqrt(2.0) * eps))
     pad_e = 6.0 * (de + eps / math.sqrt(2.0))
@@ -215,10 +221,21 @@ def identity_resolution_residual(state: StateVector, eps: float,
     below 1e-17 of its peak, so the reconstruction vanishes to that
     precision, and the state's weight outside that band counts in full
     as error.
+
+    The label times mirror about the box centre t_c, so the arithmetic
+    is real.  With exp(-i t_c p) folded into the state, the times
+    t_c -+ tau carry the waves cos(tau p) -+ i sin(tau p), and the two
+    terms of such a pair in the reconstruction sum to
+    2 (C cos(tau p) + S sin(tau p)), where C and S are the amplitudes
+    against cos(tau p) and sin(tau p).  One real row of cosines and one
+    of sines per pair (and a row of ones for tau = 0 when nt is odd)
+    take both the analysis and the reconstruction as real matrix
+    products on the complex amplitudes viewed as float pairs.
     """
     if nt < 2 or ne < 2:
         raise ValueError("nt and ne must be at least 2")
-    t_span, e_span = label_box(state, eps)
+    phat = state.momentum_amplitudes()
+    t_span, e_span = _label_box(state, eps, phat)
     grid = state.grid
     p = grid.momenta
     dp = _TWO_PI / (grid.n * grid.dx)
@@ -232,24 +249,35 @@ def identity_resolution_residual(state: StateVector, eps: float,
     reach = math.sqrt(2.0 * math.log(1e17)) * eps
     band = (p >= e_span[0] - reach) & (p <= e_span[1] + reach)
     p_band = p[band]
-    # waves = exp(-i ts p), filled as cos and sin of the real phases
-    phase = np.outer(-ts, p_band)
-    waves = np.empty(phase.shape, dtype=np.complex128)
-    np.cos(phase, out=waves.real)
-    np.sin(phase, out=waves.imag)
+    # rows: cos(tau p) for the tau < 0 half, then sin(tau p), then ones
+    # for the middle time of an odd lattice; each pair row weighs 2 wt
+    half = nt // 2
+    t_c = 0.5 * (t_span[0] + t_span[1])
+    rows = np.empty((nt, p_band.size))
+    sin_rows = rows[half:2 * half]
+    np.multiply.outer(ts[:half] - t_c, p_band, out=sin_rows)
+    np.cos(sin_rows, out=rows[:half])
+    np.sin(sin_rows, out=sin_rows)
+    rows[2 * half:] = 1.0
+    pair = 2.0 * wt[:half]
+    weights = np.outer(np.concatenate((pair, pair, wt[half:nt - half])),
+                       we / _TWO_PI)
     g = (math.pi * eps ** 2) ** (-0.25) * np.exp(
-        -((p_band[None, :] - es[:, None]) ** 2) / (2.0 * eps ** 2))
+        -((p_band[:, None] - es[None, :]) ** 2) / (2.0 * eps ** 2))
+    centre = np.exp(-1j * t_c * p_band)
     total_err = 0.0
     total_ref = 0.0
-    phat_all = state.momentum_amplitudes()
     for ch in range(state.channels):
-        phat = phat_all[ch]
-        phat_band = phat[band]
-        # coherent amplitudes on the (e, t) label lattice, then their
-        # trapezoid-weighted superposition back onto the band
-        coeff = (g * (phat_band * dp)) @ waves.T
-        rec = (we / _TWO_PI) @ (g * ((coeff * wt) @ np.conj(waves)))
-        total_err += float((np.sum(np.abs(rec - phat_band) ** 2)
-                            + np.sum(np.abs(phat[~band]) ** 2)) * dp)
-        total_ref += float(np.sum(np.abs(phat) ** 2) * dp)
+        # the band amplitudes with exp(-i t_c p) folded in
+        psi = phat[ch, band] * centre
+        # coherent amplitudes on the (t, e) label lattice, then their
+        # weighted superposition back onto the band
+        b = g * (psi * dp)[:, None]
+        amps = (rows @ b.view(np.float64)).view(np.complex128)
+        amps *= weights
+        terms = (rows.T @ amps.view(np.float64)).view(np.complex128)
+        terms *= g
+        total_err += float((np.sum(np.abs(terms.sum(axis=1) - psi) ** 2)
+                            + np.sum(np.abs(phat[ch, ~band]) ** 2)) * dp)
+        total_ref += float(np.sum(np.abs(phat[ch]) ** 2) * dp)
     return math.sqrt(total_err / total_ref)

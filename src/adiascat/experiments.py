@@ -17,11 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from .adiabatic import (ErrorReport, adiabatic_tau, combined_report,
-                        energy_shift_operator, onshell_vs_frozen,
-                        outgoing_state_check, remainder_exact, rho_fermi,
-                        rho_gaussian, rho_polynomial,
-                        thawed_energy_shift_report)
+from .adiabatic import (OUTGOING_TOL, ErrorReport, adiabatic_tau,
+                        combined_report, energy_shift_operator,
+                        onshell_vs_frozen, outgoing_state_check,
+                        remainder_exact, rho_fermi, rho_gaussian,
+                        rho_polynomial, thawed_energy_shift_report)
 from .coherent import (CoherentLabel, StateVector, braket, coherent_state,
                        free_shift, identity_resolution_residual, overlap,
                        plane_wave_amplitude)
@@ -470,10 +470,14 @@ def run_outgoing_state(setup: Setup) -> ExperimentResult:
         rows.add(f"outgoing-state/{name}", complex(res), 0.0j, omega=w0, s=s,
                  j=0, jp=0)
     checks = [Check("criterion-07c", "outgoing-state-transport",
-                    residuals["fermi"] < 1e-5,
-                    details={"residuals": residuals, "tol": 1e-5,
+                    residuals["fermi"] < OUTGOING_TOL,
+                    details={"residuals": residuals, "tol": OUTGOING_TOL,
                              "grid_n": grid.n})]
-    return ExperimentResult(rows, checks)
+    info = {"poly": (
+        "not gated: rho(p) = p jumps by 2 pi/dx where the momentum band "
+        "wraps, and the residual measures that band-seam jump (about "
+        "0.74 pi/dx), so it diverges as dx shrinks")}
+    return ExperimentResult(rows, checks, info=info)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,25 @@ def test_outgoing_state_grid_above_dense_limit_is_a_grid_error(tmp_path,
     assert not (out / "results.csv").exists()
 
 
+def test_outgoing_state_seam_jump_is_a_grid_error(tmp_path, capsys):
+    # at omega = 0.05 the closed-form S_d jumps by 0.16 across the periodic
+    # seam of the shipped grid, and criterion-07c fails at 0.061 against
+    # 1e-5: validate says so, and run stops before computing
+    path = str(CONFIGS / "outgoing-state.ini")
+    assert main(["validate", "--config", path, "--omega", "0.05"]) == 1
+    [diagnostic] = json.loads(capsys.readouterr().out)
+    assert diagnostic["field"] == "grid"
+    assert re.search(r"jumps by 0\.159 across the periodic seam",
+                     diagnostic["message"])
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out),
+                 "--omega", "0.05"]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "validation-error"
+    assert summary["diagnostics"] == [diagnostic]
+    assert not (out / "results.csv").exists()
+
+
 def test_outgoing_state_runs_the_configured_grid(tmp_path):
     path = write_config(tmp_path, GOOD_CONFIG)
     out = tmp_path / "out"
@@ -244,6 +263,8 @@ def test_outgoing_state_runs_the_configured_grid(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     [check] = summary["checks"]
     assert check["details"]["grid_n"] == summary["config"]["grid"]["n"] == 768
+    # the ungated poly row says what it measures
+    assert "band-seam jump" in summary["info"]["poly"]
 
 
 def test_cli_overrides_reach_the_summary(tmp_path):

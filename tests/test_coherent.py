@@ -139,11 +139,13 @@ def test_identity_resolution_matches_per_energy_reference():
     two = StateVector(GRID, 0.8 * on_channel(CoherentLabel(0.4, 0.9, eps), 0)
                       + 0.6 * on_channel(CoherentLabel(-1.5, 1.6, eps), 1))
     assert abs(two.norm() - 1.0) < 1e-10
-    # the default lattice resolves to round-off; the coarse one leaves a
-    # percent-level defect, so agreement there pins the arithmetic
+    # the default lattice resolves to round-off; the coarse ones leave a
+    # percent-level defect, and the smallest a defect of order one, so
+    # agreement there pins the arithmetic, the odd lattices' middle time
+    # and the weights of the mirrored time pairs
     for state in (one, two):
         box_t, box_e = label_box(state, eps)
-        for nt, ne in ((64, 64), (16, 12), (17, 12)):
+        for nt, ne in ((64, 64), (16, 12), (17, 12), (5, 7), (6, 7)):
             got = identity_resolution_residual(state, eps, nt=nt, ne=ne)
             ref = residual_per_energy(state, eps, box_t, box_e, nt, ne)
             assert abs(got - ref) <= 1e-14
@@ -179,7 +181,7 @@ def test_band_limit_at_extreme_labels(eps, e):
     # the momentum edge (eps = 1.2, |e| = 2.5) of the coherent-props labels
     state = coherent_state(CoherentLabel(4.0 * np.sign(e), e, eps), PROPS_GRID)
     box_t, box_e = label_box(state, eps)
-    for nt, ne in ((64, 64), (16, 12), (17, 12)):
+    for nt, ne in ((64, 64), (16, 12), (17, 12), (5, 7), (6, 7)):
         got = identity_resolution_residual(state, eps, nt=nt, ne=ne)
         ref = residual_per_energy(state, eps, box_t, box_e, nt, ne)
         assert abs(got - ref) <= 1e-14
