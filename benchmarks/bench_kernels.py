@@ -1,12 +1,14 @@
 """Time the transport kernels, the matrix on-shell S, rank-one transport,
-the rank-one Faddeeva form and two diagnostics on run-sized workloads.
+the rank-one Faddeeva form and three diagnostics on run-sized workloads.
 
     python3 benchmarks/bench_kernels.py [--repeats 3] [--sizes 1024,4096]
 
 ``--sizes`` sets the kernel grids; the rank-one leg runs at the size of
 criterion-09 (n = 512), the label build at that of combined.ini (n =
 4096) and the diagnostics at the sizes of the shipped coherent-props
-(n = 2048) and outgoing-state (n = 512) configs.
+(n = 2048) and outgoing-state (n = 512) configs; adiabatic_tau runs on
+combined.ini's response grid (n = 6144) and on a two-channel grid (n =
+1024).
 Throwaway complex GEMMs run before any timing (see ``_warm_blas``):
 best-of-N cannot filter a slow BLAS state that lasts across all of its
 repeats.
@@ -21,6 +23,7 @@ from adiascat import _kernels as K
 from adiascat import adiabatic
 from adiascat.coherent import (CoherentLabel, coherent_state, free_shift,
                                identity_resolution_residual)
+from adiascat.experiments import _tau_grid
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
                               on_shell_S, propagate, rankone_resolvent_exact)
 from adiascat.numerics import Grid
@@ -158,6 +161,26 @@ def _outgoing_case(cold):
     return (SOLUBLE, Grid(-40.0, 40.0, 512), densities, cold)
 
 
+def _tau(model, s, e, eps, j, jp, grid):
+    return adiabatic.adiabatic_tau(model, s, e, eps, j, jp, grid=grid)
+
+
+def _tau_case(kind):
+    """combined.ini's response coefficient (its soluble model on the
+    widened grid run_combined gives it), or the (0, 1) element of a
+    two-channel coupling with non-commuting terms."""
+    if kind == "soluble":
+        return (SOLUBLE, 0.70710678, 1.0, 0.5, 0, 0,
+                _tau_grid(Grid(-160.0, 160.0, 4096)))
+    sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    model = ScatterModel(2, MatrixPotential(
+        (0.8 * sz, 0.6 * sx),
+        (GaussianMix.single(1.0, -0.7, 1.0),
+         GaussianMix.single(1.0, 0.9, 0.8)),
+        BUMP), 0.1)
+    return (model, 0.5, 1.0, 1.0, 0, 1, Grid(-48.0, 48.0, 1024))
+
+
 def _cases(sizes, product_steps):
     """(name, callable, arguments) for every timed case."""
     cases = []
@@ -183,6 +206,9 @@ def _cases(sizes, product_steps):
                       identity_resolution_residual, _residual_case(eps)))
     cases.append(("coherent_state n=4096",
                   coherent_state, _label_case(4096)))
+    cases.append(("adiabatic_tau soluble n=6144", _tau, _tau_case("soluble")))
+    cases.append(("adiabatic_tau two-channel n=1024 (0,1)",
+                  _tau, _tau_case("two-channel")))
     cases.append(("outgoing_state_check n=512 x3 rho",
                   _outgoing_run, _outgoing_case(True)))
     cases.append(("outgoing_state_check n=512 x3 rho, cached eigh",

@@ -25,8 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .coherent import CoherentLabel, StateVector, braket, coherent_state
-from .numerics import Grid, central_derivative, read_only
+from .coherent import (CoherentLabel, StateVector, braket, coherent_state,
+                       free_shift)
+from .numerics import (Grid, NumericalContractError, central_derivative,
+                       read_only)
 from .network import (ScatterModel, MatrixPotential, apply_h0,
                       clearance_T, coupling_map, dynamical_S,
                       dynamical_S_adjoint, frozen, frozen_S_apply,
@@ -95,6 +97,12 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
     trapezoid rule on 49 label times over |t'| <= 8 / eps.  On matched
     labels the dynamical-minus-frozen remainder is -i omega tau to
     leading order in omega.
+
+    A rank-one coupling sends every label through both wave operators.
+    A matrix coupling's wave operators are characteristic factor fields
+    F_+-(x), the same for every label its window clears, so there
+    tau = - dx sum_x rho(x) (F_+ e_j)^* (dH/ds) (F_- e_jp) with the
+    label density rho = sum_k w_k t_k |psi_k|^2 (see _matrix_tau).
     """
     fmodel = frozen(model, s)
     sigma_x = 1.0 / (math.sqrt(2.0) * eps)
@@ -103,11 +111,14 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
     nodes = np.linspace(-8.0 / eps, 8.0 / eps, 49)
     weights = np.full(49, nodes[1] - nodes[0])
     weights[[0, -1]] *= 0.5
+    keep = np.abs(nodes) <= reach
+    nodes, weights = nodes[keep], weights[keep]
     dh_ds = coupling_map(model, grid, float(model.schedule.derivative(s)))
+    if isinstance(model.coupling, MatrixPotential):
+        return _matrix_tau(fmodel, s, e, eps, j, jp, grid, nodes, weights,
+                           dh_ds)
     total = 0.0 + 0.0j
     for tp, wgt in zip(nodes, weights):
-        if abs(tp) > reach:
-            continue
         bra, ket = _label_states(model, tp, e, eps, j, jp, grid)
         T = clearance_T(fmodel, ket)
         w_minus = wave_operator(fmodel, s, -1, ket, T=T)
@@ -115,6 +126,53 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
         drive = StateVector(grid, dh_ds(w_minus.amplitudes))
         total += wgt * tp * braket(w_plus, drive)
     return -total
+
+
+def _matrix_tau(fmodel: ScatterModel, s: float, e: float, eps: float,
+                j: int, jp: int, grid: Grid, nodes: np.ndarray,
+                weights: np.ndarray, dh_ds) -> complex:
+    """adiabatic_tau of a frozen matrix coupling from one label density
+    and two characteristic fields.
+
+    W_-|t',e,jp> = F_-(x) psi(x) e_jp, with F_- the characteristic
+    factor over [x - T, x]; once T clears the label, a wider window only
+    adds steps outside the interaction, so F_- over the widest window
+    serves every label (F_+ over [x, x + T] likewise).  Each label still
+    takes its own clearance_T and passes the checks wave_operator makes
+    before it propagates: the shifts by -T and +T keep off the seam and
+    clear the interaction.  propagate's norm-drift check becomes a bound
+    on the fields' column norms, | |F e| - 1 | <= NORM_TOL at every x,
+    which bounds the drift of every label by NORM_TOL.  Memory is O(n):
+    labels are summed into rho one at a time.
+    """
+    radius = fmodel.interaction_radius()
+    rho = np.zeros(grid.n)
+    t_max = 0.0
+    for tp, wgt in zip(nodes, weights):
+        psi = coherent_state(CoherentLabel(tp, e, eps), grid)
+        T = clearance_T(fmodel, psi)
+        for sign, side in ((-1, "left"), (+1, "right")):
+            _network._check_cleared(free_shift(psi, sign * T), radius, side,
+                                    "wave operator asymptote")
+        t_max = max(t_max, T)
+        rho += wgt * tp * np.abs(psi.amplitudes[0]) ** 2
+    t_c = s / fmodel.omega
+    fields = []
+    for sign, channel in ((-1, jp), (+1, j)):
+        m, tau = grid.snap(-sign * t_max)
+        basis = np.zeros((fmodel.n_channels, grid.n), dtype=np.complex128)
+        basis[channel] = 1.0
+        field = _network._matrix_transport(fmodel, grid, basis,
+                                           t_c + sign * t_max, tau, m)
+        drift = np.abs(np.sqrt(np.sum(np.abs(field) ** 2, axis=0)) - 1.0)
+        if drift.max() > _network.NORM_TOL:
+            raise NumericalContractError(
+                f"wave operator field norm drift {drift.max():.2e} "
+                f"exceeds {_network.NORM_TOL:.2e}")
+        fields.append(field)
+    w_minus, w_plus = fields
+    kernel = np.sum(np.conj(w_plus) * dh_ds(w_minus), axis=0)
+    return -complex(np.dot(rho, kernel)) * grid.dx
 
 
 def smeared_frozen_element(model: ScatterModel, s: float, e: float, eps: float,

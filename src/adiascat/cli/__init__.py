@@ -53,8 +53,17 @@ class ConfigError(Exception):
     """Configuration that cannot be run; message names the field."""
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _finite(value: float, field: str) -> float:
+    """The value, unless it is nan or infinite: a ConfigError naming the
+    field."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{field} must be finite, not {value!r}")
+    return value
+
+
+def _floats(text: str, field: str) -> tuple[float, ...]:
+    return tuple(_finite(float(tok), field)
+                 for tok in text.split(",") if tok.strip())
 
 
 def _parse_ini(path: str) -> configparser.ConfigParser:
@@ -78,13 +87,15 @@ def _model_section(cfg: configparser.ConfigParser) -> dict:
     kind = sec.get("kind", "soluble")
     if kind not in ("soluble", "matrix", "rankone"):
         raise ConfigError(f"unknown model kind '{kind}'")
-    spec = {"kind": kind, "omega": sec.getfloat("omega", 0.1),
+    spec = {"kind": kind,
+            "omega": _finite(sec.getfloat("omega", 0.1), "model.omega"),
             "schedule": sec.get("schedule", "tanh")}
     for key, default in zip("abcd", (1.0, 0.0, 1.0, 0.0)):
-        spec[f"schedule_{key}"] = sec.getfloat(f"schedule_{key}", default)
+        spec[f"schedule_{key}"] = _finite(
+            sec.getfloat(f"schedule_{key}", default), f"model.schedule_{key}")
     for key, default in (("amps", "1.0"), ("centers", "0.0"),
                          ("widths", "1.0")):
-        spec[key] = list(_floats(sec.get(key, default)))
+        spec[key] = list(_floats(sec.get(key, default), f"model.{key}"))
     if spec["omega"] <= 0:
         raise ConfigError("model omega must be positive")
     if not len(spec["amps"]) == len(spec["centers"]) == len(spec["widths"]):
@@ -92,13 +103,15 @@ def _model_section(cfg: configparser.ConfigParser) -> dict:
     if kind == "matrix":
         name = sec.get("channel_matrix", "sx")
         vals = [v for row in _MATRIX_NAMES[name] for v in row] \
-            if name in _MATRIX_NAMES else list(_floats(name))
+            if name in _MATRIX_NAMES \
+            else list(_floats(name, "model.channel_matrix"))
         if math.isqrt(len(vals)) ** 2 != len(vals):
             raise ConfigError("channel_matrix must name sx/sz/id or "
                               "give a square row-major float list")
         spec["channel_matrix"] = vals
     if kind == "rankone":
-        spec["vector"] = list(_floats(sec.get("vector", "1.0")))
+        spec["vector"] = list(_floats(sec.get("vector", "1.0"),
+                                      "model.vector"))
     return spec
 
 
@@ -132,8 +145,10 @@ def _build_setup(cfg: configparser.ConfigParser, args) -> tuple[Setup, dict]:
             f"unknown experiment '{experiment}'; choose from "
             + ", ".join(sorted(EXPERIMENTS)))
     model = _model_section(cfg)
-    grid = {"x_min": cfg.getfloat("grid", "x_min", fallback=-40.0),
-            "x_max": cfg.getfloat("grid", "x_max", fallback=40.0),
+    grid = {"x_min": _finite(cfg.getfloat("grid", "x_min", fallback=-40.0),
+                             "grid.x_min"),
+            "x_max": _finite(cfg.getfloat("grid", "x_max", fallback=40.0),
+                             "grid.x_max"),
             "n": cfg.getint("grid", "n", fallback=4096)}
     if args.grid_n is not None:
         grid["n"] = args.grid_n
@@ -141,12 +156,11 @@ def _build_setup(cfg: configparser.ConfigParser, args) -> tuple[Setup, dict]:
         raise ConfigError("grid x_max must exceed x_min")
     if grid["n"] < 16:
         raise ConfigError("grid n must be at least 16")
-    omegas = _floats(args.omega) if args.omega \
-        else _floats(sweep.get("omega", "0.2,0.1,0.05"))
-    epsilons = _floats(args.eps) if args.eps \
-        else _floats(sweep.get("eps", "0.5"))
-    s_values = _floats(sweep.get("s", "0.5"))
-    e_values = _floats(sweep.get("e", "1.0"))
+    omegas = _floats(args.omega or sweep.get("omega", "0.2,0.1,0.05"),
+                     "sweep.omega")
+    epsilons = _floats(args.eps or sweep.get("eps", "0.5"), "sweep.eps")
+    s_values = _floats(sweep.get("s", "0.5"), "sweep.s")
+    e_values = _floats(sweep.get("e", "1.0"), "sweep.e")
     for name, values in (("omega", omegas), ("eps", epsilons),
                          ("s", s_values), ("e", e_values)):
         if not values:

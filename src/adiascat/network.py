@@ -314,26 +314,40 @@ def _delayed_tail(coupling: RankOne, state: StateVector) -> float:
     and leaves a tail of weight exp(-G t).  So 1/2 ln(1/CLEARANCE_TOL)
     times the largest Wigner delay clears that tail with room to spare
     (a near-resonant two-Gaussian form cleared it after about 5 delays,
-    at the couplings 0.6 and 1).  The delay is maximised over 97
-    energies spanning the state's band (weight above CLEARANCE_TOL of
-    its peak) and over 17 couplings spanning the schedule's range, which
-    the window must serve at every base point.
+    at the couplings 0.6 and 1).  The delay is maximised over the
+    state's band (weight above CLEARANCE_TOL of its peak) by
+    _band_delay.
     """
     weight = np.sum(np.abs(np.fft.fft(state.amplitudes, axis=-1)) ** 2,
                     axis=0)
     band = state.grid.momenta[weight > CLEARANCE_TOL * weight.max()]
-    energies = np.linspace(band.min(), band.max(), 97)
-    sched = coupling.schedule
-    ends = (*sched.asymptotics(), float(sched.value(sched.b)))
+    delay = _band_delay(coupling.form, coupling.schedule, float(band.min()),
+                        float(band.max()))
+    return 0.5 * math.log(1.0 / CLEARANCE_TOL) * delay
+
+
+@lru_cache(maxsize=64)
+def _band_delay(form: GaussianMix, schedule: Schedule, lo: float,
+                hi: float) -> float:
+    """Largest Wigner delay of a rank-one coupling, at least 0, over 97
+    energies spanning [lo, hi] and over 17 couplings spanning the
+    schedule's range, which the window must serve at every base point.
+
+    Labels of one sweep share their band, so the cache keyed on the
+    form, the schedule and the band's ends takes one resolvent for all
+    of them.
+    """
+    energies = np.linspace(lo, hi, 97)
+    ends = (*schedule.asymptotics(), float(schedule.value(schedule.b)))
     lam = np.linspace(min(ends), max(ends), 17)[:, None, None]
     h = 1e-3  # the energy step of wigner_delay
-    g = rankone_resolvent(coupling.form, np.concatenate(
+    g = rankone_resolvent(form, np.concatenate(
         [energies - h, energies, energies + h])).reshape(3, -1)
     denom = 1.0 - lam * g
     amp = np.conj(denom) / denom
     delay = np.real(-1j * (amp[:, 2] - amp[:, 0]) / (2.0 * h)
                     * np.conj(amp[:, 1]))
-    return 0.5 * math.log(1.0 / CLEARANCE_TOL) * max(float(delay.max()), 0.0)
+    return max(float(delay.max()), 0.0)
 
 
 def clearance_T(model: ScatterModel, state: StateVector) -> float:

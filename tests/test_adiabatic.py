@@ -19,10 +19,13 @@ from adiascat.adiabatic import (ErrorReport, adiabatic_tau,
                                 remainder_exact, rho_fermi, rho_gaussian,
                                 rho_polynomial, smeared_frozen_element,
                                 thawed_energy_shift_report)
-from adiascat.coherent import CoherentLabel, coherent_state
-from adiascat.network import (MatrixPotential, RankOne, ScatterModel, frozen,
-                              on_shell_S, rankone_scalar_amplitude)
-from adiascat.numerics import Grid
+from adiascat import network
+from adiascat.coherent import (CoherentLabel, StateVector, braket,
+                               coherent_state)
+from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
+                              clearance_T, coupling_map, frozen, on_shell_S,
+                              rankone_scalar_amplitude, wave_operator)
+from adiascat.numerics import Grid, NumericalContractError
 from adiascat.profiles import GaussianMix, Schedule
 from adiascat.soluble import (dynamical_S_profile,
                               dynamical_energy_shift_profile,
@@ -55,6 +58,79 @@ def test_adiabatic_tau_matches_moment_formula():
     closed = tau_first_order(model, 0.4)
     assert abs(via_elements - closed) < 1e-10
     assert abs(closed) > 0.05
+
+
+def two_channel_model() -> ScatterModel:
+    """0.8 sz G(-0.7, 1) + 0.6 sx G(0.9, 0.8): non-commuting terms."""
+    sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    return ScatterModel(2, MatrixPotential(
+        (0.8 * sz, 0.6 * sx),
+        (GaussianMix.single(1.0, -0.7, 1.0),
+         GaussianMix.single(1.0, 0.9, 0.8)),
+        BUMP), 0.1)
+
+
+def tau_per_label(model, s, e, eps, j, jp, grid):
+    """tau by sending each of the 49 labels through both wave operators
+    of the frozen model, each with its own clearance window."""
+    fmodel = frozen(model, s)
+    drive = coupling_map(model, grid, float(model.schedule.derivative(s)))
+    times = np.linspace(-8.0 / eps, 8.0 / eps, 49)
+    values = []
+    for tp in times:
+        label = CoherentLabel(tp, e, eps)
+        ket = coherent_state(label, grid, jp, model.n_channels)
+        bra = coherent_state(label, grid, j, model.n_channels)
+        T = clearance_T(fmodel, ket)
+        w_minus = wave_operator(fmodel, s, -1, ket, T=T)
+        w_plus = wave_operator(fmodel, s, +1, bra, T=T)
+        values.append(braket(w_plus, StateVector(
+            grid, drive(w_minus.amplitudes))))
+    return -np.trapezoid(times * np.array(values), times)
+
+
+@pytest.mark.parametrize("j, jp", [(0, 0), (0, 1)])
+def test_matrix_tau_matches_per_label_wave_operators(j, jp):
+    model = two_channel_model()
+    grid = Grid(-48.0, 48.0, 1024)
+    got = adiabatic_tau(model, 0.5, 1.0, 1.0, j, jp, grid=grid)
+    want = tau_per_label(model, 0.5, 1.0, 1.0, j, jp, grid)
+    assert abs(want) > 0.1
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_matrix_tau_bounds_the_field_norm_drift(monkeypatch):
+    # a field whose columns drift by 2e-6 would let a label's norm drift
+    # past NORM_TOL, so the field itself is rejected
+    transport = network._matrix_transport
+    monkeypatch.setattr(network, "_matrix_transport",
+                        lambda *args: (1.0 + 2e-6) * transport(*args))
+    with pytest.raises(NumericalContractError, match="norm drift"):
+        adiabatic_tau(two_channel_model(), 0.5, 1.0, 1.0,
+                      grid=Grid(-48.0, 48.0, 1024))
+
+
+def test_rankone_tau_factorises_over_channels(monkeypatch):
+    # tau_jj' = u_j conj(u_j') tau of the one-channel model of the same
+    # asymmetric form; every label shares one band, whose delayed tail
+    # takes a single resolvent
+    form = GaussianMix((0.5, 0.3), (-0.6, 1.1), (1.0, 1.2))
+    grid = Grid(-80.0, 80.0, 1024)
+    resolvent = network.rankone_resolvent
+    calls = []
+    monkeypatch.setattr(network, "rankone_resolvent",
+                        lambda *args: calls.append(args) or resolvent(*args))
+    network._band_delay.cache_clear()
+    scalar = adiabatic_tau(ScatterModel(1, RankOne(form, BUMP, (1.0,)), 0.1),
+                           0.5, 1.0, 1.0, grid=grid)
+    assert len(calls) == 1
+    assert abs(scalar) > 0.1
+    model = ScatterModel(2, RankOne(form, BUMP, (0.8, 0.6)), 0.1)
+    u = model.coupling.vector
+    for j, jp in ((0, 0), (0, 1)):
+        got = adiabatic_tau(model, 0.5, 1.0, 1.0, j, jp, grid=grid)
+        want = u[j] * np.conj(u[jp]) * scalar
+        assert abs(got - want) <= 1e-13 * abs(scalar)
 
 
 def test_remainder_default_window_clears_rankone_delayed_tail():

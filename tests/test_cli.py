@@ -421,6 +421,48 @@ def test_empty_sweep_list_is_a_config_error(tmp_path, capsys, field,
     assert f"sweep.{field}" in diagnostic["message"]
 
 
+NON_FINITE = [("sweep", key) for key in ("omega", "eps", "s", "e")] \
+    + [("model", key) for key in ("omega", "amps", "centers", "widths",
+                                  "schedule_a", "schedule_b", "schedule_c",
+                                  "schedule_d")] \
+    + [("grid", "x_min"), ("grid", "x_max")]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("section, key", NON_FINITE,
+                         ids=[f"{s}.{k}" for s, k in NON_FINITE])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key,
+                                             value, command):
+    # an infinite omega would pass criterion-04 against an infinite bound,
+    # and a nan would fail only mid-run
+    cfg = configparser.ConfigParser()
+    cfg.read_string(GOOD_CONFIG)
+    cfg[section][key] = value
+    text = io.StringIO()
+    cfg.write(text)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, text.getvalue())
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    if command == "run":
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "config-error"
+        diagnostics = summary["diagnostics"]
+    else:
+        diagnostics = json.loads(captured.out)
+    [diagnostic] = diagnostics
+    assert f"{section}.{key} must be finite" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("flag", ["--omega", "--eps"])
+def test_non_finite_sweep_flag_is_a_config_error(tmp_path, capsys, flag):
+    path = write_config(tmp_path, GOOD_CONFIG)
+    assert main(["validate", "--config", path, flag, "0.1,inf"]) == 1
+    [diagnostic] = json.loads(capsys.readouterr().out)
+    assert f"sweep.{flag[2:]} must be finite" in diagnostic["message"]
+
+
 CLOSED_FORM = ("soluble-exact", "omega-scaling", "energy-shift",
                "outgoing-state", "combined")
 
