@@ -1,14 +1,15 @@
-"""Time the transport kernels, the matrix on-shell S, rank-one transport,
-the rank-one Faddeeva form and three diagnostics on run-sized workloads.
+"""Time the transport kernels, the matrix on-shell S, matrix and rank-one
+transport, the rank-one Faddeeva form and diagnostics on run-sized inputs.
 
     python3 benchmarks/bench_kernels.py [--repeats 3] [--sizes 1024,4096]
 
-``--sizes`` sets the kernel grids; the rank-one leg runs at the size of
-criterion-09 (n = 512), the label build at that of combined.ini (n =
-4096) and the diagnostics at the sizes of the shipped coherent-props
-(n = 2048) and outgoing-state (n = 512) configs; adiabatic_tau runs on
-combined.ini's response grid (n = 6144) and on a two-channel grid (n =
-1024).
+``--sizes`` sets the kernel grids; the sigma_x transport runs on the
+grid of the multichannel benchmark's matrix leg (n = 2048), the rank-one
+leg at the size of criterion-09 (n = 512), the label build at that of
+combined.ini (n = 4096) and the diagnostics at the sizes of the shipped
+coherent-props (n = 2048) and outgoing-state (n = 512) configs;
+adiabatic_tau runs on combined.ini's response grid (n = 6144) and on a
+two-channel grid (n = 1024).
 Throwaway complex GEMMs run before any timing (see ``_warm_blas``):
 best-of-N cannot filter a slow BLAS state that lasts across all of its
 repeats.
@@ -115,6 +116,21 @@ def _on_shell_case(kind):
         (sx,), (GaussianMix((1.0,), (0.0,), (1.0,)),), BUMP), 0.1), 0.5)
 
 
+def _sx_transport_case():
+    """The driven leg of the multichannel benchmark's matrix leg: one
+    sigma_x term on Grid(-64, 64, 2048), s = 0.4 and the window T = 24,
+    snapped onto the lattice as dynamical_S snaps it."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    model = ScatterModel(2, MatrixPotential(
+        (sx,), SOLUBLE.coupling.profiles, BUMP), 0.2)
+    grid = Grid(-64.0, 64.0, 2048)
+    ket = coherent_state(CoherentLabel(0.0, 1.0, 0.7), grid, channel=0,
+                         n_channels=2)
+    T = grid.snap(24.0)[1]
+    t_c = 0.4 / model.omega
+    return (model, free_shift(ket, -T), t_c - T, t_c + T)
+
+
 def _rankone_case():
     """Criterion-09's driven rank-one leg: two channels, about 48 time
     units."""
@@ -194,6 +210,8 @@ def _cases(sizes, product_steps):
                   K.unitary_product, _product_case(product_steps)))
     for kind in ("soluble", "sx"):
         cases.append((f"on_shell_S {kind}", on_shell_S, _on_shell_case(kind)))
+    cases.append(("sx propagate n=2048 48 units",
+                  propagate, _sx_transport_case()))
     cases.append(("rank-one propagate n=512 48 units",
                   propagate, _rankone_case()))
     # the multichannel benchmark's Faddeeva check: its form, 13 energies

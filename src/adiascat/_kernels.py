@@ -14,10 +14,13 @@ the coupling once on that lattice's window |y| <= rmax.  The matrix
 field must be linear in its scale: the channel unitaries diagonalise
 V(y) once per window point and reuse the eigenvectors at every step.
 
-The matrix on-shell S (network._matrix_transfer) is one call of either
-kernel for a single point crossing the interaction: the lattice is that
-point and its neighbour one step on, tau is the whole span, and the
-frozen schedule is constant.
+network._apply_characteristic picks the kernel: one phase call per
+eigen-channel where the terms commute trivially (one term, or one
+channel), the channel unitaries for several terms on several channels.
+The matrix on-shell S (network._matrix_transfer) is that choice for one
+point crossing the interaction: the lattice is that point and its
+neighbour one step on, tau is the whole span, and the frozen schedule is
+constant.
 
 No package code calls unitary_product.  It is the ordered product,
 through numerics.ordered_exponential, that the tests hold the channel

@@ -151,9 +151,38 @@ def frozen(model: ScatterModel, s: float) -> ScatterModel:
 # Propagation
 # ---------------------------------------------------------------------------
 
-def _one_channel_profile(coupling: MatrixPotential):
-    """A one-channel field as the real profile the phase kernel takes."""
-    return lambda y: coupling.value(y, 1.0)[:, 0, 0].real
+def _apply_characteristic(model: ScatterModel, x: np.ndarray, tau: float,
+                          t1: float, nsteps: int, schedule,
+                          out: np.ndarray) -> np.ndarray:
+    """Multiply amplitudes out (..., nc, n) on the lattice x in place by
+    a matrix coupling's characteristic factors, and return them.
+
+    Where the terms commute trivially (one term M = W diag(lam) W^dagger,
+    or one channel) the factor is W diag(exp(-i phi_a)) W^dagger, phi_a
+    the phase kernel on the profile lam_a v; one channel takes its summed
+    profile and no change of basis.  Else the channel unitaries.
+    """
+    coupling: MatrixPotential = model.coupling
+    rmax = coupling.support_radius(1e-16)
+    if model.n_channels > 1 and len(coupling.matrices) > 1:
+        return np.einsum("jab,...bj->...aj", _kernels.characteristic_unitary(
+            x, tau, t1, nsteps, coupling.value, schedule, model.omega,
+            rmax), out)
+    if model.n_channels == 1:
+        vec, profiles = None, [lambda y: coupling.value(y, 1.0)[:, 0, 0].real]
+    else:
+        lam, vec = np.linalg.eigh(coupling.matrices[0])
+        profiles = [lambda y, a=a: a * coupling.profiles[0](y) for a in lam]
+    phase = np.array([_kernels.characteristic_phase(
+        x, tau, t1, nsteps, p, schedule, model.omega, rmax) for p in profiles])
+    # points the coupling never reaches keep their amplitude: exp(0) = 1
+    live = np.flatnonzero(phase.any(axis=0))
+    if vec is None:
+        out[..., live] *= np.exp(-1j * phase[0, live])
+    else:
+        out[..., live] = vec @ (np.exp(-1j * phase[:, live])
+                                * (np.conj(vec.T) @ out[..., live]))
+    return out
 
 
 def _matrix_transport(model: ScatterModel, grid: Grid, amps: np.ndarray,
@@ -161,29 +190,15 @@ def _matrix_transport(model: ScatterModel, grid: Grid, amps: np.ndarray,
     """Amplitudes transported under a matrix coupling over tau = m dx.
 
     Rolls them by m lattice steps and applies the characteristic factors
-    of the coupling's field and schedule (a phase for one channel,
-    unitaries otherwise), built in |m| steps of dx.  A schedule that is
-    constantly zero only rolls.
+    of the coupling's field and schedule (_apply_characteristic), built
+    in |m| steps of dx.  A schedule that is constantly zero only rolls.
     """
-    coupling: MatrixPotential = model.coupling
+    schedule = model.coupling.schedule
     out = np.roll(amps, m, axis=-1)
-    if coupling.schedule.is_constant and coupling.schedule.a == 0.0:
+    if schedule.is_constant and schedule.a == 0.0:
         return out
-    schedule = coupling.schedule.value
-    rmax = coupling.support_radius(1e-16)
-    t1 = t0 + tau
-    if model.n_channels == 1:
-        phase = _kernels.characteristic_phase(
-            grid.points, tau, t1, abs(m),
-            _one_channel_profile(coupling), schedule, model.omega, rmax)
-        # points the coupling never reaches keep their amplitude: exp(0) = 1
-        live = np.flatnonzero(phase)
-        out[..., live] *= np.exp(-1j * phase[live])
-        return out
-    factors = _kernels.characteristic_unitary(
-        grid.points, tau, t1, abs(m), coupling.value, schedule,
-        model.omega, rmax)
-    return np.einsum("jab,bj->aj", factors, out)
+    return _apply_characteristic(model, grid.points, tau, t0 + tau, abs(m),
+                                 schedule.value, out)
 
 
 def _volterra_trapezoid(f: np.ndarray, K: np.ndarray, lam: np.ndarray,
@@ -506,9 +521,10 @@ def _matrix_transfer(model: ScatterModel, s: float) -> np.ndarray:
 
     The step count is 40 per unit of span and of the largest field norm
     on 9 probes of the span, and at least 64; the field is Hermitian, so
-    its norm is its largest |eigenvalue|.  The kernels then sample
-    the midpoints of the span; the lattice is the crossing point and its
-    neighbour one step on, since the kernels read dx off the grid.
+    its norm is its largest |eigenvalue|.  The kernels then sample the
+    midpoints of the span; the lattice is the crossing point and its
+    neighbour one step on, since the kernels read dx off the grid.  Row
+    b of the amplitudes is e_b, which the factor maps to column b of S.
     """
     coupling: MatrixPotential = model.coupling
     schedule = coupling.schedule.frozen_at(s).value
@@ -520,14 +536,10 @@ def _matrix_transfer(model: ScatterModel, s: float) -> np.ndarray:
     max_norm = float(np.abs(np.linalg.eigvalsh(probes)).max())
     steps = max(64, int(math.ceil(40.0 * span * max_norm)))
     x = np.array([radius, radius + span / steps])
-    if model.n_channels == 1:
-        phase = _kernels.characteristic_phase(
-            x, span, radius, steps, _one_channel_profile(coupling),
-            schedule, model.omega, rmax)
-        return np.exp(-1j * phase[:1, None])
-    return _kernels.characteristic_unitary(
-        x, span, radius, steps, coupling.value, schedule, model.omega,
-        rmax)[0]
+    basis = np.repeat(np.eye(model.n_channels, dtype=np.complex128)[..., None],
+                      2, axis=-1)
+    return _apply_characteristic(model, x, span, radius, steps, schedule,
+                                 basis)[..., 0].T
 
 
 @lru_cache(maxsize=8)

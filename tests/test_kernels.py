@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from adiascat import _kernels
-from adiascat.network import MatrixPotential, on_shell_S
+from adiascat.network import MatrixPotential, on_shell_S, propagate
 from adiascat.numerics import ordered_exponential
 from adiascat.profiles import GaussianMix, Schedule
 
@@ -204,6 +204,9 @@ def test_bench_kernels_cases_call_the_kernels():
         onshell = on_shell_S(*bench._on_shell_case(kind))
         assert onshell.matrix.shape == (nc, nc)
         assert onshell.unitarity_defect() < 1e-12
+    moved = propagate(*bench._sx_transport_case())
+    assert moved.amplitudes.shape == (2, 2048)
+    assert abs(moved.norm() - 1.0) < 1e-12
     for _, fn, case in bench._cases([64], 16):
         fn(*case)
 

@@ -9,13 +9,14 @@ motion residuals cover the rest of the module.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import erf, wofz
 
-from adiascat import _kernels, network
+from adiascat import _kernels, cli, network
 from adiascat.coherent import (CoherentLabel, StateVector, braket,
                                coherent_state, free_shift)
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
@@ -33,6 +34,7 @@ from adiascat.soluble import dynamical_S_profile, frozen_S_value
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+JX3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / math.sqrt(2)
 
 MIX = GaussianMix((0.8,), (0.35,), (1.0,))
 BUMP = Schedule("bump", 1.0, 0.0, 1.0)
@@ -116,6 +118,101 @@ def test_one_channel_transport_multiplies_only_where_the_phase_lives():
     want = np.roll(amps, m, axis=-1) * np.exp(-1j * phase)
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(amps, before)
+
+
+def test_one_channel_terms_take_the_phase_of_their_summed_profile():
+    # several terms on one channel commute, so their transport is the
+    # phase kernel on the summed profile, bit for bit
+    grid = Grid(-40.0, 40.0, 1024)
+    second = GaussianMix((0.5,), (-0.4,), (0.8,))
+    schedule = Schedule("tanh", 0.7, 0.2, 1.1, 0.1)
+    model = ScatterModel(1, MatrixPotential(([[1.0]], [[0.5]]),
+                                            (MIX, second), schedule), 0.3)
+    m, tau = grid.snap(16.0)
+    phase = _kernels.characteristic_phase(
+        grid.points, tau, 0.7 + tau, m, lambda y: MIX(y) + 0.5 * second(y),
+        schedule.value, model.omega, model.coupling.support_radius(1e-16))
+    amps = np.random.default_rng(3).normal(size=(1, grid.n)) + 0j
+    got = _matrix_transport(model, grid, amps, 0.7, tau, m)
+    want = np.roll(amps, m, axis=-1) * np.exp(-1j * phase)
+    assert got.tobytes() == want.tobytes()
+
+
+def _call_log(monkeypatch, name):
+    """Record each call of _kernels.<name> with its result."""
+    kernel, calls = getattr(_kernels, name), []
+
+    def logged(*args):
+        calls.append(kernel(*args))
+        return calls[-1]
+    monkeypatch.setattr(_kernels, name, logged)
+    return calls
+
+
+@pytest.mark.parametrize("matrix", [SX, JX3, np.ones((2, 2))],
+                         ids=["sx", "jx3", "singular"])
+def test_one_term_route_matches_channel_unitaries(monkeypatch, matrix):
+    # a zero second term leaves the field, and with it the lattice, as
+    # it is, but sends the coupling through characteristic_unitary
+    nc = matrix.shape[0]
+    schedule = Schedule("tanh", 0.7, 0.2, 1.1, 0.1)
+    model = ScatterModel(nc, MatrixPotential((matrix,), (MIX,), schedule),
+                         0.3)
+    twin = ScatterModel(nc, MatrixPotential((matrix, 0.0 * matrix),
+                                            (MIX, MIX), schedule), 0.3)
+    grid = Grid(-40.0, 40.0, 1024)
+    m, tau = grid.snap(16.0)
+    rng = np.random.default_rng(4)
+    amps = rng.normal(size=(nc, grid.n)) + 1j * rng.normal(size=(nc, grid.n))
+    unitaries = _call_log(monkeypatch, "characteristic_unitary")
+    phases = _call_log(monkeypatch, "characteristic_phase")
+    got = _matrix_transport(model, grid, amps, 0.7, tau, m)
+    s_got = on_shell_S(model, 0.5).matrix
+    assert not unitaries and len(phases) == 2 * nc
+    want = _matrix_transport(twin, grid, amps, 0.7, tau, m)
+    s_want = on_shell_S(twin, 0.5).matrix
+    assert len(unitaries) == 2
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(s_got - s_want)) < 1e-12
+    lam, vec = np.linalg.eigh(matrix)
+    if lam[0] == 0.0:
+        # the null channel collects no phase: it is rolled and nothing else
+        assert not np.any(phases[0]) and not np.any(phases[nc])
+        null = vec[:, :1] @ amps[:1]
+        moved = _matrix_transport(model, grid, null, 0.7, tau, m)
+        assert np.max(np.abs(moved - np.roll(null, m, axis=-1))) \
+            < 4 * np.finfo(float).eps * np.max(np.abs(null))
+
+
+def test_on_shell_sx_matches_closed_form():
+    # epsilon-scaling-matrix.ini's model: one sigma_x term, so S is
+    # exp(-i f(s) W sigma_x) with W the weight of the profile
+    mix = GaussianMix((1.0,), (0.0,), (1.0,))
+    schedule = Schedule("bump", 1.0, 0.0, 1.0)
+    model = ScatterModel(2, MatrixPotential((SX,), (mix,), schedule), 0.1)
+    phase = float(schedule.value(0.5)) * mix.weight
+    want = math.cos(phase) * np.eye(2) - 1j * math.sin(phase) * SX
+    assert np.max(np.abs(on_shell_S(model, 0.5).matrix - want)) < 1e-14
+
+
+def test_commuting_couplings_never_reach_the_unitaries(monkeypatch,
+                                                       tmp_path):
+    # the shipped matrix config and the criterion-09 sigma_x model run
+    # without characteristic_unitary; non-commuting terms still reach it
+    def refuse(*args):
+        raise AssertionError("characteristic_unitary called")
+    monkeypatch.setattr(_kernels, "characteristic_unitary", refuse)
+    config = Path(__file__).resolve().parents[1] / "configs" \
+        / "epsilon-scaling-matrix.ini"
+    assert cli.main(["run", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+    grid = Grid(-64.0, 64.0, 2048)
+    model = ScatterModel(2, MatrixPotential((SX,), (MIX,), BUMP), 0.2)
+    ket = coherent_state(CoherentLabel(0.0, 1.0, 0.7), grid, channel=0,
+                         n_channels=2)
+    assert abs(dynamical_S(model, 0.4, ket).norm() - 1.0) < 1e-8
+    with pytest.raises(AssertionError, match="characteristic_unitary"):
+        on_shell_S(_noncommuting_model(), 0.7071)
 
 
 def test_propagate_two_channel_commuting_closed_form():
@@ -433,7 +530,6 @@ def _ordered_on_shell(model, s):
         lambda u: -1j * coupling.value(np.array([u]), f)[0], -radius, radius)
 
 
-JX3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / math.sqrt(2)
 JZ3 = np.diag([1.0, 0.0, -1.0])
 TWO_BUMPS = (GaussianMix.single(1.0, -0.4, 0.9), GaussianMix.single(1.0, 0.5, 1.1))
 
@@ -456,6 +552,13 @@ def test_on_shell_matches_ordered_exponential(matrices, profiles, s):
     assert np.max(np.abs(got - _ordered_on_shell(model, s))) < 1e-12
 
 
+def _noncommuting_model():
+    profiles = (GaussianMix.single(1.0, -0.7, 1.0),
+                GaussianMix.single(1.0, 0.9, 0.8))
+    return ScatterModel(2, MatrixPotential((0.8 * SZ, 0.6 * SX), profiles,
+                                           BUMP), 0.1)
+
+
 def test_noncommuting_on_shell_error_is_second_order():
     # test_on_shell_matches_ordered_exponential compares two routes on the
     # same midpoints, so it cannot see the step error, which for
@@ -463,10 +566,8 @@ def test_noncommuting_on_shell_error_is_second_order():
     # 2^17-step midpoint product (it moves by 1.3e-10 at 2^18).  Measured when this test was written: on_shell_S is 7.6e-5
     # off, and the (1, 0) element of frozen_S_apply 3.0e-4, 7.4e-5 and
     # 1.8e-5 at n = 2048, 4096 and 8192.
-    profiles = (GaussianMix.single(1.0, -0.7, 1.0),
-                GaussianMix.single(1.0, 0.9, 0.8))
-    coupling = MatrixPotential((0.8 * SZ, 0.6 * SX), profiles, BUMP)
-    model = ScatterModel(2, coupling, 0.1)
+    model = _noncommuting_model()
+    coupling = model.coupling
     s = 0.7071
     radius = coupling.support_radius(1e-16) + 1.0
     steps = 2 ** 17
