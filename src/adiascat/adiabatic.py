@@ -42,14 +42,6 @@ logger = logging.getLogger(__name__)
 
 # largest grid of outgoing_state_check, which takes one dense eigh of it
 OUTGOING_N_MAX = 1024
-# criterion-07c's gate on the outgoing-state residual of the fermi density
-OUTGOING_TOL = 1e-5
-# largest jump |S_d(x_0) - S_d(x_{n-1})| of the closed-form scattering
-# profile across the periodic seam that validate passes for
-# outgoing-state: the fermi residual measures 0.365-0.384 times the jump
-# (omega 0.05-0.1, s 0.2-0.8, n = 512 and 1024), so a jump below
-# OUTGOING_TOL / 0.4 keeps it under the gate
-OUTGOING_SEAM_MAX = OUTGOING_TOL / 0.4
 
 
 @dataclass

@@ -24,12 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..experiments import (CLOSED_FORM_EXPERIMENTS, EXPERIMENTS,
-                          ExperimentResult, Row, Setup)
-from ..adiabatic import OUTGOING_N_MAX, OUTGOING_SEAM_MAX
+from ..experiments import (DECLARATIONS, EXPERIMENTS, GATES, ExperimentResult,
+                          Row, Setup)
+from ..adiabatic import OUTGOING_N_MAX
 from ..network import (RankOne, MatrixPotential, ScatterModel, clearance_T,
                       rankone_resolvent)
-from ..coherent import CoherentLabel, coherent_state
+from ..coherent import coherent_state
 from ..numerics import Grid, NumericalContractError
 from ..profiles import GaussianMix, Schedule
 from ..soluble import dynamical_S_profile, soluble_potential
@@ -47,6 +47,15 @@ _MATRIX_NAMES = {
     "sz": ((1.0, 0.0), (0.0, -1.0)),
     "id": ((1.0, 0.0), (0.0, 1.0)),
 }
+
+
+# largest jump |S_d(x_0) - S_d(x_{n-1})| of the closed-form scattering
+# profile across the periodic seam that validate passes for a dense_eigh
+# experiment: the fermi residual measures 0.365-0.384 times the jump
+# (omega 0.05-0.1, s 0.2-0.8, n = 512 and 1024), so a jump below
+# criterion-07c's tolerance / 0.4 keeps it under the gate
+OUTGOING_SEAM_MAX = (
+    GATES["criterion-07c", "outgoing-state-transport"]["tol"] / 0.4)
 
 
 class ConfigError(Exception):
@@ -172,6 +181,8 @@ def _build_setup(cfg: configparser.ConfigParser, args) -> tuple[Setup, dict]:
     j, jp = int(sweep.get("j", "0")), int(sweep.get("jp", "0"))
     seed = args.seed if args.seed is not None \
         else int(sweep.get("seed", "0"))
+    if seed < 0:
+        raise ConfigError(f"sweep.seed must be non-negative, not {seed}")
     out_dir = args.out or cfg.get("output", "dir", fallback="out")
     timing = bool(args.timing) \
         or cfg.getboolean("output", "timing", fallback=False)
@@ -194,59 +205,49 @@ def _build_setup(cfg: configparser.ConfigParser, args) -> tuple[Setup, dict]:
 # ---------------------------------------------------------------------------
 
 def validate_setup(experiment: str, setup: Setup) -> list[dict]:
-    """All problems a run would hit, without propagating anything."""
+    """All problems a run would hit, without propagating anything: the
+    channel indices and the rank-one resonance gap of every run, and what
+    the experiment's declaration (experiments.DECLARATIONS) says its
+    driver asks of the setup."""
+    declared = DECLARATIONS[experiment]
     diagnostics: list[dict] = []
-    net = setup.model
+
+    def report(field: str, message: str) -> None:
+        diagnostics.append({"field": field, "message": message})
+
+    net, grid = setup.model, setup.grid
     soluble = True
-    if experiment in CLOSED_FORM_EXPERIMENTS:
+    if declared.closed_forms:
         try:
             soluble_potential(net)
         except ValueError as exc:
             soluble = False
-            diagnostics.append({"field": "model",
-                                "message": f"{experiment}: {exc}"})
-    grid = setup.grid
-    if experiment == "outgoing-state" and grid.n > OUTGOING_N_MAX:
-        diagnostics.append({"field": "grid", "message": (
-            f"outgoing-state takes one dense eigh, so it needs grid n <= "
-            f"{OUTGOING_N_MAX}, not {grid.n}")})
-    elif experiment == "outgoing-state" and soluble:
+            report("model", f"{experiment}: {exc}")
+    if declared.dense_eigh and grid.n > OUTGOING_N_MAX:
+        report("grid", f"{experiment} takes one dense eigh, so it needs grid "
+                       f"n <= {OUTGOING_N_MAX}, not {grid.n}")
+    elif declared.dense_eigh and soluble:
         # the run's profile at its first omega and s, O(n * support)
-        profile = dynamical_S_profile(
-            dataclasses.replace(net, omega=setup.omegas[0]),
-            setup.s_values[0], grid)
+        first, _, s, _ = setup.first
+        profile = dynamical_S_profile(first, s, grid)
         jump = float(abs(profile[0] - profile[-1]))
         if jump > OUTGOING_SEAM_MAX:
-            diagnostics.append({"field": "grid", "message": (
-                f"outgoing-state: the scattering profile jumps by "
-                f"{jump:.3g} across the periodic seam, above "
-                f"{OUTGOING_SEAM_MAX:.3g}; the transport residual is about "
-                "0.38 times the jump, so widen the grid window or raise "
-                "omega")})
+            report("grid", f"{experiment}: the scattering profile jumps by "
+                           f"{jump:.3g} across the periodic seam, above "
+                           f"{OUTGOING_SEAM_MAX:.3g}; the transport residual "
+                           "is about 0.38 times the jump, so widen the grid "
+                           "window or raise omega")
     half_window = 0.5 * (grid.x_max - grid.x_min)
-    eps_min = min(setup.epsilons)
-    if 8.0 / eps_min > half_window:
-        diagnostics.append({
-            "field": "sweep.eps",
-            "message": (f"response window 8/eps = {8.0 / eps_min:.3g} "
-                        f"exceeds the half window {half_window:.3g}; "
-                        "enlarge the grid or raise eps")})
+    reach = 8.0 / setup.epsilons[0]
+    if declared.tau_window and reach > half_window:
+        report("sweep.eps", f"response window 8/eps = {reach:.3g} exceeds "
+                            f"the half window {half_window:.3g}; enlarge the "
+                            "grid or raise eps")
     for name, index in (("j", setup.j), ("jp", setup.jp)):
         if not 0 <= index < net.n_channels:
-            diagnostics.append({
-                "field": f"sweep.{name}",
-                "message": (f"channel index {name} = {index} is outside "
-                            f"[0, {net.n_channels}) for this model")})
-    for e in setup.e_values:
-        for eps in setup.epsilons:
-            try:
-                coherent_state(CoherentLabel(max(setup.s_values, key=abs)
-                                             / max(setup.omegas), e, eps),
-                               grid, n_channels=net.n_channels)
-            except ValueError as exc:
-                diagnostics.append({"field": "sweep",
-                                    "message": str(exc)})
-    resonant = False
+            report(f"sweep.{name}", f"channel index {name} = {index} is "
+                                    f"outside [0, {net.n_channels}) for this "
+                                    "model")
     if isinstance(net.coupling, RankOne):
         # every listed s and e: the worst gap over the whole sweep
         lam = net.coupling.schedule.value(np.asarray(setup.s_values))
@@ -255,36 +256,17 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
                     + np.linspace(-span, span, 97)).ravel()
         g = rankone_resolvent(net.coupling.form, energies)
         gap = np.min(np.abs(1.0 - np.multiply.outer(lam, g)))
-        resonant = gap < 5e-2
-        if resonant:
-            diagnostics.append({
-                "field": "model",
-                "message": (f"resonance: |1 - lambda g(E)| reaches "
-                            f"{gap:.3g} inside the smearing window")})
-    # the drivers that propagate probe the matched label t = s / omega: at
-    # every omega of omega-scaling, at the first of combined and
-    # energy-shift; soluble-exact probes t = 0 and t = -2 at every e and
-    # the first eps (its window does not depend on omega).  No other
-    # propagates.
-    labels = []
-    if experiment == "omega-scaling":
-        labels = [CoherentLabel(setup.s_values[0] / w, setup.e_values[0],
-                                setup.epsilons[0]) for w in setup.omegas]
-    elif experiment in ("combined", "energy-shift"):
-        labels = [CoherentLabel(setup.s_values[0] / setup.omegas[0],
-                                setup.e_values[0], setup.epsilons[0])]
-    elif experiment == "soluble-exact":
-        labels = [CoherentLabel(t, e, setup.epsilons[0])
-                  for t in (0.0, -2.0) for e in setup.e_values]
-    if resonant:
-        # the delay, and with it the window, has no bound: report only that
-        labels = []
-    for label in labels:
+        if gap < 5e-2:
+            # the delay, and with it the window, has no bound: report only this
+            report("model", f"resonance: |1 - lambda g(E)| reaches {gap:.3g} "
+                            "inside the smearing window")
+            return diagnostics
+    for label in declared.labels(setup):
         try:
             clearance_T(net, coherent_state(label, grid,
                                             n_channels=net.n_channels))
         except ValueError as exc:
-            diagnostics.append({"field": "grid", "message": str(exc)})
+            report("grid", str(exc))
             break
     return diagnostics
 

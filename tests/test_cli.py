@@ -121,12 +121,42 @@ def test_shipped_config_validates_clean(path, capsys):
 
 
 def test_validate_reports_cramped_response_window(tmp_path, capsys):
-    path = write_config(tmp_path, GOOD_CONFIG.replace("eps = 0.5",
-                                                      "eps = 0.05"))
+    # omega-scaling walks adiabatic_tau's labels over +-8/eps, 160 at
+    # eps = 0.05: beyond the half window 96 of its grid
+    text = (CONFIGS / "omega-scaling.ini").read_text(encoding="ascii")
+    assert "\neps = 0.5\n" in text
+    path = write_config(tmp_path, text.replace("\neps = 0.5\n",
+                                               "\neps = 0.05\n"))
     rc = main(["validate", "--config", path])
     assert rc == 1
     diagnostics = json.loads(capsys.readouterr().out)
     assert any(d["field"] == "sweep.eps" for d in diagnostics)
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    ("coherent-props", "--eps", "0.05"),
+    ("outgoing-state", "--eps", "0.05"),
+    ("epsilon-scaling-matrix", "--omega", "0.001"),
+    ("omega-scaling", "--eps", "0.5,0.01"),
+])
+def test_validate_checks_only_what_the_driver_uses(tmp_path, capsys, name,
+                                                   flag, value):
+    # each driver ignores what the flag changes (omega-scaling reads only
+    # the first eps, for its labels and adiabatic_tau's window), so
+    # validate has nothing to report and the run is the default run, byte
+    # for byte
+    path = str(CONFIGS / f"{name}.ini")
+    assert main(["validate", "--config", path, flag, value]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+    default, changed = tmp_path / "default", tmp_path / "changed"
+    assert main(["run", "--config", path, "--out", str(default)]) == 0
+    assert main(["run", "--config", path, "--out", str(changed),
+                 flag, value]) == 0
+    summary = json.loads((changed / "summary.json").read_text())
+    assert summary["status"] == "ok"
+    assert summary["checks"] and all(c["passed"] for c in summary["checks"])
+    assert (changed / "results.csv").read_bytes() \
+        == (default / "results.csv").read_bytes()
 
 
 MATRIX_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
@@ -377,6 +407,25 @@ def test_validate_checks_window_at_every_matched_label(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+def test_validate_checks_every_energy_shift_label(tmp_path, capsys):
+    # on [-60, 60] energy-shift's probes at eps = 0.5 clear, but the joint
+    # sweep's t = 2 label at eps = 0.1, 42 wide at 6 sigma, cannot
+    text = (CONFIGS / "energy-shift.ini").read_text(encoding="ascii")
+    grid = "x_min = -160.0\nx_max = 160.0\nn = 4096\n"
+    assert grid in text
+    path = write_config(tmp_path, text.replace(
+        grid, "x_min = -60.0\nx_max = 60.0\nn = 1536\n"))
+    assert main(["validate", "--config", path]) == 1
+    diagnostics = json.loads(capsys.readouterr().out)
+    assert [d["field"] for d in diagnostics] == ["grid"]
+    assert "cannot clear" in diagnostics[0]["message"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "validation-error"
+    assert not (out / "results.csv").exists()
+
+
 def test_validate_checks_every_soluble_exact_probe(tmp_path, capsys):
     # soluble-exact probes t = 0 and t = -2; on [-30, 30] the t = 0 window
     # fits and the t = -2 one does not, so validate must probe both
@@ -419,6 +468,31 @@ def test_empty_sweep_list_is_a_config_error(tmp_path, capsys, field,
         diagnostics = json.loads(captured.out)
     [diagnostic] = diagnostics
     assert f"sweep.{field}" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("source", ["flag", "ini"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, source, command):
+    # numpy's generator takes no negative seed: coherent-props would stop
+    # mid-run
+    text = (CONFIGS / "coherent-props.ini").read_text(encoding="ascii")
+    assert "\nseed = 0\n" in text
+    flags = ["--seed", "-1"] if source == "flag" else []
+    if source == "ini":
+        text = text.replace("\nseed = 0\n", "\nseed = -1\n")
+    out = tmp_path / "out"
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", path, "--out", str(out), *flags]) == 1
+    captured = capsys.readouterr()
+    if command == "run":
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "config-error"
+        diagnostics = summary["diagnostics"]
+    else:
+        diagnostics = json.loads(captured.out)
+    assert diagnostics == [{"field": "config", "message":
+                            "sweep.seed must be non-negative, not -1"}]
+    assert not (out / "results.csv").exists()
 
 
 NON_FINITE = [("sweep", key) for key in ("omega", "eps", "s", "e")] \
