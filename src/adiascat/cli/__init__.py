@@ -24,12 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..experiments import (DECLARATIONS, EXPERIMENTS, GATES, ExperimentResult,
-                          Row, Setup)
+from ..experiments import (DECLARATIONS, EXPERIMENTS, GATES,
+                          OUTGOING_DENSITIES, OUTGOING_GATED,
+                          ExperimentResult, Row, Setup)
 from ..adiabatic import OUTGOING_N_MAX
 from ..network import (RankOne, MatrixPotential, ScatterModel, clearance_T,
                       rankone_resolvent)
-from ..coherent import coherent_state
+from ..coherent import (CoherentLabel, coherent_state, free_shift,
+                        require_fit)
 from ..numerics import Grid, NumericalContractError
 from ..profiles import GaussianMix, Schedule
 from ..soluble import dynamical_S_profile, soluble_potential
@@ -56,6 +58,15 @@ _MATRIX_NAMES = {
 # criterion-07c's tolerance / 0.4 keeps it under the gate
 OUTGOING_SEAM_MAX = (
     GATES["criterion-07c", "outgoing-state-transport"]["tol"] / 0.4)
+
+# largest difference of a gated density between the two ends of the
+# momentum band, -pi/dx and pi/dx - dp, that validate passes for a
+# dense_eigh experiment: where that jump dominates, the fermi residual
+# measures 0.29-2.75 times it (omega 0.1-1, s 0.3-0.8, windows 80-160,
+# band edges 10-16.5), so a jump below criterion-07c's tolerance / 3
+# keeps it under the gate
+OUTGOING_BAND_MAX = (
+    GATES["criterion-07c", "outgoing-state-transport"]["tol"] / 3.0)
 
 
 class ConfigError(Exception):
@@ -205,8 +216,7 @@ def _build_setup(cfg: configparser.ConfigParser, args) -> tuple[Setup, dict]:
 # ---------------------------------------------------------------------------
 
 def validate_setup(experiment: str, setup: Setup) -> list[dict]:
-    """All problems a run would hit, without propagating anything: the
-    channel indices and the rank-one resonance gap of every run, and what
+    """All problems a run would hit, without propagating anything: what
     the experiment's declaration (experiments.DECLARATIONS) says its
     driver asks of the setup."""
     declared = DECLARATIONS[experiment]
@@ -237,6 +247,15 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
                            f"{OUTGOING_SEAM_MAX:.3g}; the transport residual "
                            "is about 0.38 times the jump, so widen the grid "
                            "window or raise omega")
+        ends = grid.momenta[[grid.n // 2, grid.n // 2 - 1]]  # -+pi/dx
+        rho = OUTGOING_DENSITIES[OUTGOING_GATED]
+        jump = float(abs(np.diff(rho(ends))[0]))
+        if jump > OUTGOING_BAND_MAX:
+            report("grid", f"{experiment}: the {OUTGOING_GATED} density "
+                           f"differs by {jump:.3g} between the ends of the "
+                           f"momentum band +-{grid.p_max:.3g}, above "
+                           f"{OUTGOING_BAND_MAX:.3g}; raise grid n to widen "
+                           "the band")
     half_window = 0.5 * (grid.x_max - grid.x_min)
     reach = 8.0 / setup.epsilons[0]
     if declared.tau_window and reach > half_window:
@@ -244,11 +263,11 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
                             f"the half window {half_window:.3g}; enlarge the "
                             "grid or raise eps")
     for name, index in (("j", setup.j), ("jp", setup.jp)):
-        if not 0 <= index < net.n_channels:
+        if declared.on_shell and not 0 <= index < net.n_channels:
             report(f"sweep.{name}", f"channel index {name} = {index} is "
                                     f"outside [0, {net.n_channels}) for this "
                                     "model")
-    if isinstance(net.coupling, RankOne):
+    if declared.on_shell and isinstance(net.coupling, RankOne):
         # every listed s and e: the worst gap over the whole sweep
         lam = net.coupling.schedule.value(np.asarray(setup.s_values))
         span = 6.0 * max(setup.epsilons)
@@ -267,6 +286,18 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
                                             n_channels=net.n_channels))
         except ValueError as exc:
             report("grid", str(exc))
+            break
+    for label, tau in declared.packets(setup):
+        try:
+            if tau is None:
+                require_fit(label, grid)
+            else:
+                # the run's own wrap check, on the packet it shifts
+                free_shift(coherent_state(label, grid), tau)
+                require_fit(CoherentLabel(label.t - tau, label.e, label.eps),
+                            grid)
+        except (ValueError, NumericalContractError) as exc:
+            report("grid", f"{experiment}: {exc}; widen the grid window")
             break
     return diagnostics
 
@@ -408,8 +439,8 @@ def main(argv: list[str] | None = None) -> int:
     wall_s = time.perf_counter() - start
     write_results(out_dir, config, result, wall_s)
     for check in result.checks:
-        logger.info("%s %s: %s", check.criterion, check.name,
-                    "pass" if check.passed else "FAIL")
+        logger.info("%s %s: %s (ratio %.3g)", check.criterion, check.name,
+                    "pass" if check.passed else "FAIL", check.ratio)
     logger.info("wrote %d rows to %s in %.2fs", len(result.rows),
                 out_dir, wall_s)
     return 0

@@ -103,6 +103,20 @@ def coherent_state(label: CoherentLabel, grid: Grid,
     """
     if not 0 <= channel < n_channels:
         raise ValueError("channel index out of range")
+    require_fit(label, grid)
+    # exp of a Gaussian exponent below -746 is exactly 0.0: skip those
+    p = grid.momenta
+    keep = np.flatnonzero((p - label.e) ** 2 < 1492.0 * label.eps ** 2)
+    phat = np.zeros(grid.n, dtype=np.complex128)
+    phat[keep] = _momentum_profile(label, p[keep])
+    amps = np.zeros((n_channels, grid.n), dtype=np.complex128)
+    amps[channel] = grid.from_momentum(phat)
+    return StateVector(grid, amps)
+
+
+def require_fit(label: CoherentLabel, grid: Grid) -> None:
+    """A ValueError unless the labelled packet fits the position window
+    and the momentum band with six spreads to spare."""
     x_c = label.position_center
     sx = 6.0 * label.position_spread
     if x_c - sx < grid.x_min or x_c + sx > grid.x_max:
@@ -114,14 +128,6 @@ def coherent_state(label: CoherentLabel, grid: Grid,
         raise ValueError(
             f"energy {label.e:.3g} +- {sp:.3g} too close to the momentum "
             f"band edge {grid.p_max:.3g}")
-    # exp of a Gaussian exponent below -746 is exactly 0.0: skip those
-    p = grid.momenta
-    keep = np.flatnonzero((p - label.e) ** 2 < 1492.0 * label.eps ** 2)
-    phat = np.zeros(grid.n, dtype=np.complex128)
-    phat[keep] = _momentum_profile(label, p[keep])
-    amps = np.zeros((n_channels, grid.n), dtype=np.complex128)
-    amps[channel] = grid.from_momentum(phat)
-    return StateVector(grid, amps)
 
 
 def overlap(a: CoherentLabel, b: CoherentLabel) -> complex:

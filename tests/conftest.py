@@ -1,11 +1,13 @@
 """Fixtures shared by the test modules."""
 
+import json
 import os
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -25,3 +27,18 @@ def subprocess_env():
     if inherited:
         path += os.pathsep + inherited
     return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.fixture(scope="session")
+def shipped_runs(tmp_path_factory):
+    """Every shipped config run once through the command line runner, by
+    config name: its output directory and its summary.json."""
+    from adiascat.cli import main
+
+    root = tmp_path_factory.mktemp("shipped")
+    runs = {}
+    for path in sorted(CONFIGS.glob("*.ini")):
+        out = root / path.stem
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        runs[path.stem] = out, json.loads((out / "summary.json").read_text())
+    return runs

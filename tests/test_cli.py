@@ -6,12 +6,13 @@ import json
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adiascat import cli
+from adiascat import cli, experiments
 from adiascat.cli import CSV_HEADER, ConfigError, _fmt, _parse_ini, main
 from adiascat.coherent import CoherentLabel, coherent_state
 from adiascat.experiments import EXPERIMENTS, Check, ExperimentResult, Row
@@ -139,8 +140,9 @@ def test_validate_reports_cramped_response_window(tmp_path, capsys):
     ("epsilon-scaling-matrix", "--omega", "0.001"),
     ("omega-scaling", "--eps", "0.5,0.01"),
 ])
-def test_validate_checks_only_what_the_driver_uses(tmp_path, capsys, name,
-                                                   flag, value):
+def test_validate_checks_only_what_the_driver_uses(tmp_path, capsys,
+                                                   shipped_runs, name, flag,
+                                                   value):
     # each driver ignores what the flag changes (omega-scaling reads only
     # the first eps, for its labels and adiabatic_tau's window), so
     # validate has nothing to report and the run is the default run, byte
@@ -148,8 +150,7 @@ def test_validate_checks_only_what_the_driver_uses(tmp_path, capsys, name,
     path = str(CONFIGS / f"{name}.ini")
     assert main(["validate", "--config", path, flag, value]) == 0
     assert json.loads(capsys.readouterr().out) == []
-    default, changed = tmp_path / "default", tmp_path / "changed"
-    assert main(["run", "--config", path, "--out", str(default)]) == 0
+    default, changed = shipped_runs[name][0], tmp_path / "changed"
     assert main(["run", "--config", path, "--out", str(changed),
                  flag, value]) == 0
     summary = json.loads((changed / "summary.json").read_text())
@@ -285,6 +286,85 @@ def test_outgoing_state_seam_jump_is_a_grid_error(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+def test_outgoing_state_band_seam_is_a_grid_error(tmp_path, capsys):
+    # at n = 256 the momentum band is +-10.05, inside the fermi density's
+    # floor at -12: it is about 1 at one end of the band and 0 at the
+    # other, and criterion-07c fails at 0.374 against 1e-5
+    path = str(CONFIGS / "outgoing-state.ini")
+    assert main(["validate", "--config", path, "--grid-n", "256"]) == 1
+    [diagnostic] = json.loads(capsys.readouterr().out)
+    assert diagnostic["field"] == "grid"
+    assert "fermi density differs by 1 between the ends of the momentum " \
+        "band" in diagnostic["message"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out),
+                 "--grid-n", "256"]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "validation-error"
+    assert summary["diagnostics"] == [diagnostic]
+    assert not (out / "results.csv").exists()
+
+
+def test_coherent_props_wrap_hazard_is_a_grid_error(tmp_path, capsys):
+    # on [-16, 16] the seed's free shift by -1.94 parks a packet on the
+    # periodic seam, and the run would stop with a wrap hazard (exit 2)
+    text = (CONFIGS / "coherent-props.ini").read_text(encoding="ascii")
+    grid = "x_min = -64.0\nx_max = 64.0\nn = 2048\n"
+    assert grid in text
+    path = write_config(tmp_path, text.replace(
+        grid, "x_min = -16.0\nx_max = 16.0\nn = 512\n"))
+    assert main(["validate", "--config", path]) == 1
+    [diagnostic] = json.loads(capsys.readouterr().out)
+    assert diagnostic["field"] == "grid"
+    assert "free shift by -1.94 leaves 1.24e-09 relative weight" \
+        in diagnostic["message"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "validation-error"
+    assert summary["diagnostics"] == [diagnostic]
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_coherent_draws_replay_the_scalar_stream(seed):
+    # one uniform call over a (100, 7) table of bounds draws, element for
+    # element, what one scalar call per draw gives
+    grid = Grid(-64.0, 64.0, 2048)
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(100):
+        t, e, eps = (float(rng.uniform(lo, hi))
+                     for lo, hi in ((-4.0, 4.0), (-2.5, 2.5), (0.3, 1.2)))
+        tau = grid.snap(float(rng.uniform(-2.0, 2.0)))[1]
+        other = CoherentLabel(t + float(rng.uniform(-1.5, 1.5)),
+                              e + float(rng.uniform(-1.0, 1.0)), eps)
+        en = e + float(rng.uniform(-1.0, 1.0)) * eps
+        want.append((CoherentLabel(t, e, eps), tau, other, en))
+    setup = types.SimpleNamespace(seed=seed, grid=grid)
+    assert experiments._coherent_draws(setup) == want
+
+
+def test_coherent_props_ignores_a_resonant_model(tmp_path, capsys,
+                                                 shipped_runs):
+    # coherent-props never reads the model, so a rank-one coupling whose
+    # smearing window meets a resonance is no problem of its run
+    text = (CONFIGS / "coherent-props.ini").read_text(encoding="ascii")
+    assert "kind = soluble\n" in text and "amps = 0.8\n" in text
+    path = write_config(tmp_path, text.replace(
+        "kind = soluble\n", "kind = rankone\nvector = 0.8, 0.6\n").replace(
+        "amps = 0.8\n", "amps = 1.6\n"))
+    assert main(["validate", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "ok"
+    assert all(check["passed"] for check in summary["checks"])
+    assert (out / "results.csv").read_bytes() \
+        == (shipped_runs["coherent-props"][0] / "results.csv").read_bytes()
+
+
 def test_outgoing_state_runs_the_configured_grid(tmp_path):
     path = write_config(tmp_path, GOOD_CONFIG)
     out = tmp_path / "out"
@@ -301,11 +381,11 @@ def test_cli_overrides_reach_the_summary(tmp_path):
     path = write_config(tmp_path, GOOD_CONFIG)
     out = tmp_path / "out"
     rc = main(["run", "--config", path, "--out", str(out),
-               "--seed", "11", "--grid-n", "256", "--eps", "0.6"])
+               "--seed", "11", "--grid-n", "384", "--eps", "0.6"])
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 11
-    assert summary["config"]["grid"]["n"] == 256
+    assert summary["config"]["grid"]["n"] == 384
     assert summary["config"]["sweep"]["eps"] == [0.6]
 
 
@@ -329,11 +409,11 @@ def _config_to_ini(config: dict) -> str:
                                   "soluble-exact", "omega-scaling",
                                   "energy-shift", "combined",
                                   "outgoing-state"])
-def test_summary_config_reproduces_the_run(tmp_path, name):
+def test_summary_config_reproduces_the_run(tmp_path, shipped_runs, name):
     shipped = CONFIGS / f"{name}.ini"
-    first, second = tmp_path / "first", tmp_path / "second"
-    assert main(["run", "--config", str(shipped), "--out", str(first)]) == 0
-    config = json.loads((first / "summary.json").read_text())["config"]
+    first, summary = shipped_runs[name]
+    second = tmp_path / "second"
+    config = summary["config"]
     assert set(_parse_ini(str(shipped))["model"]) <= set(config["model"])
     path = write_config(tmp_path, _config_to_ini(config), "resolved.ini")
     assert main(["run", "--config", path, "--out", str(second)]) == 0
@@ -586,7 +666,7 @@ def test_failed_check_still_exits_zero(tmp_path, monkeypatch):
             rows=[Row(experiment="outgoing-state", omega=0.1,
                       value_exact=1.0, value_approx=0.0)],
             checks=[Check(criterion="criterion-00", name="stub",
-                          passed=False, details={"worst": 1.0})])
+                          ratio=2.0, details={"worst": 1.0})])
 
     monkeypatch.setitem(EXPERIMENTS, "outgoing-state", stub)
     path = write_config(tmp_path, GOOD_CONFIG)
@@ -595,6 +675,7 @@ def test_failed_check_still_exits_zero(tmp_path, monkeypatch):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["checks"][0]["passed"] is False
+    assert summary["checks"][0]["ratio"] == 2.0
 
 
 @pytest.mark.parametrize("boom", [
