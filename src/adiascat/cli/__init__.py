@@ -3,8 +3,8 @@
 ``adiascat run --config exp.ini`` executes one experiment and writes
 ``results.csv`` plus ``summary.json`` into the output directory;
 ``adiascat validate --config exp.ini`` reports problems without running
-anything.  Configs are INI files with [model], [grid], [sweep] and
-[output] sections; command line flags override individual values.
+anything.  Configs are INI files whose keys are those of _KEYS, in the
+[model], [grid], [sweep] and [output] sections; flags override a few.
 
 Exit codes: 0 run or validation clean, 1 configuration problem (also
 one that only shows mid-run), 2 numerical contract violation during a
@@ -33,7 +33,7 @@ from ..network import (RankOne, MatrixPotential, ScatterModel, clearance_T,
 from ..coherent import (CoherentLabel, coherent_state, free_shift,
                         require_fit)
 from ..numerics import Grid, NumericalContractError
-from ..profiles import GaussianMix, Schedule
+from ..profiles import SCHEDULE_KINDS, GaussianMix, Schedule
 from ..soluble import dynamical_S_profile, soluble_potential
 
 logger = logging.getLogger(__name__)
@@ -42,20 +42,15 @@ CSV_HEADER = ("experiment,omega,eps,s,e,j,jp,value_exact_re,value_exact_im,"
               "value_approx_re,value_approx_im,abs_error,predicted_bound,"
               "wall_ms")
 
-_SECTIONS = ("model", "grid", "sweep", "output")
-
-_MATRIX_NAMES = {
-    "sx": ((0.0, 1.0), (1.0, 0.0)),
-    "sz": ((1.0, 0.0), (0.0, -1.0)),
-    "id": ((1.0, 0.0), (0.0, 1.0)),
-}
+_MATRIX_NAMES = {"sx": (0.0, 1.0, 1.0, 0.0), "sz": (1.0, 0.0, 0.0, -1.0),
+                 "id": (1.0, 0.0, 0.0, 1.0)}
 
 
 # largest jump |S_d(x_0) - S_d(x_{n-1})| of the closed-form scattering
 # profile across the periodic seam that validate passes for a dense_eigh
 # experiment: the fermi residual measures 0.365-0.384 times the jump
-# (omega 0.05-0.1, s 0.2-0.8, n = 512 and 1024), so a jump below
-# criterion-07c's tolerance / 0.4 keeps it under the gate
+# (omega 0.05-0.1, s 0.2-0.8, n = 512 and 1024), so criterion-07c's
+# tolerance / 0.4 bounds the seam's share of it, not the whole residual
 OUTGOING_SEAM_MAX = (
     GATES["criterion-07c", "outgoing-state-transport"]["tol"] / 0.4)
 
@@ -63,8 +58,8 @@ OUTGOING_SEAM_MAX = (
 # momentum band, -pi/dx and pi/dx - dp, that validate passes for a
 # dense_eigh experiment: where that jump dominates, the fermi residual
 # measures 0.29-2.75 times it (omega 0.1-1, s 0.3-0.8, windows 80-160,
-# band edges 10-16.5), so a jump below criterion-07c's tolerance / 3
-# keeps it under the gate
+# band edges 10-16.5), so criterion-07c's tolerance / 3 bounds the band
+# ends' share of it, not the whole residual
 OUTGOING_BAND_MAX = (
     GATES["criterion-07c", "outgoing-state-transport"]["tol"] / 3.0)
 
@@ -73,142 +68,145 @@ class ConfigError(Exception):
     """Configuration that cannot be run; message names the field."""
 
 
-def _finite(value: float, field: str) -> float:
-    """The value, unless it is nan or infinite: a ConfigError naming the
-    field."""
-    if not math.isfinite(value):
-        raise ConfigError(f"{field} must be finite, not {value!r}")
+def _parser_of(convert, what: str):
+    """The parser of a config value: convert(text), or a ConfigError that
+    says the field must be what."""
+    def parse(text: str, field: str):
+        try:
+            return convert(text)
+        except (ValueError, KeyError):
+            raise ConfigError(f"{field} must be {what}, not {text!r}")
+    return parse
+
+
+def _numbers(text: str, low: float = -math.inf) -> tuple[float, ...]:
+    """One or more comma-separated finite numbers, each above low."""
+    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    if not values or not all(low < value < math.inf for value in values):
+        raise ValueError(text)
+    return values
+
+
+def _number(text: str) -> float:
+    [value] = _numbers(text)
     return value
 
 
-def _floats(text: str, field: str) -> tuple[float, ...]:
-    return tuple(_finite(float(tok), field)
-                 for tok in text.split(",") if tok.strip())
+def _matrix(text: str) -> tuple[float, ...]:
+    values = _MATRIX_NAMES.get(text) or _numbers(text)
+    if math.isqrt(len(values)) ** 2 != len(values):
+        raise ValueError(text)
+    return values
 
 
-def _parse_ini(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+def _one_of(*options: str):
+    return _parser_of({option: option for option in options}.__getitem__,
+                      "one of " + ", ".join(options))
+
+
+_FLOATS = _parser_of(_numbers, "finite numbers, one or more, comma separated")
+_FLOAT = _parser_of(_number, "finite and a single number")
+_POSITIVE = _parser_of(lambda text: _numbers(text, 0.0), "finite and "
+                       "positive numbers, one or more, comma separated")
+_INT = _parser_of(int, "an integer")
+
+# Every config key, in the order the summary records them: (section, key)
+# -> (parser, default as INI text); a None default marks a required key.
+# The command line flag whose dest is "<section>_<key>" overrides the key.
+_KEYS = {
+    ("model", "kind"): (_one_of("soluble", "matrix", "rankone"), None),
+    ("model", "schedule"): (_one_of(*SCHEDULE_KINDS), "tanh"),
+    ("model", "schedule_a"): (_FLOAT, "1.0"),
+    ("model", "schedule_b"): (_FLOAT, "0.0"),
+    ("model", "schedule_c"): (_FLOAT, "1.0"),
+    ("model", "schedule_d"): (_FLOAT, "0.0"),
+    ("model", "amps"): (_FLOATS, "1.0"),
+    ("model", "centers"): (_FLOATS, "0.0"),
+    ("model", "widths"): (_FLOATS, "1.0"),
+    ("model", "channel_matrix"): (_parser_of(
+        _matrix, "sx, sz, id or a square row-major float list"), "sx"),
+    ("model", "vector"): (_FLOATS, "1.0"),
+    ("grid", "x_min"): (_FLOAT, "-40.0"),
+    ("grid", "x_max"): (_FLOAT, "40.0"),
+    ("grid", "n"): (_INT, "4096"),
+    ("sweep", "experiment"): (_one_of(*EXPERIMENTS), None),
+    ("sweep", "omega"): (_POSITIVE, "0.2, 0.1, 0.05"),
+    ("sweep", "eps"): (_POSITIVE, "0.5"),
+    ("sweep", "s"): (_FLOATS, "0.5"),
+    ("sweep", "e"): (_FLOATS, "1.0"),
+    ("sweep", "j"): (_INT, "0"),
+    ("sweep", "jp"): (_INT, "0"),
+    ("sweep", "seed"): (_INT, "0"),
+    ("output", "dir"): (lambda text, field: str(Path(text)), "out"),
+    ("output", "timing"): (_parser_of(
+        lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+        "true or false"), "false"),
+}
+
+# the [model] keys that one kind alone reads
+_KIND_KEYS = {"channel_matrix": "matrix", "vector": "rankone"}
+
+
+def _parse_ini(path: str) -> dict[str, dict[str, str]]:
+    """The raw values of an INI config by section; a malformed file, and a
+    section or key that _KEYS lacks, [DEFAULT] included, is a ConfigError."""
+    # no header can be empty, so naming the defaults section "" leaves
+    # [DEFAULT] an ordinary, and so unknown, section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in {known for known, _ in _KEYS}:
             raise ConfigError(f"unknown config section [{section}]")
-    return parser
+        for key in parser[section]:
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"unknown config key {section}.{key}")
+    return {section: dict(parser[section]) for section in parser.sections()}
 
 
-def _model_section(cfg: configparser.ConfigParser) -> dict:
-    """The [model] section with every default filled in, as the summary
-    records it: ``channel_matrix`` a row-major float list (names looked
-    up), ``vector`` a float list."""
-    sec = cfg["model"] if cfg.has_section("model") else {}
-    if not sec:
-        raise ConfigError("missing [model] section")
-    kind = sec.get("kind", "soluble")
-    if kind not in ("soluble", "matrix", "rankone"):
-        raise ConfigError(f"unknown model kind '{kind}'")
-    spec = {"kind": kind,
-            "omega": _finite(sec.getfloat("omega", 0.1), "model.omega"),
-            "schedule": sec.get("schedule", "tanh")}
-    for key, default in zip("abcd", (1.0, 0.0, 1.0, 0.0)):
-        spec[f"schedule_{key}"] = _finite(
-            sec.getfloat(f"schedule_{key}", default), f"model.schedule_{key}")
-    for key, default in (("amps", "1.0"), ("centers", "0.0"),
-                         ("widths", "1.0")):
-        spec[key] = list(_floats(sec.get(key, default), f"model.{key}"))
-    if spec["omega"] <= 0:
-        raise ConfigError("model omega must be positive")
-    if not len(spec["amps"]) == len(spec["centers"]) == len(spec["widths"]):
-        raise ConfigError("model amps/centers/widths lengths disagree")
-    if kind == "matrix":
-        name = sec.get("channel_matrix", "sx")
-        vals = [v for row in _MATRIX_NAMES[name] for v in row] \
-            if name in _MATRIX_NAMES \
-            else list(_floats(name, "model.channel_matrix"))
-        if math.isqrt(len(vals)) ** 2 != len(vals):
-            raise ConfigError("channel_matrix must name sx/sz/id or "
-                              "give a square row-major float list")
-        spec["channel_matrix"] = vals
-    if kind == "rankone":
-        spec["vector"] = list(_floats(sec.get("vector", "1.0"),
-                                      "model.vector"))
-    return spec
-
-
-def _build_model(spec: dict) -> ScatterModel:
-    """The model of a resolved [model] section; kind = soluble is the
-    one-channel, one-term [[1.0]] matrix model."""
-    schedule = Schedule(spec["schedule"], a=spec["schedule_a"],
-                        b=spec["schedule_b"], c=spec["schedule_c"],
-                        d=spec["schedule_d"])
-    mix = GaussianMix(spec["amps"], spec["centers"], spec["widths"])
-    if spec["kind"] == "rankone":
-        return ScatterModel(len(spec["vector"]),
-                            RankOne(mix, schedule, spec["vector"]),
-                            spec["omega"])
-    vals = spec.get("channel_matrix", [1.0])
-    mat = np.reshape(vals, (math.isqrt(len(vals)), -1))
-    return ScatterModel(len(mat), MatrixPotential((mat,), (mix,), schedule),
-                        spec["omega"])
-
-
-def _build_setup(cfg: configparser.ConfigParser, args) -> tuple[Setup, dict]:
-    """The run's inputs, and the resolved config that records them: one
-    dict per INI section with every default and command line override
-    applied, which reproduces the run when written back as INI."""
-    sweep = cfg["sweep"] if cfg.has_section("sweep") else {}
-    if not sweep or "experiment" not in sweep:
-        raise ConfigError("missing [sweep] experiment")
-    experiment = sweep.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment '{experiment}'; choose from "
-            + ", ".join(sorted(EXPERIMENTS)))
-    model = _model_section(cfg)
-    grid = {"x_min": _finite(cfg.getfloat("grid", "x_min", fallback=-40.0),
-                             "grid.x_min"),
-            "x_max": _finite(cfg.getfloat("grid", "x_max", fallback=40.0),
-                             "grid.x_max"),
-            "n": cfg.getint("grid", "n", fallback=4096)}
-    if args.grid_n is not None:
-        grid["n"] = args.grid_n
-    if grid["x_max"] <= grid["x_min"]:
-        raise ConfigError("grid x_max must exceed x_min")
+def _build_setup(cfg: dict, args) -> tuple[Setup, dict]:
+    """The run's inputs, and the resolved config that records them: each
+    key of _KEYS that the model's kind reads, parsed, with its default or
+    command line override applied, which reproduces the run when written
+    back as INI.  The model is at the sweep's first omega."""
+    config: dict[str, dict] = {}
+    for (section, key), (parse, default) in _KEYS.items():
+        given = cfg.get(section, {})
+        kind = config.get("model", {}).get("kind")
+        if _KIND_KEYS.get(key, kind) != kind:
+            if key in given:
+                raise ConfigError(f"{section}.{key} is read only by kind = "
+                                  f"{_KIND_KEYS[key]}, not {kind}")
+            continue
+        flag = getattr(args, f"{section}_{key}", None)
+        text = given.get(key, default) if flag is None else str(flag)
+        if text is None:
+            raise ConfigError(f"missing required key {section}.{key}")
+        config.setdefault(section, {})[key] = parse(text, f"{section}.{key}")
+    model, grid, sweep = config["model"], config["grid"], config["sweep"]
     if grid["n"] < 16:
         raise ConfigError("grid n must be at least 16")
-    omegas = _floats(args.omega or sweep.get("omega", "0.2,0.1,0.05"),
-                     "sweep.omega")
-    epsilons = _floats(args.eps or sweep.get("eps", "0.5"), "sweep.eps")
-    s_values = _floats(sweep.get("s", "0.5"), "sweep.s")
-    e_values = _floats(sweep.get("e", "1.0"), "sweep.e")
-    for name, values in (("omega", omegas), ("eps", epsilons),
-                         ("s", s_values), ("e", e_values)):
-        if not values:
-            raise ConfigError(f"sweep.{name} needs at least one value")
-    if any(w <= 0 for w in omegas):
-        raise ConfigError("sweep omega values must be positive")
-    if any(ep <= 0 for ep in epsilons):
-        raise ConfigError("sweep eps values must be positive")
-    j, jp = int(sweep.get("j", "0")), int(sweep.get("jp", "0"))
-    seed = args.seed if args.seed is not None \
-        else int(sweep.get("seed", "0"))
-    if seed < 0:
-        raise ConfigError(f"sweep.seed must be non-negative, not {seed}")
-    out_dir = args.out or cfg.get("output", "dir", fallback="out")
-    timing = bool(args.timing) \
-        or cfg.getboolean("output", "timing", fallback=False)
-    setup = Setup(model=_build_model(model), grid=Grid(**grid),
-                  omegas=omegas, epsilons=epsilons, s_values=s_values,
-                  e_values=e_values, j=j, jp=jp, seed=seed, timing=timing)
-    config = {
-        "model": model,
-        "grid": grid,
-        "sweep": {"experiment": experiment, "omega": list(omegas),
-                  "eps": list(epsilons), "s": list(s_values),
-                  "e": list(e_values), "j": j, "jp": jp, "seed": seed},
-        "output": {"dir": str(Path(out_dir)), "timing": timing},
-    }
-    return setup, config
+    if sweep["seed"] < 0:
+        raise ConfigError(
+            f"sweep.seed must be non-negative, not {sweep['seed']}")
+    schedule = Schedule(model["schedule"],
+                        *(model[f"schedule_{k}"] for k in "abcd"))
+    mix = GaussianMix(model["amps"], model["centers"], model["widths"])
+    if model["kind"] == "rankone":
+        coupling = RankOne(mix, schedule, model["vector"])
+    else:
+        values = model.get("channel_matrix", (1.0,))
+        coupling = MatrixPotential(
+            (np.reshape(values, (math.isqrt(len(values)), -1)),), (mix,),
+            schedule)
+    net = ScatterModel(coupling.n_channels, coupling, sweep["omega"][0])
+    return Setup(net, Grid(**grid), sweep["omega"], sweep["eps"], sweep["s"],
+                 sweep["e"], sweep["j"], sweep["jp"], sweep["seed"],
+                 config["output"]["timing"]), config
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +236,7 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
                        f"n <= {OUTGOING_N_MAX}, not {grid.n}")
     elif declared.dense_eigh and soluble:
         # the run's profile at its first omega and s, O(n * support)
-        first, _, s, _ = setup.first
-        profile = dynamical_S_profile(first, s, grid)
+        profile = dynamical_S_profile(net, setup.s_values[0], grid)
         jump = float(abs(profile[0] - profile[-1]))
         if jump > OUTGOING_SEAM_MAX:
             report("grid", f"{experiment}: the scattering profile jumps by "
@@ -302,51 +299,46 @@ def validate_setup(experiment: str, setup: Setup) -> list[dict]:
     return diagnostics
 
 
+def _output_problems(out_dir: Path) -> list[dict]:
+    """The output.dir diagnostic if out_dir cannot be made, found without
+    making anything: its nearest existing path must be a directory."""
+    path = out_dir.absolute()
+    path = next(p for p in (path, *path.parents) if p.exists())
+    return [] if path.is_dir() else [{"field": "output.dir", "message":
+        f"cannot make {out_dir}: {path} is not a directory"}]
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return "%.17g" % float(value)
+    return "" if value is None else "%.17g" % float(value)
 
 
 def _row_line(row: Row) -> str:
-    exact = row.value_exact
-    approx = row.value_approx
-    cells = [
-        row.experiment,
-        _fmt(row.omega), _fmt(row.eps), _fmt(row.s), _fmt(row.e),
-        _fmt(row.j), _fmt(row.jp),
-        _fmt(exact.real if exact is not None else None),
-        _fmt(exact.imag if exact is not None else None),
-        _fmt(approx.real if approx is not None else None),
-        _fmt(approx.imag if approx is not None else None),
-        _fmt(row.abs_error), _fmt(row.predicted_bound), _fmt(row.wall_ms),
-    ]
-    return ",".join(cells)
+    values = (row.omega, row.eps, row.s, row.e, row.j, row.jp,
+              *(getattr(value, part, None)
+                for value in (row.value_exact, row.value_approx)
+                for part in ("real", "imag")),
+              row.abs_error, row.predicted_bound, row.wall_ms)
+    return ",".join([row.experiment, *map(_fmt, values)])
 
 
 def write_results(out_dir: Path, config: dict, result: ExperimentResult,
                   wall_s: float) -> None:
-    """results.csv, and summary.json with the resolved config of the run."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """results.csv, and summary.json with the resolved config of the run,
+    in out_dir, which main has made before the run."""
     lines = [CSV_HEADER] + [_row_line(r) for r in result.rows]
     (out_dir / "results.csv").write_text("\n".join(lines) + "\n",
                                          encoding="ascii")
-    summary = {
-        "experiment": config["sweep"]["experiment"],
-        "status": "ok",
-        "rows": len(result.rows),
-        "seed": config["sweep"]["seed"],
-        "wall_s": wall_s,
-        "checks": [dataclasses.asdict(c) for c in result.checks],
-        "info": result.info,
-        "config": config,
-    }
+    summary = {"experiment": config["sweep"]["experiment"], "status": "ok",
+               "rows": len(result.rows), "seed": config["sweep"]["seed"],
+               "wall_s": wall_s,
+               "checks": [dataclasses.asdict(c) for c in result.checks],
+               "info": result.info, "config": config}
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, default=float) + "\n",
         encoding="ascii")
@@ -373,15 +365,17 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "validate"):
         p = sub.add_parser(name)
+        # each dest names the config key that the flag overrides
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--omega", default=None,
+        p.add_argument("--out", dest="output_dir")
+        p.add_argument("--omega", dest="sweep_omega",
                        help="comma list, overrides the sweep")
-        p.add_argument("--eps", default=None,
+        p.add_argument("--eps", dest="sweep_eps",
                        help="comma list, overrides the sweep")
-        p.add_argument("--grid-n", type=int, default=None, dest="grid_n")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--timing", action="store_true",
+        p.add_argument("--grid-n", dest="grid_n")
+        p.add_argument("--seed", dest="sweep_seed")
+        p.add_argument("--timing", action="store_true", default=None,
+                       dest="output_timing",
                        help="fill the wall_ms column with the time since "
                             "the previous row, so that it adds up to the "
                             "run (breaks byte reproducibility)")
@@ -397,20 +391,26 @@ def main(argv: list[str] | None = None) -> int:
         setup, config = _build_setup(cfg, args)
     except (ConfigError, ValueError) as exc:
         logger.error("%s", exc)
-        if args.command == "run":
-            _write_failure(Path(args.out or "out"), "config-error",
-                           [{"field": "config", "message": str(exc)}])
+        diagnostics = [{"field": "config", "message": str(exc)}]
+        if args.command == "validate":
+            print(json.dumps(diagnostics, indent=2))
         else:
-            print(json.dumps([{"field": "config", "message": str(exc)}],
-                             indent=2))
+            _write_failure(Path(args.output_dir or _KEYS["output", "dir"][1]),
+                           "config-error", diagnostics)
         return 1
 
     experiment = config["sweep"]["experiment"]
     out_dir = Path(config["output"]["dir"])
     diagnostics = validate_setup(experiment, setup)
     if args.command == "validate":
+        diagnostics += _output_problems(out_dir)
         print(json.dumps(diagnostics, indent=2))
         return 1 if diagnostics else 0
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        logger.error("output.dir: cannot make %s: %s", out_dir, exc)
+        return 1
     if diagnostics:
         logger.error("validation failed with %d diagnostic(s)",
                      len(diagnostics))

@@ -98,7 +98,7 @@ class ExperimentResult:
 
 @dataclass
 class Setup:
-    """Resolved inputs of a single run."""
+    """Resolved inputs of a single run; the model is at the first omega."""
 
     model: ScatterModel
     grid: Grid
@@ -113,9 +113,9 @@ class Setup:
 
     @property
     def first(self) -> tuple[ScatterModel, float, float, float]:
-        """The model at the first omega, and the first eps, s and e."""
-        return (_with_omega(self.model, self.omegas[0]), self.epsilons[0],
-                self.s_values[0], self.e_values[0])
+        """The model, and the first eps, s and e."""
+        return (self.model, self.epsilons[0], self.s_values[0],
+                self.e_values[0])
 
 
 def _with_omega(model, w: float):
@@ -367,8 +367,7 @@ def _tau_grid(grid: Grid) -> Grid:
 def run_epsilon_scaling(setup: Setup) -> ExperimentResult:
     """Smeared on-shell matrix against its center value over an
     energy-width sweep."""
-    net = setup.model
-    _, _, s, e = setup.first
+    net, _, s, e = setup.first
     rows = _Rows(setup.timing, omega=net.omega, s=s, e=e, j=setup.j,
                  jp=setup.jp)
     for eps in setup.epsilons:

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 _SQRT_PI = math.sqrt(math.pi)
+SCHEDULE_KINDS = ("constant", "tanh", "bump", "smoothstep")
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ class Schedule:
     d: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "tanh", "bump", "smoothstep"):
+        if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.c <= 0.0:
             raise ValueError("schedule width must be positive")

@@ -24,7 +24,6 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOOD_CONFIG = """\
 [model]
 kind = soluble
-omega = 0.1
 schedule = bump
 schedule_a = 1.0
 schedule_b = 0.0
@@ -79,7 +78,7 @@ def test_parse_ini_rejects_unknown_section(tmp_path):
 @pytest.mark.parametrize("mangle", [
     lambda text: text.replace("kind = soluble", "kind = spectral"),
     lambda text: text.replace("centers = 0.35", "centers = 0.35,0.7"),
-    lambda text: text.replace("omega = 0.1\nschedule", "omega = -0.1\nschedule"),
+    lambda text: text.replace("omega = 0.1\neps", "omega = -0.1\neps"),
     lambda text: text.replace("x_max = 40.0", "x_max = -41.0"),
     lambda text: text.replace("n = 512", "n = 8"),
     lambda text: text.replace("experiment = outgoing-state",
@@ -137,7 +136,6 @@ def test_validate_reports_cramped_response_window(tmp_path, capsys):
 @pytest.mark.parametrize("name, flag, value", [
     ("coherent-props", "--eps", "0.05"),
     ("outgoing-state", "--eps", "0.05"),
-    ("epsilon-scaling-matrix", "--omega", "0.001"),
     ("omega-scaling", "--eps", "0.5,0.01"),
 ])
 def test_validate_checks_only_what_the_driver_uses(tmp_path, capsys,
@@ -158,6 +156,24 @@ def test_validate_checks_only_what_the_driver_uses(tmp_path, capsys,
     assert summary["checks"] and all(c["passed"] for c in summary["checks"])
     assert (changed / "results.csv").read_bytes() \
         == (default / "results.csv").read_bytes()
+
+
+def test_omega_flag_reaches_the_epsilon_scaling_rows(tmp_path, shipped_runs):
+    # the model is at the sweep's first omega: the flag rewrites the omega
+    # column, and the frozen on-shell data of every other cell stay put
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(CONFIGS / "epsilon-scaling-matrix.ini"),
+                 "--out", str(out), "--omega", "0.3"]) == 0
+    shipped = (shipped_runs["epsilon-scaling-matrix"][0]
+               / "results.csv").read_text().splitlines()
+    changed = (out / "results.csv").read_text().splitlines()
+    column = CSV_HEADER.split(",").index("omega")
+    assert len(changed) == len(shipped) > 1
+    for old, new in zip(shipped[1:], changed[1:]):
+        old, new = old.split(","), new.split(",")
+        assert float(old[column]) == 0.1 and float(new[column]) == 0.3
+        del old[column], new[column]
+        assert new == old
 
 
 MATRIX_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
@@ -449,13 +465,13 @@ def _delaying_rankone_config(tmp_path) -> str:
 
 
 def test_rankone_delay_leaves_no_room_on_the_shipped_grid(tmp_path):
-    cfg = _parse_ini(_delaying_rankone_config(tmp_path))
-    model = cli._build_model(cli._model_section(cfg))
-    grid = Grid(cfg.getfloat("grid", "x_min"), cfg.getfloat("grid", "x_max"),
-                cfg.getint("grid", "n"))
-    ket = coherent_state(CoherentLabel(0.0, 1.0, 0.4), grid, n_channels=2)
+    path = _delaying_rankone_config(tmp_path)
+    setup, _ = cli._build_setup(
+        _parse_ini(path), cli._parser().parse_args(["run", "--config", path]))
+    ket = coherent_state(CoherentLabel(0.0, 1.0, 0.4), setup.grid,
+                         n_channels=2)
     with pytest.raises(ValueError, match="cannot clear"):
-        clearance_T(model, ket)
+        clearance_T(setup.model, ket)
 
 
 def test_validate_skips_window_for_epsilon_scaling(tmp_path, capsys):
@@ -576,9 +592,8 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, source, command):
 
 
 NON_FINITE = [("sweep", key) for key in ("omega", "eps", "s", "e")] \
-    + [("model", key) for key in ("omega", "amps", "centers", "widths",
-                                  "schedule_a", "schedule_b", "schedule_c",
-                                  "schedule_d")] \
+    + [("model", key) for key in ("amps", "centers", "widths", "schedule_a",
+                                  "schedule_b", "schedule_c", "schedule_d")] \
     + [("grid", "x_min"), ("grid", "x_max")]
 
 
@@ -615,6 +630,103 @@ def test_non_finite_sweep_flag_is_a_config_error(tmp_path, capsys, flag):
     assert main(["validate", "--config", path, flag, "0.1,inf"]) == 1
     [diagnostic] = json.loads(capsys.readouterr().out)
     assert f"sweep.{flag[2:]} must be finite" in diagnostic["message"]
+
+
+def config_error(tmp_path, capsys, command, text, *flags) -> str:
+    """The message of the one config diagnostic that run or validate gives
+    for the config text, which exits 1 without a traceback or results."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", path, "--out", str(out), *flags]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if command == "validate":
+        [diagnostic] = json.loads(captured.out)
+    else:
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "config-error"
+        [diagnostic] = summary["diagnostics"]
+        assert not (out / "results.csv").exists()
+    assert diagnostic["field"] == "config"
+    return diagnostic["message"]
+
+
+UNKNOWN_KEYS = {
+    "sweep.epsilon": GOOD_CONFIG.replace("eps = 0.5\n",
+                                         "eps = 0.5\nepsilon = 0.3\n"),
+    "model.shedule": GOOD_CONFIG.replace("schedule = bump\n",
+                                         "schedule = bump\nshedule = tanh\n"),
+    # omega is the sweep's alone: the model takes its first value
+    "model.omega": GOOD_CONFIG.replace("kind = soluble\n",
+                                       "kind = soluble\nomega = 0.1\n"),
+    # only kind = rankone reads a channel vector
+    "model.vector": (CONFIGS / "epsilon-scaling-matrix.ini").read_text(
+        encoding="ascii").replace("channel_matrix = sx\n",
+                                  "channel_matrix = sx\nvector = 0.8, 0.6\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("field", sorted(UNKNOWN_KEYS))
+def test_unknown_key_is_a_config_error(tmp_path, capsys, field, command):
+    # a key the run does not read would otherwise be dropped without a word
+    assert field in config_error(tmp_path, capsys, command,
+                                 UNKNOWN_KEYS[field])
+
+
+MALFORMED = {
+    "duplicate-key": (GOOD_CONFIG.replace("eps = 0.5\n",
+                                          "eps = 0.5\neps = 0.4\n"),
+                      "option 'eps' in section 'sweep' already exists"),
+    "no-equals": (GOOD_CONFIG.replace("eps = 0.5\n", "eps 0.5\n"),
+                  "parsing errors"),
+    "no-section-header": (GOOD_CONFIG.split("\n", 1)[1],
+                          "no section headers"),
+    "default-section": ("[DEFAULT]\nseed = 1\n\n" + GOOD_CONFIG,
+                        "unknown config section [DEFAULT]"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_ini_is_a_config_error(tmp_path, capsys, case, command):
+    text, reason = MALFORMED[case]
+    assert reason in config_error(tmp_path, capsys, command, text)
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("flag", ["--grid-n", "--seed"])
+def test_non_integer_flag_is_a_config_error(tmp_path, capsys, flag,
+                                            command):
+    # parsed by the config's own parser, not argparse (whose usage error
+    # exits 2, the code of a numerical contract violation)
+    key = {"--grid-n": "grid.n", "--seed": "sweep.seed"}[flag]
+    assert f"{key} must be an integer" in config_error(
+        tmp_path, capsys, command, GOOD_CONFIG, flag, "1.5")
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_output_dir_that_cannot_be_made_is_a_config_error(
+        tmp_path, capsys, caplog, monkeypatch, below):
+    # a file where the directory, or one of its parents, should go:
+    # validate says so without making anything, and run stops before the
+    # driver starts
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = str(blocker / below)
+    path = write_config(tmp_path, GOOD_CONFIG)
+    assert main(["validate", "--config", path, "--out", out]) == 1
+    [diagnostic] = json.loads(capsys.readouterr().out)
+    assert diagnostic["field"] == "output.dir"
+    assert "taken is not a directory" in diagnostic["message"]
+
+    def driver(setup):
+        raise AssertionError("the driver ran")
+
+    monkeypatch.setitem(EXPERIMENTS, "outgoing-state", driver)
+    assert main(["run", "--config", path, "--out", out]) == 1
+    assert "output.dir: cannot make" in caplog.text
+    assert blocker.read_text() == "keep\n"
 
 
 CLOSED_FORM = ("soluble-exact", "omega-scaling", "energy-shift",
