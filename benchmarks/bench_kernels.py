@@ -1,5 +1,6 @@
 """Time the transport kernels, the matrix on-shell S, matrix and rank-one
-transport, the rank-one Faddeeva form and diagnostics on run-sized inputs.
+transport, the rank-one Faddeeva form, the 800-node Gauss-Legendre rule
+and diagnostics on run-sized inputs.
 
     python3 benchmarks/bench_kernels.py [--repeats 3] [--sizes 1024,4096]
 
@@ -19,6 +20,7 @@ import argparse
 import time
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from adiascat import _kernels as K
 from adiascat import adiabatic
@@ -26,7 +28,8 @@ from adiascat.coherent import (CoherentLabel, coherent_state, free_shift,
                                identity_resolution_residual)
 from adiascat.experiments import _tau_grid
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
-                              on_shell_S, propagate, rankone_resolvent_exact)
+                              gauss_legendre, on_shell_S, propagate,
+                              rankone_resolvent_exact)
 from adiascat.numerics import Grid
 from adiascat.profiles import GaussianMix, Schedule
 
@@ -219,6 +222,11 @@ def _cases(sizes, product_steps):
                   rankone_resolvent_exact,
                   (GaussianMix((0.4,), (0.0,), (1.0,)),
                    np.linspace(-3.0, 3.0, 13))))
+    # rankone_resolvent's rule: the eigensolve of leggauss against the
+    # stored rule that gauss_legendre reads once per process
+    cases.append(("Gauss-Legendre 800: leggauss build", leggauss, (800,)))
+    cases.append(("Gauss-Legendre 800: stored-rule load",
+                  gauss_legendre.__wrapped__, (800,)))
     for eps in (0.3, 1.2):
         cases.append((f"identity_resolution_residual eps={eps}",
                       identity_resolution_residual, _residual_case(eps)))

@@ -386,6 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     args = _parser().parse_args(argv)
+    cfg = {}
     try:
         cfg = _parse_ini(args.config)
         setup, config = _build_setup(cfg, args)
@@ -395,8 +396,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             print(json.dumps(diagnostics, indent=2))
         else:
-            _write_failure(Path(args.output_dir or _KEYS["output", "dir"][1]),
-                           "config-error", diagnostics)
+            # the flag, else the config's own dir as written if it parsed
+            out_dir = args.output_dir
+            if out_dir is None:
+                out_dir = cfg.get("output", {}).get(
+                    "dir", _KEYS["output", "dir"][1])
+            _write_failure(Path(out_dir), "config-error", diagnostics)
         return 1
 
     experiment = config["sweep"]["experiment"]

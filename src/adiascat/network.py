@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -542,10 +543,21 @@ def _matrix_transfer(model: ScatterModel, s: float) -> np.ndarray:
                                  basis)[..., 0].T
 
 
+# the bits of leggauss(800) and leggauss(160): each is a dense n x n
+# eigensolve (Golub-Welsch) that every process would otherwise repeat
+GAUSS_LEGENDRE_RULES = Path(__file__).with_name("gauss_legendre.npz")
+
+
 @lru_cache(maxsize=8)
 def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once."""
-    gl_x, gl_w = leggauss(nodes)
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]: the stored
+    rule of GAUSS_LEGENDRE_RULES where it has this size, read at the first
+    call, else leggauss(nodes); one per size per process."""
+    with np.load(GAUSS_LEGENDRE_RULES) as rules:
+        if f"x{nodes}" in rules:
+            gl_x, gl_w = rules[f"x{nodes}"], rules[f"w{nodes}"]
+        else:
+            gl_x, gl_w = leggauss(nodes)
     return read_only(gl_x), read_only(gl_w)
 
 

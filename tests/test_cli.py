@@ -93,6 +93,19 @@ def test_bad_configs_exit_one(tmp_path, mangle):
     assert summary["status"] == "config-error"
 
 
+def test_config_error_summary_goes_to_the_config_dir(tmp_path, monkeypatch):
+    # a config that parses but fails to resolve names its own [output] dir
+    monkeypatch.chdir(tmp_path)
+    wanted = tmp_path / "wanted"
+    text = GOOD_CONFIG.replace("eps = 0.5", "eps = 0.0") \
+        + f"\n[output]\ndir = {wanted}\n"
+    assert main(["run", "--config", write_config(tmp_path, text)]) == 1
+    summary = json.loads((wanted / "summary.json").read_text())
+    assert summary["status"] == "config-error"
+    assert "sweep.eps" in summary["diagnostics"][0]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_matrix_spec_exits_one(tmp_path):
     text = GOOD_CONFIG.replace("kind = soluble",
                                "kind = matrix\nchannel_matrix = 1.0,2.0,3.0")

@@ -9,6 +9,8 @@ motion residuals cover the rest of the module.
 """
 
 import math
+import re
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -673,6 +675,56 @@ def test_rankone_resolvent_nodes_keep_off_the_pole(monkeypatch):
     gap = float(np.min(np.abs(original(nodes)[0])))
     assert nodes % 2 == 0 and gap > 1e-3
     assert 4.0 * gap > 1e-9
+
+
+def stored_rule_sizes() -> set[int]:
+    with np.load(network.GAUSS_LEGENDRE_RULES) as rules:
+        return {int(key[1:]) for key in rules.files if key.startswith("x")}
+
+
+@pytest.mark.parametrize("nodes", [800, 160])
+def test_stored_gauss_legendre_rule_is_leggauss(nodes):
+    # the stored bits are leggauss's where they were written; another
+    # BLAS may move its eigensolve by an ulp or two
+    assert nodes in stored_rule_sizes()
+    x, w = network.gauss_legendre(nodes)
+    for got, ref in zip((x, w), leggauss(nodes)):
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(np.abs(ref)))
+        assert not got.flags.writeable
+    assert np.array_equal(x, -x[::-1])
+    assert abs(w.sum() - 2.0) <= 8.0 * np.spacing(2.0)
+
+
+def test_gauss_legendre_reads_the_stored_rule(monkeypatch):
+    # a stored size never reaches the eigensolve; any other size does
+    build = network.gauss_legendre.__wrapped__
+    x, w = build(12)
+    assert np.array_equal(x, leggauss(12)[0]) and not w.flags.writeable
+
+    def eigensolve(nodes):
+        raise AssertionError(f"leggauss({nodes}) ran")
+
+    monkeypatch.setattr(network, "leggauss", eigensolve)
+    for nodes in stored_rule_sizes():
+        build(nodes)
+
+
+def test_every_literal_rule_size_in_the_package_is_stored():
+    # a new size in the package would bring back the per-process eigensolve
+    package = Path(network.__file__).parent
+    sizes = {int(size) for path in package.rglob("*.py") for size in
+             re.findall(r"gauss_legendre\((\d+)\)", path.read_text())}
+    assert sizes and sizes <= stored_rule_sizes()
+
+
+def test_package_data_ships_the_stored_rules():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    setuptools = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]
+    patterns = setuptools["package-data"]["adiascat"]
+    assert any(fnmatch(network.GAUSS_LEGENDRE_RULES.name, pattern)
+               for pattern in patterns)
 
 
 def test_rankone_resolvent_exact_matches_wofz():
