@@ -20,7 +20,6 @@ import argparse
 import time
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from adiascat import _kernels as K
 from adiascat import adiabatic
@@ -222,9 +221,7 @@ def _cases(sizes, product_steps):
                   rankone_resolvent_exact,
                   (GaussianMix((0.4,), (0.0,), (1.0,)),
                    np.linspace(-3.0, 3.0, 13))))
-    # rankone_resolvent's rule: the eigensolve of leggauss against the
-    # stored rule that gauss_legendre reads once per process
-    cases.append(("Gauss-Legendre 800: leggauss build", leggauss, (800,)))
+    # rankone_resolvent's rule, read once per process from the stored rules
     cases.append(("Gauss-Legendre 800: stored-rule load",
                   gauss_legendre.__wrapped__, (800,)))
     for eps in (0.3, 1.2):

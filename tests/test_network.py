@@ -8,6 +8,8 @@ Wave-operator identities, the resolvent dual route and the equation-of-
 motion residuals cover the rest of the module.
 """
 
+import importlib.resources
+import json
 import math
 import re
 from fnmatch import fnmatch
@@ -696,18 +698,10 @@ def test_stored_gauss_legendre_rule_is_leggauss(nodes):
     assert abs(w.sum() - 2.0) <= 8.0 * np.spacing(2.0)
 
 
-def test_gauss_legendre_reads_the_stored_rule(monkeypatch):
-    # a stored size never reaches the eigensolve; any other size does
-    build = network.gauss_legendre.__wrapped__
-    x, w = build(12)
-    assert np.array_equal(x, leggauss(12)[0]) and not w.flags.writeable
-
-    def eigensolve(nodes):
-        raise AssertionError(f"leggauss({nodes}) ran")
-
-    monkeypatch.setattr(network, "leggauss", eigensolve)
-    for nodes in stored_rule_sizes():
-        build(nodes)
+def test_gauss_legendre_refuses_an_unstored_size():
+    # no eigensolve stands behind the stored rules
+    with pytest.raises(KeyError):
+        network.gauss_legendre.__wrapped__(12)
 
 
 def test_every_literal_rule_size_in_the_package_is_stored():
@@ -719,12 +713,17 @@ def test_every_literal_rule_size_in_the_package_is_stored():
 
 
 def test_package_data_ships_the_stored_rules():
-    tomllib = pytest.importorskip("tomllib")
+    # the rules are a package resource, and pyproject's package-data
+    # covers them; the table is read as text (tomllib is 3.11+ and the
+    # package supports 3.10)
+    name = network.GAUSS_LEGENDRE_RULES.name
+    assert importlib.resources.files("adiascat").joinpath(name).is_file()
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    setuptools = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]
-    patterns = setuptools["package-data"]["adiascat"]
-    assert any(fnmatch(network.GAUSS_LEGENDRE_RULES.name, pattern)
-               for pattern in patterns)
+    table = re.search(r"^\[tool\.setuptools\.package-data\]$(.*?)(?=^\[|\Z)",
+                      pyproject.read_text(), re.M | re.S).group(1)
+    patterns = re.search(r"^adiascat\s*=\s*(\[.*?\])", table, re.M | re.S)
+    assert any(fnmatch(name, pattern)
+               for pattern in json.loads(patterns.group(1)))
 
 
 def test_rankone_resolvent_exact_matches_wofz():
