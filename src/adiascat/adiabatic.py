@@ -86,7 +86,7 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
 
     tau = - integral dt' t' <t',e,j| W_+^* (dH/ds) W_- |t',e,jp>
     with W_+- the wave operators of the model frozen at s, by the
-    trapezoid rule on 49 label times over |t'| <= 8 / eps.  On matched
+    trapezoid rule on the label times of tau_nodes.  On matched
     labels the dynamical-minus-frozen remainder is -i omega tau to
     leading order in omega.
 
@@ -97,14 +97,7 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
     label density rho = sum_k w_k t_k |psi_k|^2 (see _matrix_tau).
     """
     fmodel = frozen(model, s)
-    sigma_x = 1.0 / (math.sqrt(2.0) * eps)
-    radius = model.interaction_radius()
-    reach = radius + sigma_x * math.sqrt(2.0 * math.log(1e14))
-    nodes = np.linspace(-8.0 / eps, 8.0 / eps, 49)
-    weights = np.full(49, nodes[1] - nodes[0])
-    weights[[0, -1]] *= 0.5
-    keep = np.abs(nodes) <= reach
-    nodes, weights = nodes[keep], weights[keep]
+    nodes, weights = tau_nodes(model, eps)
     dh_ds = coupling_map(model, grid, float(model.schedule.derivative(s)))
     if isinstance(model.coupling, MatrixPotential):
         return _matrix_tau(fmodel, s, e, eps, j, jp, grid, nodes, weights,
@@ -118,6 +111,21 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
         drive = StateVector(grid, dh_ds(w_minus.amplitudes))
         total += wgt * tp * braket(w_plus, drive)
     return -total
+
+
+def tau_nodes(model: ScatterModel, eps: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """adiabatic_tau's label times and trapezoid weights: 49 nodes over
+    |t'| <= 8 / eps, less those whose packet, down to 1e-14 of its peak,
+    stays clear of the interaction."""
+    sigma_x = 1.0 / (math.sqrt(2.0) * eps)
+    reach = model.interaction_radius() + sigma_x * math.sqrt(
+        2.0 * math.log(1e14))
+    nodes = np.linspace(-8.0 / eps, 8.0 / eps, 49)
+    weights = np.full(49, nodes[1] - nodes[0])
+    weights[[0, -1]] *= 0.5
+    keep = np.abs(nodes) <= reach
+    return nodes[keep], weights[keep]
 
 
 def _matrix_tau(fmodel: ScatterModel, s: float, e: float, eps: float,

@@ -24,17 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..experiments import (DECLARATIONS, EXPERIMENTS, GATES,
-                          OUTGOING_DENSITIES, OUTGOING_GATED,
-                          ExperimentResult, Row, Setup)
-from ..adiabatic import OUTGOING_N_MAX
-from ..network import (RankOne, MatrixPotential, ScatterModel, clearance_T,
-                      rankone_resolvent)
-from ..coherent import (CoherentLabel, coherent_state, free_shift,
-                        require_fit)
+from ..experiments import (DECLARATIONS, EXPERIMENTS, ExperimentResult, Row,
+                           Setup)
+from ..network import RankOne, MatrixPotential, ScatterModel
 from ..numerics import Grid, NumericalContractError
 from ..profiles import SCHEDULE_KINDS, GaussianMix, Schedule
-from ..soluble import dynamical_S_profile, soluble_potential
 
 logger = logging.getLogger(__name__)
 
@@ -44,24 +38,6 @@ CSV_HEADER = ("experiment,omega,eps,s,e,j,jp,value_exact_re,value_exact_im,"
 
 _MATRIX_NAMES = {"sx": (0.0, 1.0, 1.0, 0.0), "sz": (1.0, 0.0, 0.0, -1.0),
                  "id": (1.0, 0.0, 0.0, 1.0)}
-
-
-# largest jump |S_d(x_0) - S_d(x_{n-1})| of the closed-form scattering
-# profile across the periodic seam that validate passes for a dense_eigh
-# experiment: the fermi residual measures 0.365-0.384 times the jump
-# (omega 0.05-0.1, s 0.2-0.8, n = 512 and 1024), so criterion-07c's
-# tolerance / 0.4 bounds the seam's share of it, not the whole residual
-OUTGOING_SEAM_MAX = (
-    GATES["criterion-07c", "outgoing-state-transport"]["tol"] / 0.4)
-
-# largest difference of a gated density between the two ends of the
-# momentum band, -pi/dx and pi/dx - dp, that validate passes for a
-# dense_eigh experiment: where that jump dominates, the fermi residual
-# measures 0.29-2.75 times it (omega 0.1-1, s 0.3-0.8, windows 80-160,
-# band edges 10-16.5), so criterion-07c's tolerance / 3 bounds the band
-# ends' share of it, not the whole residual
-OUTGOING_BAND_MAX = (
-    GATES["criterion-07c", "outgoing-state-transport"]["tol"] / 3.0)
 
 
 class ConfigError(Exception):
@@ -215,88 +191,11 @@ def _build_setup(cfg: dict, args) -> tuple[Setup, dict]:
 
 def validate_setup(experiment: str, setup: Setup) -> list[dict]:
     """All problems a run would hit, without propagating anything: what
-    the experiment's declaration (experiments.DECLARATIONS) says its
-    driver asks of the setup."""
-    declared = DECLARATIONS[experiment]
-    diagnostics: list[dict] = []
-
-    def report(field: str, message: str) -> None:
-        diagnostics.append({"field": field, "message": message})
-
-    net, grid = setup.model, setup.grid
-    soluble = True
-    if declared.closed_forms:
-        try:
-            soluble_potential(net)
-        except ValueError as exc:
-            soluble = False
-            report("model", f"{experiment}: {exc}")
-    if declared.dense_eigh and grid.n > OUTGOING_N_MAX:
-        report("grid", f"{experiment} takes one dense eigh, so it needs grid "
-                       f"n <= {OUTGOING_N_MAX}, not {grid.n}")
-    elif declared.dense_eigh and soluble:
-        # the run's profile at its first omega and s, O(n * support)
-        profile = dynamical_S_profile(net, setup.s_values[0], grid)
-        jump = float(abs(profile[0] - profile[-1]))
-        if jump > OUTGOING_SEAM_MAX:
-            report("grid", f"{experiment}: the scattering profile jumps by "
-                           f"{jump:.3g} across the periodic seam, above "
-                           f"{OUTGOING_SEAM_MAX:.3g}; the transport residual "
-                           "is about 0.38 times the jump, so widen the grid "
-                           "window or raise omega")
-        ends = grid.momenta[[grid.n // 2, grid.n // 2 - 1]]  # -+pi/dx
-        rho = OUTGOING_DENSITIES[OUTGOING_GATED]
-        jump = float(abs(np.diff(rho(ends))[0]))
-        if jump > OUTGOING_BAND_MAX:
-            report("grid", f"{experiment}: the {OUTGOING_GATED} density "
-                           f"differs by {jump:.3g} between the ends of the "
-                           f"momentum band +-{grid.p_max:.3g}, above "
-                           f"{OUTGOING_BAND_MAX:.3g}; raise grid n to widen "
-                           "the band")
-    half_window = 0.5 * (grid.x_max - grid.x_min)
-    reach = 8.0 / setup.epsilons[0]
-    if declared.tau_window and reach > half_window:
-        report("sweep.eps", f"response window 8/eps = {reach:.3g} exceeds "
-                            f"the half window {half_window:.3g}; enlarge the "
-                            "grid or raise eps")
-    for name, index in (("j", setup.j), ("jp", setup.jp)):
-        if declared.on_shell and not 0 <= index < net.n_channels:
-            report(f"sweep.{name}", f"channel index {name} = {index} is "
-                                    f"outside [0, {net.n_channels}) for this "
-                                    "model")
-    if declared.on_shell and isinstance(net.coupling, RankOne):
-        # every listed s and e: the worst gap over the whole sweep
-        lam = net.coupling.schedule.value(np.asarray(setup.s_values))
-        span = 6.0 * max(setup.epsilons)
-        energies = (np.asarray(setup.e_values)[:, None]
-                    + np.linspace(-span, span, 97)).ravel()
-        g = rankone_resolvent(net.coupling.form, energies)
-        gap = np.min(np.abs(1.0 - np.multiply.outer(lam, g)))
-        if gap < 5e-2:
-            # the delay, and with it the window, has no bound: report only this
-            report("model", f"resonance: |1 - lambda g(E)| reaches {gap:.3g} "
-                            "inside the smearing window")
-            return diagnostics
-    for label in declared.labels(setup):
-        try:
-            clearance_T(net, coherent_state(label, grid,
-                                            n_channels=net.n_channels))
-        except ValueError as exc:
-            report("grid", str(exc))
-            break
-    for label, tau in declared.packets(setup):
-        try:
-            if tau is None:
-                require_fit(label, grid)
-            else:
-                # the run's own wrap check, on the packet it shifts
-                free_shift(coherent_state(label, grid), tau)
-                require_fit(CoherentLabel(label.t - tau, label.e, label.eps),
-                            grid)
-        except (ValueError, NumericalContractError) as exc:
-            report("grid", f"{experiment}: {exc}; widen the grid window")
-            break
-    return diagnostics
+    each check of the experiment's declaration (experiments.DECLARATIONS)
+    finds, in order."""
+    return [{"field": field, "message": message}
+            for check in DECLARATIONS[experiment].checks
+            for field, message in check(experiment, setup)]
 
 
 def _output_problems(out_dir: Path) -> list[dict]:
