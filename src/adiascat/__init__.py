@@ -1,9 +1,8 @@
 """Adiabatic scattering laboratory for driven chiral channels."""
 
 from ._kernels import backend_name
-from .numerics import (Grid, NumericalContractError, SlopeFit,
-                       central_derivative, fit_slope, hermitize,
-                       ordered_exponential)
+from .numerics import (Grid, NumericalContractError, central_derivative,
+                       fit_slope, hermitize, ordered_exponential)
 from .profiles import GaussianMix, Schedule
 from .coherent import (CoherentLabel, StateVector, braket, coherent_state,
                        free_shift, identity_resolution_residual, label_box,

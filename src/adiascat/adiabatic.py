@@ -55,29 +55,20 @@ class ErrorReport:
         return abs(self.value_exact - self.value_approx)
 
 
-def _label_states(model: ScatterModel, t: float, e: float, eps: float,
-                  j: int, jp: int, grid: Grid):
-    """Bra on channel j and ket on channel jp of the label (t, e, eps)."""
-    label = CoherentLabel(t, e, eps)
-    ket = coherent_state(label, grid, channel=jp, n_channels=model.n_channels)
-    bra = ket if j == jp else coherent_state(label, grid, channel=j,
-                                             n_channels=model.n_channels)
-    return bra, ket
-
-
-def remainder_exact(model: ScatterModel, s: float, e: float, eps: float,
-                    j: int = 0, jp: int = 0, *, grid: Grid,
-                    T: float | None = None) -> complex:
-    """Element of S_dynamical(0) - S_frozen(s) on matched labels t = s/omega.
+def remainder_exact(model: ScatterModel, s: float, e: float, eps: float, *,
+                    grid: Grid, T: float | None = None) -> complex:
+    """Diagonal element of S_dynamical(0) - S_frozen(s) on the matched
+    label t = s/omega, on channel 0.
 
     Both operators are realized with the same asymptotic window so the
     difference isolates the drive, not the windowing.
     """
-    bra, ket = _label_states(model, s / model.omega, e, eps, j, jp, grid)
+    ket = coherent_state(CoherentLabel(s / model.omega, e, eps), grid,
+                         n_channels=model.n_channels)
     T = _network._window(model, ket, T)
     out_dyn = dynamical_S(model, 0.0, ket, T=T)
     out_froz = frozen_S_apply(model, s, ket, T=T)
-    return braket(bra, out_dyn) - braket(bra, out_froz)
+    return braket(ket, out_dyn) - braket(ket, out_froz)
 
 
 def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
@@ -104,7 +95,11 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
                            dh_ds)
     total = 0.0 + 0.0j
     for tp, wgt in zip(nodes, weights):
-        bra, ket = _label_states(model, tp, e, eps, j, jp, grid)
+        label = CoherentLabel(tp, e, eps)
+        ket = coherent_state(label, grid, channel=jp,
+                             n_channels=model.n_channels)
+        bra = ket if j == jp else coherent_state(label, grid, channel=j,
+                                                 n_channels=model.n_channels)
         T = clearance_T(fmodel, ket)
         w_minus = wave_operator(fmodel, s, -1, ket, T=T)
         w_plus = wave_operator(fmodel, s, +1, bra, T=T)
@@ -159,11 +154,11 @@ def _matrix_tau(fmodel: ScatterModel, s: float, e: float, eps: float,
     t_c = s / fmodel.omega
     fields = []
     for sign, channel in ((-1, jp), (+1, j)):
-        m, tau = grid.snap(-sign * t_max)
+        m, _ = grid.snap(-sign * t_max)
         basis = np.zeros((fmodel.n_channels, grid.n), dtype=np.complex128)
         basis[channel] = 1.0
         field = _network._matrix_transport(fmodel, grid, basis,
-                                           t_c + sign * t_max, tau, m)
+                                           t_c + sign * t_max, m)
         drift = np.abs(np.sqrt(np.sum(np.abs(field) ** 2, axis=0)) - 1.0)
         if drift.max() > _network.NORM_TOL:
             raise NumericalContractError(
@@ -231,21 +226,19 @@ def onshell_vs_frozen(model: ScatterModel, s: float, e: float, eps: float,
 
 
 def combined_report(model: ScatterModel, s: float, e: float, eps: float,
-                    j: int = 0, jp: int = 0, *, grid: Grid,
-                    tau_value: complex | None = None) -> ErrorReport:
-    """Dynamical element against the frozen on-shell value, with bound.
+                    tau: complex, *, grid: Grid) -> ErrorReport:
+    """Dynamical diagonal element on the matched label t = s/omega, on
+    channel 0, against the frozen on-shell value, with bound.
 
     The bound combines the smearing term eps^2 (|tau_w|^2 + |tau_w'|)
-    and the drive term omega |tau|.  Pass tau_value to reuse a
-    precomputed response coefficient across a sweep.
+    and the drive term omega |tau|, for the response coefficient tau of
+    adiabatic_tau or a closed form of it.
     """
-    bra, ket = _label_states(model, s / model.omega, e, eps, j, jp, grid)
-    exact = braket(bra, dynamical_S(model, 0.0, ket))
-    approx = complex(on_shell_S(model, s, e).matrix[j, jp])
-    smearing = _smearing_bound(model, s, e, eps)
-    if tau_value is None:
-        tau_value = adiabatic_tau(model, s, e, eps, j, jp, grid=grid)
-    bound = smearing + model.omega * abs(tau_value)
+    ket = coherent_state(CoherentLabel(s / model.omega, e, eps), grid,
+                         n_channels=model.n_channels)
+    exact = braket(ket, dynamical_S(model, 0.0, ket))
+    approx = complex(on_shell_S(model, s, e).matrix[0, 0])
+    bound = _smearing_bound(model, s, e, eps) + model.omega * abs(tau)
     return ErrorReport(exact, approx, float(bound))
 
 
@@ -267,17 +260,18 @@ def energy_shift_operator(model: ScatterModel, s: float,
 
 
 def thawed_energy_shift_report(model: ScatterModel, s: float, e: float,
-                               eps: float, j: int = 0, jp: int = 0, *,
-                               grid: Grid) -> ErrorReport:
+                               eps: float, *, grid: Grid) -> ErrorReport:
     """Dynamical energy shift element against the frozen on-shell one.
 
-    The dynamical operator sits at base point 0 and is probed at the
-    matched label t = s/omega; the frozen comparison is i dS/ds S^* of
-    the on-shell family at s.  Agreement is first order in omega.
+    The dynamical operator sits at base point 0 and is probed on the
+    diagonal at the matched label t = s/omega, on channel 0; the frozen
+    comparison is i dS/ds S^* of the on-shell family at s.  Agreement is
+    first order in omega.
     """
-    bra, ket = _label_states(model, s / model.omega, e, eps, j, jp, grid)
-    exact = braket(bra, energy_shift_operator(model, 0.0)(ket))
-    approx = complex(frozen_energy_shift_onshell(model, s, e).matrix[j, jp])
+    ket = coherent_state(CoherentLabel(s / model.omega, e, eps), grid,
+                         n_channels=model.n_channels)
+    exact = braket(ket, energy_shift_operator(model, 0.0)(ket))
+    approx = complex(frozen_energy_shift_onshell(model, s, e).matrix[0, 0])
     return ErrorReport(exact, approx)
 
 

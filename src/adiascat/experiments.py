@@ -320,14 +320,27 @@ def _random_equal_weight_pair(rng) -> tuple[GaussianMix, GaussianMix]:
 
 
 def _driven(experiment: str, setup: Setup) -> list[tuple[str, str]]:
-    """omega-scaling fits a log-log slope to the remainder, which a model
-    with no drive leaves exactly 0."""
+    """omega-scaling, combined and energy-shift gate effects of the drive,
+    exactly 0 without one, where the gates would compare rounding noise."""
     schedule = setup.model.schedule
     if schedule.is_constant or schedule.a == 0.0:
         return [("model", f"{experiment}: schedule = {schedule.kind} with "
-                 f"schedule_a = {schedule.a:g} has no drive, so the remainder "
-                 "is exactly 0 and has no slope in omega to fit")]
+                 f"schedule_a = {schedule.a:g} has no drive, so each effect "
+                 "of the drive it gates is exactly 0")]
     return []
+
+
+def _slope_points(field: str):
+    """The check that sweep.<field> (omega, or eps of a rank-one model)
+    lists the two distinct values the driver's log-log fit needs."""
+    def check(experiment: str, setup: Setup) -> list[tuple[str, str]]:
+        values = setup.omegas if field == "omega" else setup.epsilons
+        fitted = field == "omega" or isinstance(setup.model.coupling, RankOne)
+        if not fitted or len(set(values)) >= 2:
+            return []
+        return [(f"sweep.{field}", f"{experiment} fits a log-log slope in "
+                 f"{field}, which needs two distinct values of it")]
+    return check
 
 
 def run_omega_scaling(setup: Setup) -> ExperimentResult:
@@ -347,15 +360,15 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
     mags = [abs(row.value_exact) for row in rows]
     resid = rows.errors("omega-scaling")
     ratios = [rr / w for rr, w in zip(resid, setup.omegas)]
-    rem_fit = fit_slope(setup.omegas, mags)
-    res_fit = fit_slope(setup.omegas, resid)
+    rem_slope = fit_slope(setup.omegas, mags)
+    res_slope = fit_slope(setup.omegas, resid)
     gate = ("criterion-04", "first-order-law")
     law = GATES[gate]
     law_check = Check(*gate, max(
-        gate_ratio(abs(rem_fit.exponent - law["slope"]), law["slope_tol"]),
+        gate_ratio(abs(rem_slope - law["slope"]), law["slope_tol"]),
         _worst_step(ratios)),
-        details={"remainder_slope": rem_fit.exponent,
-                 "residual_slope": res_fit.exponent,
+        details={"remainder_slope": rem_slope,
+                 "residual_slope": res_slope,
                  "residual_over_omega": ratios,
                  "tau": [tau.real, tau.imag]})
 
@@ -397,8 +410,8 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
         details={"frozen_gap": frozen_gap, "remainder_gap": gap,
                  "threshold": tol["remainder_gap"]})
     return ExperimentResult(rows, [law_check, degeneracy, insufficiency],
-                            info={"remainder_slope": rem_fit.exponent,
-                                  "residual_slope": res_fit.exponent})
+                            info={"remainder_slope": rem_slope,
+                                  "residual_slope": res_slope})
 
 
 def _one_term(potential: GaussianMix, schedule: Schedule,
@@ -449,7 +462,7 @@ def run_epsilon_scaling(setup: Setup) -> ExperimentResult:
     tol = GATES[gate]
     info = {}
     if isinstance(net.coupling, RankOne):
-        info["slope"] = fit_slope(setup.epsilons, errors).exponent
+        info["slope"] = fit_slope(setup.epsilons, errors)
         ratio = gate_ratio(abs(info["slope"] - tol["slope"]),
                            tol["slope_tol"])
         details = {"slope": info["slope"], "target": tol["slope"],
@@ -669,7 +682,7 @@ def run_combined(setup: Setup) -> ExperimentResult:
     rows = _Rows(setup.timing, omega=net.omega, eps=eps, s=s, e=e, j=0, jp=0)
     grid = setup.grid
     tau_num = adiabatic_tau(net, s, e, eps, grid=_tau_grid(grid))
-    report = combined_report(net, s, e, eps, grid=grid, tau_value=tau_num)
+    report = combined_report(net, s, e, eps, tau_num, grid=grid)
     rows.add("combined", report.value_exact, report.value_approx,
              predicted_bound=report.predicted_bound)
     gate = ("criterion-04", "combined-bound")
@@ -681,8 +694,8 @@ def run_combined(setup: Setup) -> ExperimentResult:
                            "margin": margin})
 
     def joint(net_k: ScatterModel, eps_k: float, s_k: float) -> ErrorReport:
-        return combined_report(net_k, s_k, e, eps_k, grid=grid,
-                               tau_value=tau_first_order(net_k, s_k))
+        return combined_report(net_k, s_k, e, eps_k,
+                               tau_first_order(net_k, s_k), grid=grid)
 
     return ExperimentResult(rows, [bound, _joint_sweep(
         setup, rows, "combined/joint", ("criterion-04", "joint-monotone"),
@@ -710,15 +723,17 @@ DECLARATIONS: dict[str, Declaration] = {
     "soluble-exact": Declaration(run_soluble_exact, (
         _closed_forms, _labels_clear(_soluble_exact_labels))),
     "omega-scaling": Declaration(run_omega_scaling, (
-        _closed_forms, _driven, _tau_labels_clear,
+        _closed_forms, _driven, _slope_points("omega"), _tau_labels_clear,
         _labels_clear(_matched_labels))),
-    "epsilon-scaling": Declaration(run_epsilon_scaling, (_on_shell_data,)),
+    "epsilon-scaling": Declaration(run_epsilon_scaling, (
+        _on_shell_data, _slope_points("eps"))),
     "energy-shift": Declaration(run_energy_shift, (
-        _closed_forms, _labels_clear(_energy_shift_probes, _joint_labels))),
+        _closed_forms, _driven,
+        _labels_clear(_energy_shift_probes, _joint_labels))),
     "outgoing-state": Declaration(run_outgoing_state, (
         _closed_forms, _outgoing_grid)),
     "combined": Declaration(run_combined, (
-        _closed_forms, _tau_labels_clear, _labels_clear(
+        _closed_forms, _driven, _tau_labels_clear, _labels_clear(
             lambda setup: _matched_labels(setup)[:1], _joint_labels))),
 }
 

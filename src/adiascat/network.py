@@ -189,7 +189,7 @@ def _apply_characteristic(model: ScatterModel, x: np.ndarray, tau: float,
 
 
 def _matrix_transport(model: ScatterModel, grid: Grid, amps: np.ndarray,
-                      t0: float, tau: float, m: int) -> np.ndarray:
+                      t0: float, m: int) -> np.ndarray:
     """Amplitudes transported under a matrix coupling over tau = m dx.
 
     Rolls them by m lattice steps and applies the characteristic factors
@@ -200,6 +200,7 @@ def _matrix_transport(model: ScatterModel, grid: Grid, amps: np.ndarray,
     out = np.roll(amps, m, axis=-1)
     if schedule.is_constant and schedule.a == 0.0:
         return out
+    tau = m * grid.dx
     return _apply_characteristic(model, grid.points, tau, t0 + tau, abs(m),
                                  schedule.value, out)
 
@@ -266,11 +267,11 @@ def propagate(model: ScatterModel, state: StateVector, t0: float,
     not a warning.
     """
     grid = state.grid
-    m, tau = grid.snap(t1 - t0)
+    m, _ = grid.snap(t1 - t0)
     if m == 0:
         return state.copy()
     if isinstance(model.coupling, MatrixPotential):
-        out = _matrix_transport(model, grid, state.amplitudes, t0, tau, m)
+        out = _matrix_transport(model, grid, state.amplitudes, t0, m)
     else:
         out = _propagate_rankone(model, state, t0, m)
     result = StateVector(grid, out)
@@ -358,7 +359,7 @@ def _band_delay(form: GaussianMix, schedule: Schedule, lo: float,
     energies = np.linspace(lo, hi, 97)
     ends = (*schedule.asymptotics(), float(schedule.value(schedule.b)))
     lam = np.linspace(min(ends), max(ends), 17)[:, None, None]
-    h = 1e-3  # the energy step of wigner_delay
+    h = 1e-3  # wigner_delay's step; a 2-point difference, not its 4-point rule
     g = rankone_resolvent(form, np.concatenate(
         [energies - h, energies, energies + h])).reshape(3, -1)
     denom = 1.0 - lam * g

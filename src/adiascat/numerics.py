@@ -144,28 +144,19 @@ def _dawson(x):
     return out if x.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    exponent: float
-    intercept: float
-    residual: float
-
-
-def fit_slope(xs, ys) -> SlopeFit:
+def fit_slope(xs, ys) -> float:
     """Least-squares slope of log(y) against log(x)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 2:
-        raise ValueError("need two 1-d arrays with at least two points")
+    if xs.shape != ys.shape or xs.ndim != 1 or np.unique(xs).size < 2:
+        raise ValueError("need two 1-d arrays with at least two distinct "
+                         "x values")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise ValueError("log-log fit needs strictly positive data")
     lx = np.log(xs)
-    ly = np.log(ys)
     A = np.stack([lx, np.ones_like(lx)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    resid = ly - A @ coef
-    return SlopeFit(exponent=float(coef[0]), intercept=float(coef[1]),
-                    residual=float(np.sqrt(np.mean(resid ** 2))))
+    coef, *_ = np.linalg.lstsq(A, np.log(ys), rcond=None)
+    return float(coef[0])
 
 
 def hermitize(m: np.ndarray) -> tuple[np.ndarray, float]:

@@ -210,8 +210,8 @@ def test_combined_report_error_within_bound():
     model = soluble_model(0.1)
     grid = Grid(-64.0, 64.0, 2048)
     s = 1.0 / math.sqrt(2.0)
-    report = combined_report(model, s, 1.0, 0.5, grid=grid,
-                             tau_value=tau_first_order(model, s))
+    report = combined_report(model, s, 1.0, 0.5, tau_first_order(model, s),
+                             grid=grid)
     assert report.abs_error > 0.0
     assert report.abs_error <= 3.0 * report.predicted_bound
 

@@ -231,14 +231,19 @@ def test_combined_runs_a_grid_of_two_mod_four_points(tmp_path, capsys):
     assert summary["checks"] and all(c["passed"] for c in summary["checks"])
 
 
-@pytest.mark.parametrize("old, new", [
-    ("schedule = bump\n", "schedule = constant\n"),
-    ("schedule_a = 1.0\n", "schedule_a = 0.0\n"),
-], ids=["constant", "zero-amplitude"])
-def test_omega_scaling_refuses_a_model_with_no_drive(tmp_path, capsys, old,
-                                                     new):
-    # no drive leaves a remainder of exactly 0, which has no log-log slope
-    text = (CONFIGS / "omega-scaling.ini").read_text(encoding="ascii")
+@pytest.mark.parametrize("name, old, new", [
+    ("omega-scaling", "schedule = bump\n", "schedule = constant\n"),
+    ("omega-scaling", "schedule_a = 1.0\n", "schedule_a = 0.0\n"),
+    ("combined", "schedule = bump\n", "schedule = constant\n"),
+    ("energy-shift", "schedule = bump\n", "schedule = constant\n"),
+], ids=["constant", "zero-amplitude", "combined-constant",
+        "energy-shift-constant"])
+def test_omega_scaling_refuses_a_model_with_no_drive(tmp_path, capsys, name,
+                                                     old, new):
+    # no drive leaves each gated effect of the drive exactly 0: the
+    # remainder has no log-log slope, and the combined bound and the joint
+    # sweeps would compare rounding noise
+    text = (CONFIGS / f"{name}.ini").read_text(encoding="ascii")
     assert old in text
     path = write_config(tmp_path, text.replace(old, new))
     assert main(["validate", "--config", path]) == 1
@@ -251,6 +256,51 @@ def test_omega_scaling_refuses_a_model_with_no_drive(tmp_path, capsys, old,
     assert summary["status"] == "validation-error"
     assert summary["diagnostics"] == [diagnostic]
     assert not (out / "results.csv").exists()
+
+
+def _validation_error(tmp_path, capsys, path: str, *flags) -> dict:
+    """The one diagnostic that validate gives for the config at path with
+    the flags, which run also stops on before it writes results."""
+    assert main(["validate", "--config", path, *flags]) == 1
+    [diagnostic] = json.loads(capsys.readouterr().out)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), *flags]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "validation-error"
+    assert summary["diagnostics"] == [diagnostic]
+    assert not (out / "results.csv").exists()
+    return diagnostic
+
+
+@pytest.mark.parametrize("omegas", ["0.1", "0.1,0.1"])
+def test_omega_scaling_needs_two_distinct_omegas(tmp_path, capsys, omegas):
+    # one omega stopped the run in fit_slope; the same omega twice gave a
+    # minimum-norm least-squares "slope" and a gate on it
+    diagnostic = _validation_error(tmp_path, capsys,
+                                   str(CONFIGS / "omega-scaling.ini"),
+                                   "--omega", omegas)
+    assert diagnostic["field"] == "sweep.omega"
+    assert "two distinct values" in diagnostic["message"]
+
+
+def test_epsilon_scaling_fits_a_slope_for_a_rank_one_model_only(tmp_path,
+                                                               capsys):
+    # the rank-one gate fits a slope in eps, the matrix gate takes the
+    # worst error, which one eps gives
+    diagnostic = _validation_error(
+        tmp_path, capsys, str(CONFIGS / "epsilon-scaling-rankone.ini"),
+        "--eps", "0.4")
+    assert diagnostic["field"] == "sweep.eps"
+    assert "two distinct values" in diagnostic["message"]
+    path = str(MATRIX_CONFIG)
+    assert main(["validate", "--config", path, "--eps", "0.4"]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+    out = tmp_path / "matrix"
+    assert main(["run", "--config", path, "--out", str(out),
+                 "--eps", "0.4"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "ok"
+    assert summary["checks"] and all(c["passed"] for c in summary["checks"])
 
 
 @pytest.mark.parametrize("name, flag, value", [
@@ -809,6 +859,9 @@ MALFORMED = {
                           "no section headers"),
     "default-section": ("[DEFAULT]\nseed = 1\n\n" + GOOD_CONFIG,
                         "unknown config section [DEFAULT]"),
+    # a key with no default, left out
+    "missing-key": (GOOD_CONFIG.replace("kind = soluble\n", ""),
+                    "missing required key model.kind"),
 }
 
 

@@ -227,6 +227,20 @@ def test_coherent_state_skips_only_exact_zeros(grid, eps, e):
     assert got.tobytes() == want.tobytes()
 
 
+def test_labels_states_and_brakets_refuse_mismatches():
+    with pytest.raises(ValueError, match="eps must be positive"):
+        CoherentLabel(0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"\(channels, grid.n\)"):
+        StateVector(GRID, np.zeros(GRID.n - 1))
+    state = coherent_state(CoherentLabel(0.0, 0.0, 0.5), GRID)
+    with pytest.raises(ValueError, match="different grids"):
+        braket(state, coherent_state(CoherentLabel(0.0, 0.0, 0.5),
+                                     Grid(-48.0, 48.0, 1024)))
+    with pytest.raises(ValueError, match="different channel counts"):
+        braket(state, coherent_state(CoherentLabel(0.0, 0.0, 0.5), GRID,
+                                     n_channels=2))
+
+
 def test_coherent_state_representability_guards():
     with pytest.raises(ValueError):
         coherent_state(CoherentLabel(46.0, 0.0, 0.4), GRID)

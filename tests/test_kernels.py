@@ -61,11 +61,16 @@ def _phase_inputs():
 # fixed ids keep the test names stable
 @pytest.mark.parametrize("kind", ["tanh", "bump"], ids=["1", "2"])
 def test_characteristic_phase_numpy_matches_per_point_loop(m, sub, kind):
-    # lattice-aligned inputs as propagate makes them
+    # lattice-aligned inputs as propagate makes them; sub > 1 asks for
+    # sub-steps of a grid cell, which the kernel refuses
     x, profile = _phase_inputs()
     dx = (x[-1] - x[0]) / (x.shape[0] - 1)
     args = (x, m * dx, 2.0, abs(m) * sub, profile,
             Schedule(kind, 1.0, 0.1, 1.3, 0.2).value, 0.25, 9.0)
+    if sub > 1:
+        with pytest.raises(ValueError, match=r"nsteps = \|m\|"):
+            _kernels.characteristic_phase(*args)
+        return
     got = _kernels.characteristic_phase(*args)
     want = _char_phase_py(*args)
     assert np.max(np.abs(want)) > 1e-2
@@ -95,7 +100,7 @@ def _unitary_inputs(nc):
 def test_characteristic_unitary_is_unitary(nc):
     x, coupling = _unitary_inputs(nc)
     u = _kernels.characteristic_unitary(
-        x, 5.0, 1.0, 160, coupling.value, coupling.schedule.value, 0.3, 8.0)
+        x, 5.0, 1.0, 32, coupling.value, coupling.schedule.value, 0.3, 8.0)
     assert np.max(np.abs(u - np.eye(nc))) > 1e-2
     prod = u @ np.conj(u.transpose(0, 2, 1))
     np.testing.assert_allclose(prod, np.broadcast_to(np.eye(nc), prod.shape),
@@ -114,7 +119,8 @@ def test_characteristic_unitary_rejects_off_lattice(tau, nsteps):
 def _assert_matches_ordered_exponential(matrices, tau, sub):
     # the factor at x_j is the ordered product along its characteristic
     # [x_j - tau, x_j], later points on the left, with the same midpoint
-    # samples
+    # samples; sub > 1 asks for sub-steps of a grid cell, which the
+    # kernel refuses
     x = np.linspace(-8.0, 8.0, 65)
     dx = x[1] - x[0]
     coupling = MatrixPotential(
@@ -125,9 +131,13 @@ def _assert_matches_ordered_exponential(matrices, tau, sub):
     t1, omega, rmax = 1.5, 0.3, 9.0
     m = round(tau / dx)
     nsteps = abs(m) * sub
-    got = _kernels.characteristic_unitary(
-        x, m * dx, t1, nsteps, coupling.value, coupling.schedule.value,
-        omega, rmax)
+    args = (x, m * dx, t1, nsteps, coupling.value, coupling.schedule.value,
+            omega, rmax)
+    if sub > 1:
+        with pytest.raises(ValueError, match=r"nsteps = \|m\|"):
+            _kernels.characteristic_unitary(*args)
+        return
+    got = _kernels.characteristic_unitary(*args)
     t0 = t1 - m * dx
     # the grid ends show a factor window clipped by one point
     for j in (0, 28, 30, 32, 33, 34, x.shape[0] - 1):

@@ -118,7 +118,7 @@ def test_one_channel_transport_multiplies_only_where_the_phase_lives():
     rng = np.random.default_rng(3)
     amps = rng.normal(size=(2, grid.n)) + 1j * rng.normal(size=(2, grid.n))
     before = amps.copy()
-    got = _matrix_transport(model, grid, amps, 0.7, tau, m)
+    got = _matrix_transport(model, grid, amps, 0.7, m)
     want = np.roll(amps, m, axis=-1) * np.exp(-1j * phase)
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(amps, before)
@@ -137,7 +137,7 @@ def test_one_channel_terms_take_the_phase_of_their_summed_profile():
         grid.points, tau, 0.7 + tau, m, lambda y: MIX(y) + 0.5 * second(y),
         schedule.value, model.omega, model.coupling.support_radius(1e-16))
     amps = np.random.default_rng(3).normal(size=(1, grid.n)) + 0j
-    got = _matrix_transport(model, grid, amps, 0.7, tau, m)
+    got = _matrix_transport(model, grid, amps, 0.7, m)
     want = np.roll(amps, m, axis=-1) * np.exp(-1j * phase)
     assert got.tobytes() == want.tobytes()
 
@@ -165,15 +165,15 @@ def test_one_term_route_matches_channel_unitaries(monkeypatch, matrix):
     twin = ScatterModel(nc, MatrixPotential((matrix, 0.0 * matrix),
                                             (MIX, MIX), schedule), 0.3)
     grid = Grid(-40.0, 40.0, 1024)
-    m, tau = grid.snap(16.0)
+    m, _ = grid.snap(16.0)
     rng = np.random.default_rng(4)
     amps = rng.normal(size=(nc, grid.n)) + 1j * rng.normal(size=(nc, grid.n))
     unitaries = _call_log(monkeypatch, "characteristic_unitary")
     phases = _call_log(monkeypatch, "characteristic_phase")
-    got = _matrix_transport(model, grid, amps, 0.7, tau, m)
+    got = _matrix_transport(model, grid, amps, 0.7, m)
     s_got = on_shell_S(model, 0.5).matrix
     assert not unitaries and len(phases) == 2 * nc
-    want = _matrix_transport(twin, grid, amps, 0.7, tau, m)
+    want = _matrix_transport(twin, grid, amps, 0.7, m)
     s_want = on_shell_S(twin, 0.5).matrix
     assert len(unitaries) == 2
     assert np.max(np.abs(got - want)) < 1e-12
@@ -183,7 +183,7 @@ def test_one_term_route_matches_channel_unitaries(monkeypatch, matrix):
         # the null channel collects no phase: it is rolled and nothing else
         assert not np.any(phases[0]) and not np.any(phases[nc])
         null = vec[:, :1] @ amps[:1]
-        moved = _matrix_transport(model, grid, null, 0.7, tau, m)
+        moved = _matrix_transport(model, grid, null, 0.7, m)
         assert np.max(np.abs(moved - np.roll(null, m, axis=-1))) \
             < 4 * np.finfo(float).eps * np.max(np.abs(null))
 
@@ -311,6 +311,12 @@ def test_coupling_validation_errors():
         MatrixPotential((), (), BUMP)
     with pytest.raises(ValueError):
         RankOne(MIX, BUMP, np.zeros(2))
+    with pytest.raises(ValueError, match="must be square"):
+        MatrixPotential((np.ones((2, 3)),), (MIX,), BUMP)
+    with pytest.raises(ValueError, match="GaussianMix"):
+        MatrixPotential((SX,), (lambda y: np.exp(-y * y),), BUMP)
+    with pytest.raises(ValueError, match="nonempty"):
+        RankOne(MIX, BUMP, ())
     with pytest.raises(ValueError):
         ScatterModel(2, MatrixPotential((np.array([[1.0]]),), (MIX,), BUMP),
                      0.1)
@@ -343,6 +349,28 @@ def test_dynamical_S_rejects_driven_reference():
     state = coherent_state(CoherentLabel(4.0, 1.0, 0.5), grid)
     with pytest.raises(ValueError):
         dynamical_S(model, 0.4, state, reference=model)
+
+
+def test_dynamical_S_rejects_reference_of_another_channel_count():
+    grid = Grid(-64.0, 64.0, 1024)
+    model = soluble_twin(0.1)
+    state = coherent_state(CoherentLabel(4.0, 1.0, 0.5), grid)
+    reference = frozen(ScatterModel(2, MatrixPotential((SX,), (MIX,), BUMP),
+                                    0.1), 0.4)
+    with pytest.raises(ValueError, match="reference channel count"):
+        dynamical_S(model, 0.4, state, reference=reference)
+
+
+def test_propagate_refuses_norm_drift():
+    # a strong narrow rank-one form on a coarse grid: the Volterra steps
+    # lose 4.4e-4 of the norm, beyond NORM_TOL
+    model = ScatterModel(1, RankOne(GaussianMix((3.0,), (0.0,), (0.3,)),
+                                    BUMP, (1.0,)), 0.2)
+    state = coherent_state(CoherentLabel(5.0, 1.0, 0.7),
+                           Grid(-20.0, 20.0, 128))
+    with pytest.raises(NumericalContractError,
+                       match="propagation norm drift"):
+        propagate(model, state, -5.0, 15.0)
 
 
 # ---------------------------------------------------------------------------

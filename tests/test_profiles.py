@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adiascat.numerics import central_derivative
-from adiascat.profiles import Schedule
+from adiascat.profiles import GaussianMix, Schedule
 
 A, B, C, D = 0.8, 0.1, 1.3, -0.2
 
@@ -37,3 +37,13 @@ def test_schedule_matches_closed_forms(kind):
         slopes = sched.derivative(far)
     np.testing.assert_allclose(values, sched.asymptotics(), atol=1e-15)
     np.testing.assert_array_equal(slopes, 0.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GaussianMix((1.0,), (0.0,), (0.0,)), "widths must be positive"),
+    (lambda: Schedule("ramp", A), "unknown schedule kind"),
+    (lambda: Schedule("bump", A, B, 0.0), "width must be positive"),
+], ids=["width", "kind", "c"])
+def test_profiles_and_schedules_refuse_bad_parameters(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
