@@ -1,14 +1,16 @@
 """Time the transport kernels, the matrix on-shell S, matrix and rank-one
-transport, the rank-one Faddeeva form, the 800-node Gauss-Legendre rule
-and diagnostics on run-sized inputs.
+transport, the rank-one resolvent quadrature and Faddeeva form, the
+800-node Gauss-Legendre rule and diagnostics on run-sized inputs.
 
     python3 benchmarks/bench_kernels.py [--repeats 3] [--sizes 1024,4096]
 
 ``--sizes`` sets the kernel grids; the sigma_x transport runs on the
 grid of the multichannel benchmark's matrix leg (n = 2048), the rank-one
-leg at the size of criterion-09 (n = 512), the label build at that of
-combined.ini (n = 4096) and the diagnostics at the sizes of the shipped
-coherent-props (n = 2048) and outgoing-state (n = 512) configs;
+leg at the size of criterion-09 (n = 512), the resolvent on the
+multichannel benchmark's form at the energy counts of its callers, the
+label build at that of combined.ini (n = 4096) and the diagnostics at
+the sizes of the shipped coherent-props (n = 2048) and outgoing-state
+(n = 512) configs;
 adiabatic_tau runs on combined.ini's response grid (n = 6144) and on a
 two-channel grid (n = 1024).
 Throwaway complex GEMMs run before any timing (see ``_warm_blas``):
@@ -25,10 +27,10 @@ from adiascat import _kernels as K
 from adiascat import adiabatic
 from adiascat.coherent import (CoherentLabel, coherent_state, free_shift,
                                identity_resolution_residual)
-from adiascat.experiments import _tau_grid
+from adiascat.experiments import OUTGOING_DENSITIES, _tau_grid
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
                               gauss_legendre, on_shell_S, propagate,
-                              rankone_resolvent_exact)
+                              rankone_resolvent, rankone_resolvent_exact)
 from adiascat.numerics import Grid
 from adiascat.profiles import GaussianMix, Schedule
 
@@ -148,6 +150,16 @@ def _rankone_case():
     return (model, free_shift(ket, -T), 2.0 - T, 2.0 + T)
 
 
+def _resolvent_case(size):
+    """The multichannel benchmark's form at one energy (on_shell_S), 160
+    (smeared_frozen_element's nodes over e +- 10 eps) or 291
+    (_band_delay's 3 x 97), around e = 1."""
+    form = GaussianMix((0.4,), (0.0,), (1.0,))
+    if size == 1:
+        return (form, 1.0)
+    return (form, np.linspace(-3.0, 5.0, size))
+
+
 def _residual_case(eps):
     """One coherent-props label; eps = 0.3 and 1.2 give the narrowest and
     widest momentum band of its labels."""
@@ -173,10 +185,8 @@ def _outgoing_run(model, grid, densities, cold):
 
 
 def _outgoing_case(cold):
-    densities = (adiabatic.rho_fermi(mu=0.5, width=0.2, floor=-12.0),
-                 adiabatic.rho_gaussian(center=0.0, width=1.0),
-                 adiabatic.rho_polynomial((0.0, 1.0)))
-    return (SOLUBLE, Grid(-40.0, 40.0, 512), densities, cold)
+    return (SOLUBLE, Grid(-40.0, 40.0, 512),
+            tuple(OUTGOING_DENSITIES.values()), cold)
 
 
 def _tau(model, s, e, eps, j, jp, grid):
@@ -216,6 +226,9 @@ def _cases(sizes, product_steps):
                   propagate, _sx_transport_case()))
     cases.append(("rank-one propagate n=512 48 units",
                   propagate, _rankone_case()))
+    for size in (1, 160, 291):
+        cases.append((f"rankone_resolvent {size} energies",
+                      rankone_resolvent, _resolvent_case(size)))
     # the multichannel benchmark's Faddeeva check: its form, 13 energies
     cases.append(("rankone_resolvent_exact 13 energies",
                   rankone_resolvent_exact,

@@ -193,12 +193,12 @@ def smeared_frozen_element(model: ScatterModel, s: float, e: float, eps: float,
     return complex(np.sum(values * weight * gl_w) * half)
 
 
-def _smearing_bound(model: ScatterModel, s: float, e: float,
-                    eps: float) -> float:
-    """eps^2 (|tau_w|^2 + |dtau_w/dE|) from the Wigner delay matrix tau_w.
+def _delay_spread(model: ScatterModel, s: float, e: float) -> float:
+    """|tau_w|^2 + |dtau_w/dE| from the Wigner delay matrix tau_w: the
+    smearing bound per eps^2.
 
     A matrix coupling's delay is exactly zero (see wigner_delay), and so
-    is the bound.
+    is the spread.
     """
     if isinstance(model.coupling, MatrixPotential):
         return 0.0
@@ -208,21 +208,23 @@ def _smearing_bound(model: ScatterModel, s: float, e: float,
         return wigner_delay(model, s, en).matrix
 
     dtw = central_derivative(tw_fun, e, 1e-2)
-    return eps ** 2 * (np.linalg.norm(tw.matrix, 2) ** 2
-                       + np.linalg.norm(dtw, 2))
+    return float(np.linalg.norm(tw.matrix, 2) ** 2 + np.linalg.norm(dtw, 2))
 
 
-def onshell_vs_frozen(model: ScatterModel, s: float, e: float, eps: float,
-                      j: int = 0, jp: int = 0) -> ErrorReport:
-    """Smeared frozen amplitude against its on-shell value at the center.
+def onshell_vs_frozen(model: ScatterModel, s: float, e: float, epsilons,
+                      j: int = 0, jp: int = 0) -> list[ErrorReport]:
+    """Smeared frozen amplitude against its on-shell value at the center,
+    one report per energy width in epsilons.
 
-    The predicted bound is eps^2 (|tau_w|^2 + |dtau_w/dE|) from the
-    Wigner delay matrix and its energy derivative.
+    The on-shell value and the spread |tau_w|^2 + |dtau_w/dE| of the
+    Wigner delay matrix do not depend on eps, so each is computed once;
+    each report's predicted bound is eps^2 times the spread.
     """
-    exact = smeared_frozen_element(model, s, e, eps, j, jp)
     approx = complex(on_shell_S(model, s, e).matrix[j, jp])
-    bound = _smearing_bound(model, s, e, eps)
-    return ErrorReport(exact, approx, float(bound))
+    spread = _delay_spread(model, s, e)
+    return [ErrorReport(smeared_frozen_element(model, s, e, eps, j, jp),
+                        approx, float(eps ** 2 * spread))
+            for eps in epsilons]
 
 
 def combined_report(model: ScatterModel, s: float, e: float, eps: float,
@@ -238,7 +240,7 @@ def combined_report(model: ScatterModel, s: float, e: float, eps: float,
                          n_channels=model.n_channels)
     exact = braket(ket, dynamical_S(model, 0.0, ket))
     approx = complex(on_shell_S(model, s, e).matrix[0, 0])
-    bound = _smearing_bound(model, s, e, eps) + model.omega * abs(tau)
+    bound = eps ** 2 * _delay_spread(model, s, e) + model.omega * abs(tau)
     return ErrorReport(exact, approx, float(bound))
 
 

@@ -453,8 +453,8 @@ def run_epsilon_scaling(setup: Setup) -> ExperimentResult:
     net, _, s, e = setup.first
     rows = _Rows(setup.timing, omega=net.omega, s=s, e=e, j=setup.j,
                  jp=setup.jp)
-    for eps in setup.epsilons:
-        report = onshell_vs_frozen(net, s, e, eps, setup.j, setup.jp)
+    reports = onshell_vs_frozen(net, s, e, setup.epsilons, setup.j, setup.jp)
+    for eps, report in zip(setup.epsilons, reports):
         rows.add("epsilon-scaling", report.value_exact, report.value_approx,
                  eps=eps, predicted_bound=report.predicted_bound)
     errors = rows.errors("epsilon-scaling")
@@ -604,7 +604,9 @@ def _energy_shift_probes(setup: Setup) -> list[CoherentLabel]:
 # gates, which validate also holds at the two ends of the momentum band;
 # the fermi floor opens the occupation softly below the band bottom, so
 # it is smooth across the band seam
-OUTGOING_DENSITIES = {"fermi": rho_fermi(mu=0.5, width=0.2, floor=-12.0),
+FERMI_FLOOR_DEPTH = 12.0
+OUTGOING_DENSITIES = {"fermi": rho_fermi(mu=0.5, width=0.2,
+                                         floor=-FERMI_FLOOR_DEPTH),
                       "gaussian": rho_gaussian(center=0.0, width=1.0),
                       "poly": rho_polynomial((0.0, 1.0))}
 OUTGOING_GATED = "fermi"
@@ -619,11 +621,18 @@ OUTGOING_GATED = "fermi"
 # the residual below criterion-07c's tolerance, not the whole residual
 _TOL_07C = GATES["criterion-07c", "outgoing-state-transport"]["tol"]
 OUTGOING_SEAM_MAX, OUTGOING_BAND_MAX = _TOL_07C / 0.4, _TOL_07C / 3.0
+# and the largest momentum tail sum |s_k| / n of the profile's FFT over
+# |k| > p_max - FERMI_FLOOR_DEPTH (past the distance from the fermi floor
+# to the band bottom) that validate passes: where the tail dominates,
+# the fermi residual measures 0.25-0.52 times it (omega 0.3-1, n 320-768,
+# windows 80 and 160)
+OUTGOING_TAIL_MAX = _TOL_07C / 0.52
 
 
 def _outgoing_grid(experiment: str, setup: Setup) -> list[tuple[str, str]]:
-    """outgoing-state takes one dense eigh of its grid, whose seam and
-    band ends must keep the gated residual small."""
+    """outgoing-state takes one dense eigh of its grid, whose seam, band
+    ends and the scattering profile's momentum tail must keep the gated
+    residual small."""
     grid = setup.grid
     if grid.n > OUTGOING_N_MAX:
         return [("grid", f"{experiment} takes one dense eigh, so it needs "
@@ -648,6 +657,21 @@ def _outgoing_grid(experiment: str, setup: Setup) -> list[tuple[str, str]]:
                          f"momentum band +-{grid.p_max:.3g}, above "
                          f"{OUTGOING_BAND_MAX:.3g}; raise grid n to widen the "
                          "band"))
+    if problems:
+        # a seam jump, or a band inside the floor, spreads the profile's
+        # momentum content over the whole band, and its own check names it
+        return problems
+    edge = grid.p_max - FERMI_FLOOR_DEPTH
+    spectrum = np.abs(np.fft.fft(profile))
+    tail = float(np.sum(spectrum[np.abs(grid.momenta) > edge])) / grid.n
+    if tail > OUTGOING_TAIL_MAX:
+        problems.append(("grid", f"{experiment}: the scattering profile's "
+                         f"momentum tail past +-{edge:.3g}, the distance from "
+                         f"the {OUTGOING_GATED} floor at "
+                         f"-{FERMI_FLOOR_DEPTH:g} to the band bottom, sums to "
+                         f"{tail:.3g}, above {OUTGOING_TAIL_MAX:.3g}; the "
+                         "transport residual is up to about 0.5 times the "
+                         "tail, so raise grid n to widen the band"))
     return problems
 
 

@@ -560,24 +560,41 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
         return read_only(rules[f"x{nodes}"]), read_only(rules[f"w{nodes}"])
 
 
+# energies per pass of rankone_resolvent's quadrature: each node array
+# then holds 32 x 800 values (about 200 KB), whatever the call's size
+RESOLVENT_BLOCK = 32
+
+
 def rankone_resolvent(form: GaussianMix, energies):
     """Boundary value g(E) = <chi|(E - P + i0)^{-1}|chi> by quadrature.
 
     Principal value via symmetric-window subtraction and 800
     Gauss-Legendre nodes; the imaginary part is the exact -i pi |chi_hat(E)|^2.
+    The energies go through the rule RESOLVENT_BLOCK at a time, so the
+    working set stays bounded; each energy's value is the same whatever
+    its block.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     band = form.fourier_band(1e-18)
-    half = np.abs(energies) + band + 4.0
     gl_x, gl_w = gauss_legendre(800)
+    out = np.concatenate([
+        _resolvent_block(form, energies[i:i + RESOLVENT_BLOCK], band,
+                         gl_x, gl_w)
+        for i in range(0, energies.size, RESOLVENT_BLOCK)])
+    return out if out.size > 1 else complex(out[0])
+
+
+def _resolvent_block(form: GaussianMix, energies: np.ndarray, band: float,
+                     gl_x: np.ndarray, gl_w: np.ndarray) -> np.ndarray:
+    """rankone_resolvent on one block of energies, over +-(|E| + band + 4)."""
+    half = np.abs(energies) + band + 4.0
     k = energies[:, None] + half[:, None] * gl_x[None, :]
     rho = np.abs(form.fourier(k)) ** 2
     rho_e = np.abs(form.fourier(energies)) ** 2
     # an even node count puts no node on E: |E - k| >= 4 min|x_i| = 7.8e-3
     integrand = (rho - rho_e[:, None]) / (energies[:, None] - k)
     real_part = np.sum(integrand * (half[:, None] * gl_w[None, :]), axis=1)
-    out = real_part - 1j * math.pi * rho_e
-    return out if out.size > 1 else complex(out[0])
+    return real_part - 1j * math.pi * rho_e
 
 
 def rankone_resolvent_exact(form: GaussianMix, energies):

@@ -25,7 +25,8 @@ from adiascat.coherent import (CoherentLabel, StateVector, braket,
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
                               clearance_T, coupling_map, frozen, on_shell_S,
                               rankone_scalar_amplitude, wave_operator)
-from adiascat.numerics import Grid, NumericalContractError
+from adiascat.numerics import (Grid, NumericalContractError,
+                               central_derivative)
 from adiascat.profiles import GaussianMix, Schedule
 from adiascat.soluble import (dynamical_S_profile,
                               dynamical_energy_shift_profile,
@@ -187,12 +188,45 @@ def test_smeared_frozen_element_matrix_backend_is_on_shell():
 
 def test_onshell_vs_frozen_scales_quadratically_in_eps():
     model = rankone_model()
-    reports = [onshell_vs_frozen(model, 0.0, 0.5, eps, 0, 1)
-               for eps in (0.4, 0.2)]
+    reports = onshell_vs_frozen(model, 0.0, 0.5, (0.4, 0.2), 0, 1)
     for report in reports:
         assert report.abs_error <= report.predicted_bound
     ratio = reports[0].abs_error / reports[1].abs_error
     assert 3.0 < ratio < 5.5
+
+
+def per_eps_report(model, s, e, eps, j, jp):
+    """onshell_vs_frozen's report at one eps, every datum computed afresh:
+    the smeared value, the on-shell value, and eps^2 (|tau_w|^2 +
+    |dtau_w/dE|) with dtau_w/dE by central difference at step 1e-2."""
+    exact = smeared_frozen_element(model, s, e, eps, j, jp)
+    approx = complex(on_shell_S(model, s, e).matrix[j, jp])
+    tw = network.wigner_delay(model, s, e).matrix
+    dtw = central_derivative(
+        lambda en: network.wigner_delay(model, s, en).matrix, e, 1e-2)
+    bound = eps ** 2 * (np.linalg.norm(tw, 2) ** 2 + np.linalg.norm(dtw, 2))
+    return exact, approx, float(bound)
+
+
+def test_onshell_vs_frozen_computes_the_on_shell_data_once(monkeypatch):
+    # the on-shell value (1 on_shell_S) and the delay spread (a Wigner
+    # delay and four more for its derivative, each 5 on_shell_S) do not
+    # depend on eps: 26 calls for the whole sweep, not 26 per eps
+    model, epsilons = rankone_model(), (0.4, 0.2, 0.1)
+    want = [per_eps_report(model, 0.0, 0.5, eps, 0, 1) for eps in epsilons]
+    calls = []
+    on_shell = network.on_shell_S
+
+    def counting(*args):
+        calls.append(args)
+        return on_shell(*args)
+
+    monkeypatch.setattr(network, "on_shell_S", counting)
+    monkeypatch.setattr(adiabatic, "on_shell_S", counting)
+    reports = onshell_vs_frozen(model, 0.0, 0.5, epsilons, 0, 1)
+    assert len(calls) == 26
+    assert [(r.value_exact, r.value_approx, r.predicted_bound)
+            for r in reports] == want
 
 
 def test_energy_shift_operator_matches_profile():

@@ -491,6 +491,27 @@ def test_outgoing_state_band_seam_is_a_grid_error(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+def test_outgoing_state_momentum_tail_is_a_grid_error(tmp_path, capsys):
+    # at n = 384 and omega = 0.5 the seam is quiet and the band ends agree,
+    # but S_d's FFT sums to 1.32e-3 past p_max - 12, where it carries the
+    # fermi floor across the band bottom, and criterion-07c fails at ratio
+    # 36.3: validate says so, and run stops before computing
+    path = str(CONFIGS / "outgoing-state.ini")
+    flags = ["--grid-n", "384", "--omega", "0.5"]
+    assert main(["validate", "--config", path, *flags]) == 1
+    [diagnostic] = json.loads(capsys.readouterr().out)
+    assert diagnostic["field"] == "grid"
+    assert re.search(r"momentum tail past \+-3\.08, .* sums to 0\.00132, "
+                     r"above 1\.92e-05; .* raise grid n to widen the band",
+                     diagnostic["message"])
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), *flags]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "validation-error"
+    assert summary["diagnostics"] == [diagnostic]
+    assert not (out / "results.csv").exists()
+
+
 def test_coherent_props_wrap_hazard_is_a_grid_error(tmp_path, capsys):
     # on [-16, 16] the seed's free shift by -1.94 parks a packet on the
     # periodic seam, and the run would stop with a wrap hazard (exit 2)

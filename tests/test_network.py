@@ -12,6 +12,7 @@ import importlib.resources
 import json
 import math
 import re
+import tracemalloc
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -686,6 +687,53 @@ def test_rankone_resolvent_against_faddeeva_closed_form():
     assert isinstance(rankone_resolvent(form, 0.5), complex)
     with pytest.raises(ValueError):
         rankone_resolvent_exact(GaussianMix((0.9,), (0.3,), (1.2,)), 0.0)
+
+
+def one_shot_resolvent(form, energies):
+    """rankone_resolvent's quadrature in one pass over every energy, with
+    each node array E x 800: the reference the blocked passes keep."""
+    band = form.fourier_band(1e-18)
+    half = np.abs(energies) + band + 4.0
+    gl_x, gl_w = network.gauss_legendre(800)
+    k = energies[:, None] + half[:, None] * gl_x[None, :]
+    rho = np.abs(form.fourier(k)) ** 2
+    rho_e = np.abs(form.fourier(energies)) ** 2
+    integrand = (rho - rho_e[:, None]) / (energies[:, None] - k)
+    real_part = np.sum(integrand * (half[:, None] * gl_w[None, :]), axis=1)
+    return real_part - 1j * math.pi * rho_e
+
+
+RESOLVENT_FORMS = {"one-term": GaussianMix((0.9,), (0.0,), (1.2,)),
+                   "three-term": GaussianMix((0.4, 0.3), (-0.6, 1.1),
+                                             (0.7, 1.2))}
+
+
+@pytest.mark.parametrize("size", [1, network.RESOLVENT_BLOCK - 1,
+                                  network.RESOLVENT_BLOCK,
+                                  network.RESOLVENT_BLOCK + 1, 291])
+@pytest.mark.parametrize("form", RESOLVENT_FORMS.values(),
+                         ids=RESOLVENT_FORMS.keys())
+def test_blocked_resolvent_is_the_one_shot_quadrature(form, size):
+    # each energy's row takes the same elementwise steps and row sum in
+    # its block as in one pass over all energies, so every bit agrees
+    energies = np.random.default_rng(size).uniform(-4.0, 4.0, size)
+    got = np.atleast_1d(rankone_resolvent(form, energies))
+    assert np.array_equal(got, one_shot_resolvent(form, energies))
+
+
+def test_resolvent_working_set_is_bounded():
+    # one pass over 1000 energies held several 1000 x 800 node arrays at
+    # once (a 70 MB peak on this form); a block holds 32 energies
+    form = RESOLVENT_FORMS["three-term"]
+    energies = np.linspace(-3.0, 3.0, 1000)
+    rankone_resolvent(form, energies[:1])  # reads the stored rule
+    tracemalloc.start()
+    try:
+        rankone_resolvent(form, energies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_rankone_resolvent_nodes_keep_off_the_pole(monkeypatch):
