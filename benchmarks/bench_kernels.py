@@ -8,9 +8,9 @@ transport, the rank-one resolvent quadrature and Faddeeva form, the
 grid of the multichannel benchmark's matrix leg (n = 2048), the rank-one
 leg at the size of criterion-09 (n = 512), the resolvent on the
 multichannel benchmark's form at the energy counts of its callers, the
-label build at that of combined.ini (n = 4096) and the diagnostics at
+label build at that of combined.ini (n = 4096), the diagnostics at
 the sizes of the shipped coherent-props (n = 2048) and outgoing-state
-(n = 512) configs;
+(n = 512) configs and validate on the shipped outgoing-state config;
 adiabatic_tau runs on combined.ini's response grid (n = 6144) and on a
 two-channel grid (n = 1024).
 Throwaway complex GEMMs run before any timing (see ``_warm_blas``):
@@ -20,11 +20,12 @@ repeats.
 
 import argparse
 import time
+from pathlib import Path
 
 import numpy as np
 
 from adiascat import _kernels as K
-from adiascat import adiabatic
+from adiascat import adiabatic, cli
 from adiascat.coherent import (CoherentLabel, coherent_state, free_shift,
                                identity_resolution_residual)
 from adiascat.experiments import OUTGOING_DENSITIES, _tau_grid
@@ -189,6 +190,21 @@ def _outgoing_case(cold):
             tuple(OUTGOING_DENSITIES.values()), cold)
 
 
+def _validate_outgoing(setup):
+    """validate on the shipped outgoing-state config, cold: its
+    criterion-07c residual pays the dense eigh that the run then reuses."""
+    adiabatic._shifted_spectrum.cache_clear()
+    cli.validate_setup("outgoing-state", setup)
+
+
+def _validate_outgoing_case():
+    path = str(Path(__file__).resolve().parents[1] / "configs"
+               / "outgoing-state.ini")
+    args = cli._parser().parse_args(["validate", "--config", path])
+    setup, _ = cli._build_setup(cli._parse_ini(path), args)
+    return (setup,)
+
+
 def _tau(model, s, e, eps, j, jp, grid):
     return adiabatic.adiabatic_tau(model, s, e, eps, j, jp, grid=grid)
 
@@ -245,6 +261,8 @@ def _cases(sizes, product_steps):
     cases.append(("adiabatic_tau soluble n=6144", _tau, _tau_case("soluble")))
     cases.append(("adiabatic_tau two-channel n=1024 (0,1)",
                   _tau, _tau_case("two-channel")))
+    cases.append(("validate outgoing-state n=512",
+                  _validate_outgoing, _validate_outgoing_case()))
     cases.append(("outgoing_state_check n=512 x3 rho",
                   _outgoing_run, _outgoing_case(True)))
     cases.append(("outgoing_state_check n=512 x3 rho, cached eigh",

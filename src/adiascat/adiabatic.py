@@ -17,7 +17,6 @@ Conventions: on matched labels (t = s/omega) the leading remainder is
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,8 +36,6 @@ from .network import (ScatterModel, MatrixPotential, apply_h0,
 from .profiles import GaussianMix, Schedule
 from .soluble import dynamical_S_profile, soluble_potential
 from . import network as _network, soluble as _soluble
-
-logger = logging.getLogger(__name__)
 
 # largest grid of outgoing_state_check, which takes one dense eigh of it
 OUTGOING_N_MAX = 1024
@@ -342,10 +339,6 @@ def outgoing_state_check(model: ScatterModel, s: float,
     if grid.n > OUTGOING_N_MAX:
         raise ValueError(f"dense check limited to grids with n <= "
                          f"{OUTGOING_N_MAX}, not {grid.n}")
-    lo, hi = model.schedule.asymptotics()
-    if abs(hi - lo) > 1e-12 * max(1.0, abs(hi), abs(lo)):
-        logger.warning("schedule asymptotics differ (%.3g vs %.3g); "
-                       "expect a seam-limited residual", lo, hi)
     w, v = _shifted_spectrum(potential, model.schedule, model.omega, s, grid)
     s_diag = dynamical_S_profile(model, s, grid)
     rho_p = rho(grid.momenta)

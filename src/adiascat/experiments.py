@@ -601,78 +601,37 @@ def _energy_shift_probes(setup: Setup) -> list[CoherentLabel]:
 
 
 # outgoing-state's densities of H0 by name, and the one criterion-07c
-# gates, which validate also holds at the two ends of the momentum band;
-# the fermi floor opens the occupation softly below the band bottom, so
-# it is smooth across the band seam
-FERMI_FLOOR_DEPTH = 12.0
-OUTGOING_DENSITIES = {"fermi": rho_fermi(mu=0.5, width=0.2,
-                                         floor=-FERMI_FLOOR_DEPTH),
+# gates; the fermi floor at -12 opens the occupation softly below the
+# band bottom, so it is smooth across the band seam
+OUTGOING_DENSITIES = {"fermi": rho_fermi(mu=0.5, width=0.2, floor=-12.0),
                       "gaussian": rho_gaussian(center=0.0, width=1.0),
                       "poly": rho_polynomial((0.0, 1.0))}
 OUTGOING_GATED = "fermi"
 
-# the largest seam jump |S_d(x_0) - S_d(x_{n-1})| of the closed-form
-# scattering profile, and the largest difference of the gated density
-# between the band ends -pi/dx and pi/dx - dp, that validate passes: the
-# fermi residual measures 0.365-0.384 times the seam jump (omega
-# 0.05-0.1, s 0.2-0.8, n = 512 and 1024) and, where it dominates,
-# 0.29-2.75 times the band ends' difference (omega 0.1-1, s 0.3-0.8,
-# windows 80-160, band edges 10-16.5), so each limit keeps that share of
-# the residual below criterion-07c's tolerance, not the whole residual
-_TOL_07C = GATES["criterion-07c", "outgoing-state-transport"]["tol"]
-OUTGOING_SEAM_MAX, OUTGOING_BAND_MAX = _TOL_07C / 0.4, _TOL_07C / 3.0
-# and the largest momentum tail sum |s_k| / n of the profile's FFT over
-# |k| > p_max - FERMI_FLOOR_DEPTH (past the distance from the fermi floor
-# to the band bottom) that validate passes: where the tail dominates,
-# the fermi residual measures 0.25-0.52 times it (omega 0.3-1, n 320-768,
-# windows 80 and 160)
-OUTGOING_TAIL_MAX = _TOL_07C / 0.52
-
 
 def _outgoing_grid(experiment: str, setup: Setup) -> list[tuple[str, str]]:
-    """outgoing-state takes one dense eigh of its grid, whose seam, band
-    ends and the scattering profile's momentum tail must keep the gated
-    residual small."""
+    """outgoing-state takes one dense eigh of its grid, and its gated
+    residual measures only the lattice, so validate computes that residual
+    itself at the run's first omega and s; the run reuses the cached
+    eigh."""
     grid = setup.grid
     if grid.n > OUTGOING_N_MAX:
         return [("grid", f"{experiment} takes one dense eigh, so it needs "
                  f"grid n <= {OUTGOING_N_MAX}, not {grid.n}")]
     if _closed_forms(experiment, setup):
         return []  # that check reports the model
-    # the run's profile at its first omega and s, O(n * support)
-    profile = dynamical_S_profile(setup.model, setup.s_values[0], grid)
-    problems = []
-    jump = float(abs(profile[0] - profile[-1]))
-    if jump > OUTGOING_SEAM_MAX:
-        problems.append(("grid", f"{experiment}: the scattering profile jumps "
-                         f"by {jump:.3g} across the periodic seam, above "
-                         f"{OUTGOING_SEAM_MAX:.3g}; the transport residual is "
-                         "about 0.38 times the jump, so widen the grid window "
-                         "or raise omega"))
-    ends = grid.momenta[[grid.n // 2, grid.n // 2 - 1]]  # -+pi/dx
-    jump = float(abs(np.diff(OUTGOING_DENSITIES[OUTGOING_GATED](ends))[0]))
-    if jump > OUTGOING_BAND_MAX:
-        problems.append(("grid", f"{experiment}: the {OUTGOING_GATED} density "
-                         f"differs by {jump:.3g} between the ends of the "
-                         f"momentum band +-{grid.p_max:.3g}, above "
-                         f"{OUTGOING_BAND_MAX:.3g}; raise grid n to widen the "
-                         "band"))
-    if problems:
-        # a seam jump, or a band inside the floor, spreads the profile's
-        # momentum content over the whole band, and its own check names it
-        return problems
-    edge = grid.p_max - FERMI_FLOOR_DEPTH
-    spectrum = np.abs(np.fft.fft(profile))
-    tail = float(np.sum(spectrum[np.abs(grid.momenta) > edge])) / grid.n
-    if tail > OUTGOING_TAIL_MAX:
-        problems.append(("grid", f"{experiment}: the scattering profile's "
-                         f"momentum tail past +-{edge:.3g}, the distance from "
-                         f"the {OUTGOING_GATED} floor at "
-                         f"-{FERMI_FLOOR_DEPTH:g} to the band bottom, sums to "
-                         f"{tail:.3g}, above {OUTGOING_TAIL_MAX:.3g}; the "
-                         "transport residual is up to about 0.5 times the "
-                         "tail, so raise grid n to widen the band"))
-    return problems
+    net, _, s, _ = setup.first
+    residual = outgoing_state_check(net, s, OUTGOING_DENSITIES[OUTGOING_GATED],
+                                    grid)
+    tol = GATES["criterion-07c", "outgoing-state-transport"]["tol"]
+    ratio = gate_ratio(residual, tol)
+    if ratio < 1.0:
+        return []
+    return [("grid", f"{experiment}: the {OUTGOING_GATED} transport residual "
+             f"is {residual:.3g}, ratio {ratio:.3g} against criterion-07c's "
+             f"{tol:g}; it measures S_d's jump across the periodic seam "
+             "(widen the grid window or raise omega) and its momentum "
+             "content past the momentum band (raise grid n)")]
 
 
 def run_outgoing_state(setup: Setup) -> ExperimentResult:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adiascat import cli, experiments
+from adiascat import adiabatic, cli, experiments
 from adiascat.adiabatic import tau_nodes
 from adiascat.cli import CSV_HEADER, ConfigError, _fmt, _parse_ini, main
 from adiascat.coherent import CoherentLabel, coherent_state
@@ -435,81 +435,122 @@ def test_grid_n_override_is_checked_like_the_config(tmp_path):
         {"field": "config", "message": "grid n must be at least 16"}]
 
 
-def test_outgoing_state_grid_above_dense_limit_is_a_grid_error(tmp_path,
-                                                             capsys):
-    # the driver runs the grid it is given, and one dense eigh of n = 2048
-    # is over the limit: validate says so, and run stops before computing
-    path = str(CONFIGS / "outgoing-state.ini")
-    assert main(["validate", "--config", path, "--grid-n", "2048"]) == 1
-    [diagnostic] = json.loads(capsys.readouterr().out)
-    assert diagnostic["field"] == "grid"
-    assert "n <= 1024" in diagnostic["message"]
-    out = tmp_path / "out"
-    assert main(["run", "--config", path, "--out", str(out),
-                 "--grid-n", "2048"]) == 1
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["status"] == "validation-error"
-    assert summary["diagnostics"] == [diagnostic]
-    assert not (out / "results.csv").exists()
-
-
-def test_outgoing_state_seam_jump_is_a_grid_error(tmp_path, capsys):
-    # at omega = 0.05 the closed-form S_d jumps by 0.16 across the periodic
-    # seam of the shipped grid, and criterion-07c fails at 0.061 against
-    # 1e-5: validate says so, and run stops before computing
-    path = str(CONFIGS / "outgoing-state.ini")
-    assert main(["validate", "--config", path, "--omega", "0.05"]) == 1
-    [diagnostic] = json.loads(capsys.readouterr().out)
-    assert diagnostic["field"] == "grid"
-    assert re.search(r"jumps by 0\.159 across the periodic seam",
-                     diagnostic["message"])
-    out = tmp_path / "out"
-    assert main(["run", "--config", path, "--out", str(out),
-                 "--omega", "0.05"]) == 1
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["status"] == "validation-error"
-    assert summary["diagnostics"] == [diagnostic]
-    assert not (out / "results.csv").exists()
-
-
-def test_outgoing_state_band_seam_is_a_grid_error(tmp_path, capsys):
-    # at n = 256 the momentum band is +-10.05, inside the fermi density's
-    # floor at -12: it is about 1 at one end of the band and 0 at the
-    # other, and criterion-07c fails at 0.374 against 1e-5
-    path = str(CONFIGS / "outgoing-state.ini")
-    assert main(["validate", "--config", path, "--grid-n", "256"]) == 1
-    [diagnostic] = json.loads(capsys.readouterr().out)
-    assert diagnostic["field"] == "grid"
-    assert "fermi density differs by 1 between the ends of the momentum " \
-        "band" in diagnostic["message"]
-    out = tmp_path / "out"
-    assert main(["run", "--config", path, "--out", str(out),
-                 "--grid-n", "256"]) == 1
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["status"] == "validation-error"
-    assert summary["diagnostics"] == [diagnostic]
-    assert not (out / "results.csv").exists()
-
-
-def test_outgoing_state_momentum_tail_is_a_grid_error(tmp_path, capsys):
-    # at n = 384 and omega = 0.5 the seam is quiet and the band ends agree,
-    # but S_d's FFT sums to 1.32e-3 past p_max - 12, where it carries the
-    # fermi floor across the band bottom, and criterion-07c fails at ratio
-    # 36.3: validate says so, and run stops before computing
-    path = str(CONFIGS / "outgoing-state.ini")
-    flags = ["--grid-n", "384", "--omega", "0.5"]
+def _refused_grid(tmp_path, capsys, path, *flags):
+    """validate's one grid diagnostic, after run has stopped on it before
+    computing anything."""
     assert main(["validate", "--config", path, *flags]) == 1
     [diagnostic] = json.loads(capsys.readouterr().out)
     assert diagnostic["field"] == "grid"
-    assert re.search(r"momentum tail past \+-3\.08, .* sums to 0\.00132, "
-                     r"above 1\.92e-05; .* raise grid n to widen the band",
-                     diagnostic["message"])
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out), *flags]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "validation-error"
     assert summary["diagnostics"] == [diagnostic]
     assert not (out / "results.csv").exists()
+    return diagnostic["message"]
+
+
+def test_outgoing_state_grid_above_dense_limit_is_a_grid_error(tmp_path,
+                                                             capsys):
+    # the driver runs the grid it is given, and one dense eigh of n = 2048
+    # is over the limit
+    message = _refused_grid(tmp_path, capsys,
+                            str(CONFIGS / "outgoing-state.ini"),
+                            "--grid-n", "2048")
+    assert "n <= 1024" in message
+
+
+def test_outgoing_state_seam_jump_is_a_grid_error(tmp_path, capsys):
+    # at omega = 0.05 the closed-form S_d jumps by 0.16 across the periodic
+    # seam of the shipped grid, and criterion-07c fails at 0.061 against
+    # 1e-5
+    message = _refused_grid(tmp_path, capsys,
+                            str(CONFIGS / "outgoing-state.ini"),
+                            "--omega", "0.05")
+    assert "fermi transport residual is 0.0609, ratio 6.09e+03 against " \
+        "criterion-07c's 1e-05" in message
+
+
+def test_outgoing_state_band_seam_is_a_grid_error(tmp_path, capsys):
+    # at n = 256 the momentum band is +-10.05, inside the fermi density's
+    # floor at -12: it is about 1 at one end of the band and 0 at the
+    # other, and criterion-07c fails at 0.374 against 1e-5
+    message = _refused_grid(tmp_path, capsys,
+                            str(CONFIGS / "outgoing-state.ini"),
+                            "--grid-n", "256")
+    assert "fermi transport residual is 0.374, ratio 3.74e+04" in message
+
+
+def test_outgoing_state_momentum_tail_is_a_grid_error(tmp_path, capsys):
+    # at n = 384 and omega = 0.5 the seam is quiet and the band ends agree,
+    # but S_d's momentum tail carries the fermi floor across the band
+    # bottom, and criterion-07c fails at ratio 36.3
+    message = _refused_grid(tmp_path, capsys,
+                            str(CONFIGS / "outgoing-state.ini"),
+                            "--grid-n", "384", "--omega", "0.5")
+    assert re.search(r"fermi transport residual is 0\.000363, ratio 36\.3 "
+                     r"against .*raise grid n", message)
+
+
+def _outgoing_draws(count=3, seed=0):
+    """Seeded (grid n <= 512, omega) flags on the shipped window."""
+    rng = np.random.default_rng(seed)
+    return [["--grid-n", str(int(rng.choice([320, 384, 448, 512]))),
+             "--omega", f"{rng.uniform(0.05, 1.0):.3f}"]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("flags", [
+    [], ["--omega", "0.05"], ["--grid-n", "256"],
+    ["--grid-n", "384", "--omega", "0.5"],
+    ["--grid-n", "448", "--omega", "0.7"], *_outgoing_draws()],
+    ids=lambda flags: " ".join(flags) or "shipped")
+def test_validate_predicts_the_outgoing_state_gate(tmp_path, capsys,
+                                                   monkeypatch, flags):
+    # validate computes criterion-07c's own residual, so it prints []
+    # exactly when the driver's gate passes, and its residual is the
+    # run's fermi row bit for bit (--grid-n 448 --omega 0.7 passes at
+    # ratio 0.83)
+    path = str(CONFIGS / "outgoing-state.ini")
+    residuals, residual_of = [], experiments.outgoing_state_check
+
+    def recorded(*args):
+        residuals.append(residual_of(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(experiments, "outgoing_state_check", recorded)
+    rc = main(["validate", "--config", path, *flags])
+    clean = json.loads(capsys.readouterr().out) == []
+    assert (rc == 0) == clean
+    [residual] = residuals
+    # the driver itself, which run would reach without validate
+    setup, _ = cli._build_setup(_parse_ini(path), cli._parser().parse_args(
+        ["run", "--config", path, *flags]))
+    result = experiments.run_outgoing_state(setup)
+    [check] = result.checks
+    assert check.criterion == "criterion-07c"
+    assert clean == check.passed
+    assert result.rows[0].experiment == "outgoing-state/fermi"
+    assert result.rows[0].value_exact == residual
+    if clean:
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out),
+                     *flags]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [c["passed"] for c in summary["checks"]] == [True]
+        fermi = (out / "results.csv").read_text().splitlines()[1]
+        assert fermi.startswith("outgoing-state/fermi,")
+        assert float(fermi.split(",")[7]) == residual
+
+
+def test_outgoing_state_run_takes_one_eigh(tmp_path):
+    # validate's dense eigh is cached, and the run's three densities
+    # reuse it
+    adiabatic._shifted_spectrum.cache_clear()
+    assert main(["run", "--config", str(CONFIGS / "outgoing-state.ini"),
+                 "--out", str(tmp_path / "out")]) == 0
+    info = adiabatic._shifted_spectrum.cache_info()
+    assert info.misses == 1 and info.hits >= 1
 
 
 def test_coherent_props_wrap_hazard_is_a_grid_error(tmp_path, capsys):
@@ -520,17 +561,8 @@ def test_coherent_props_wrap_hazard_is_a_grid_error(tmp_path, capsys):
     assert grid in text
     path = write_config(tmp_path, text.replace(
         grid, "x_min = -16.0\nx_max = 16.0\nn = 512\n"))
-    assert main(["validate", "--config", path]) == 1
-    [diagnostic] = json.loads(capsys.readouterr().out)
-    assert diagnostic["field"] == "grid"
     assert "free shift by -1.94 leaves 1.24e-09 relative weight" \
-        in diagnostic["message"]
-    out = tmp_path / "out"
-    assert main(["run", "--config", path, "--out", str(out)]) == 1
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["status"] == "validation-error"
-    assert summary["diagnostics"] == [diagnostic]
-    assert not (out / "results.csv").exists()
+        in _refused_grid(tmp_path, capsys, path)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
