@@ -10,7 +10,8 @@ leg at the size of criterion-09 (n = 512), the resolvent on the
 multichannel benchmark's form at the energy counts of its callers, the
 label build at that of combined.ini (n = 4096), the diagnostics at
 the sizes of the shipped coherent-props (n = 2048) and outgoing-state
-(n = 512) configs and validate on the shipped outgoing-state config;
+(n = 512) configs, coherent-props' E-row loop over its 100 seed-0
+labels, and validate on the shipped outgoing-state config;
 adiabatic_tau runs on combined.ini's response grid (n = 6144) and on a
 two-channel grid (n = 1024).
 Throwaway complex GEMMs run before any timing (see ``_warm_blas``):
@@ -28,7 +29,8 @@ from adiascat import _kernels as K
 from adiascat import adiabatic, cli
 from adiascat.coherent import (CoherentLabel, coherent_state, free_shift,
                                identity_resolution_residual)
-from adiascat.experiments import OUTGOING_DENSITIES, _tau_grid
+from adiascat.experiments import (OUTGOING_DENSITIES, _coherent_draws,
+                                  _tau_grid)
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
                               gauss_legendre, on_shell_S, propagate,
                               rankone_resolvent, rankone_resolvent_exact)
@@ -169,6 +171,20 @@ def _residual_case(eps):
     return (state, eps)
 
 
+def _residual_rows(states):
+    """coherent-props' E rows: each label's residual at its own width."""
+    for state, eps in states:
+        identity_resolution_residual(state, eps)
+
+
+def _residual_rows_case():
+    """The 100 labels the shipped coherent-props config draws (seed 0),
+    their states built once, outside the timing."""
+    setup = _shipped_setup("coherent-props.ini")
+    return (tuple((coherent_state(label, setup.grid), label.eps)
+                  for label, _, _, _ in _coherent_draws(setup)),)
+
+
 def _label_case(n):
     """Drive-sweep's matched label on the combined.ini grid; repeated
     transforms on one grid reuse its cached phases."""
@@ -197,12 +213,15 @@ def _validate_outgoing(setup):
     cli.validate_setup("outgoing-state", setup)
 
 
-def _validate_outgoing_case():
-    path = str(Path(__file__).resolve().parents[1] / "configs"
-               / "outgoing-state.ini")
+def _shipped_setup(name):
+    """The resolved setup of a shipped config, as validate builds it."""
+    path = str(Path(__file__).resolve().parents[1] / "configs" / name)
     args = cli._parser().parse_args(["validate", "--config", path])
-    setup, _ = cli._build_setup(cli._parse_ini(path), args)
-    return (setup,)
+    return cli._build_setup(cli._parse_ini(path), args)[0]
+
+
+def _validate_outgoing_case():
+    return (_shipped_setup("outgoing-state.ini"),)
 
 
 def _tau(model, s, e, eps, j, jp, grid):
@@ -256,6 +275,8 @@ def _cases(sizes, product_steps):
     for eps in (0.3, 1.2):
         cases.append((f"identity_resolution_residual eps={eps}",
                       identity_resolution_residual, _residual_case(eps)))
+    cases.append(("coherent-props E rows: 100 labels, n=2048",
+                  _residual_rows, _residual_rows_case()))
     cases.append(("coherent_state n=4096",
                   coherent_state, _label_case(4096)))
     cases.append(("adiabatic_tau soluble n=6144", _tau, _tau_case("soluble")))

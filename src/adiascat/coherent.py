@@ -198,20 +198,34 @@ def plane_wave_amplitude(state: StateVector, energies) -> np.ndarray:
 def label_box(state: StateVector, eps: float
               ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Label-plane box that captures the state against width-eps packets,
-    six spreads wide on each side."""
-    return _label_box(state, eps, state.momentum_amplitudes())
+    six spreads wide on each side.  A state whose norm is zero or not
+    finite has no box: ValueError."""
+    return _label_box(state, eps, _checked_momenta(state, eps))
+
+
+def _checked_momenta(state: StateVector, eps: float) -> np.ndarray:
+    """The state's momentum amplitudes, once eps is positive and the
+    state's norm positive and finite."""
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
+    if not 0.0 < state.norm() < math.inf:
+        raise ValueError("state norm must be positive and finite")
+    return state.momentum_amplitudes()
 
 
 def _label_box(state: StateVector, eps: float, phat: np.ndarray
                ) -> tuple[tuple[float, float], tuple[float, float]]:
     """label_box from the state's momentum amplitudes phat."""
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
     mean_x, var_x, mean_p, var_p = _grid_moments(state, phat)
     de, dt = math.sqrt(var_p), math.sqrt(var_x)
     pad_t = 6.0 * (dt + 1.0 / (math.sqrt(2.0) * eps))
     pad_e = 6.0 * (de + eps / math.sqrt(2.0))
     return ((-mean_x - pad_t, -mean_x + pad_t), (mean_p - pad_e, mean_p + pad_e))
+
+
+# energies per pass of identity_resolution_residual's reconstruction: a
+# block's products then span only the momenta its own Gaussians reach
+LABEL_BLOCK = 16
 
 
 def identity_resolution_residual(state: StateVector, eps: float,
@@ -222,11 +236,14 @@ def identity_resolution_residual(state: StateVector, eps: float,
     box of label_box(state, eps), on an nt x ne lattice with measure
     dt de / (2 pi), and returns the relative L2 error.
 
-    Only momenta within 8.8 eps of the box's energies enter the
-    reconstruction: beyond them every width-eps Gaussian of the box is
-    below 1e-17 of its peak, so the reconstruction vanishes to that
-    precision, and the state's weight outside that band counts in full
-    as error.
+    A width-eps Gaussian is below 1e-17 of its peak beyond
+    reach = 8.8 eps of its energy, so it adds nothing to that precision
+    there.  Only the band of momenta within reach of the box's energies
+    enters the reconstruction, as one slice of the ascending momenta, and
+    the state's weight outside it counts in full as error.  The energies
+    go LABEL_BLOCK at a time, and each block's analysis and synthesis
+    run on the momenta within reach of its own energies; the blocks'
+    reconstructions add up on the band.
 
     The label times mirror about the box centre t_c, so the arithmetic
     is real.  With exp(-i t_c p) folded into the state, the times
@@ -236,14 +253,16 @@ def identity_resolution_residual(state: StateVector, eps: float,
     against cos(tau p) and sin(tau p).  One real row of cosines and one
     of sines per pair (and a row of ones for tau = 0 when nt is odd)
     take both the analysis and the reconstruction as real matrix
-    products on the complex amplitudes viewed as float pairs.
+    products on the complex amplitudes viewed as float pairs.  The
+    times are uniform, tau_k = tau_0 + k dt, so the rows are the real
+    and imaginary parts of the running product
+    exp(i tau_0 p) exp(i dt p)^k.
     """
     if nt < 2 or ne < 2:
         raise ValueError("nt and ne must be at least 2")
-    phat = state.momentum_amplitudes()
+    phat = _checked_momenta(state, eps)
     t_span, e_span = _label_box(state, eps, phat)
     grid = state.grid
-    p = grid.momenta
     dp = _TWO_PI / (grid.n * grid.dx)
     ts = np.linspace(t_span[0], t_span[1], nt)
     es = np.linspace(e_span[0], e_span[1], ne)
@@ -253,37 +272,49 @@ def identity_resolution_residual(state: StateVector, eps: float,
     we[[0, -1]] *= 0.5
     # a width-eps Gaussian is below 1e-17 of its peak beyond this distance
     reach = math.sqrt(2.0 * math.log(1e17)) * eps
-    band = (p >= e_span[0] - reach) & (p <= e_span[1] + reach)
-    p_band = p[band]
-    # rows: cos(tau p) for the tau < 0 half, then sin(tau p), then ones
-    # for the middle time of an odd lattice; each pair row weighs 2 wt
+    # the grid's n is even, so its shifted momenta ascend
+    p = np.fft.fftshift(grid.momenta)
+    phat = np.fft.fftshift(phat, axes=-1)
+    lo = np.searchsorted(p, e_span[0] - reach)
+    hi = np.searchsorted(p, e_span[1] + reach, side="right")
+    p_band = p[lo:hi]
+    # exp(i tau p) for the tau < 0 half of the times, by a running product
     half = nt // 2
     t_c = 0.5 * (t_span[0] + t_span[1])
+    waves = np.empty((half, p_band.size), dtype=np.complex128)
+    waves[0] = np.exp(1j * (ts[0] - t_c) * p_band)
+    step = np.exp(1j * (ts[1] - ts[0]) * p_band)
+    for k in range(1, half):
+        np.multiply(waves[k - 1], step, out=waves[k])
+    # rows: cos(tau p) for that half, then sin(tau p), then ones for the
+    # middle time of an odd lattice; each pair row weighs 2 wt
     rows = np.empty((nt, p_band.size))
-    sin_rows = rows[half:2 * half]
-    np.multiply.outer(ts[:half] - t_c, p_band, out=sin_rows)
-    np.cos(sin_rows, out=rows[:half])
-    np.sin(sin_rows, out=sin_rows)
+    rows[:half] = waves.real
+    rows[half:2 * half] = waves.imag
     rows[2 * half:] = 1.0
     pair = 2.0 * wt[:half]
     weights = np.outer(np.concatenate((pair, pair, wt[half:nt - half])),
                        we / _TWO_PI)
-    g = (math.pi * eps ** 2) ** (-0.25) * np.exp(
-        -((p_band[:, None] - es[None, :]) ** 2) / (2.0 * eps ** 2))
-    centre = np.exp(-1j * t_c * p_band)
-    total_err = 0.0
-    total_ref = 0.0
-    for ch in range(state.channels):
-        # the band amplitudes with exp(-i t_c p) folded in
-        psi = phat[ch, band] * centre
-        # coherent amplitudes on the (t, e) label lattice, then their
-        # weighted superposition back onto the band
-        b = g * (psi * dp)[:, None]
-        amps = (rows @ b.view(np.float64)).view(np.complex128)
-        amps *= weights
-        terms = (rows.T @ amps.view(np.float64)).view(np.complex128)
-        terms *= g
-        total_err += float((np.sum(np.abs(terms.sum(axis=1) - psi) ** 2)
-                            + np.sum(np.abs(phat[ch, ~band]) ** 2)) * dp)
-        total_ref += float(np.sum(np.abs(phat[ch]) ** 2) * dp)
-    return math.sqrt(total_err / total_ref)
+    # the band amplitudes with exp(-i t_c p) folded in
+    psi = phat[:, lo:hi] * np.exp(-1j * t_c * p_band)
+    psi_dp = psi * dp
+    rec = np.zeros_like(psi)
+    for i in range(0, ne, LABEL_BLOCK):
+        e_blk = es[i:i + LABEL_BLOCK]
+        w = slice(np.searchsorted(p_band, e_blk[0] - reach),
+                  np.searchsorted(p_band, e_blk[-1] + reach, side="right"))
+        g = (math.pi * eps ** 2) ** (-0.25) * np.exp(
+            -((p_band[w, None] - e_blk[None, :]) ** 2) / (2.0 * eps ** 2))
+        r = rows[:, w]
+        for ch in range(state.channels):
+            # coherent amplitudes on the block's (t, e) labels, then their
+            # weighted superposition back onto the block's momenta
+            b = g * psi_dp[ch, w, None]
+            amps = (r @ b.view(np.float64)).view(np.complex128)
+            amps *= weights[:, i:i + LABEL_BLOCK]
+            terms = (r.T @ amps.view(np.float64)).view(np.complex128)
+            terms *= g
+            rec[ch, w] += terms.sum(axis=1)
+    err = (np.sum(np.abs(rec - psi) ** 2) + np.sum(np.abs(phat[:, :lo]) ** 2)
+           + np.sum(np.abs(phat[:, hi:]) ** 2))
+    return math.sqrt(float(err / np.sum(np.abs(phat) ** 2)))

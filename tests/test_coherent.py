@@ -1,14 +1,17 @@
 """Time-energy coherent states: closed forms against grid realizations."""
 
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiascat.coherent import (CoherentLabel, StateVector, braket,
-                               coherent_state, free_shift,
+from adiascat import experiments
+from adiascat.coherent import (LABEL_BLOCK, CoherentLabel, StateVector,
+                               braket, coherent_state, free_shift,
                                identity_resolution_residual, label_box,
                                overlap, plane_wave_amplitude)
 from adiascat.numerics import Grid, NumericalContractError
@@ -127,8 +130,54 @@ def residual_per_energy(state, eps, t_span, e_span, nt=64, ne=64):
     return math.sqrt(err / ref)
 
 
-def test_identity_resolution_matches_per_energy_reference():
-    eps = 0.6
+def _residual_one_pass(state, eps, nt=64, ne=64):
+    """Oracle: the label-plane residual with every energy on the whole
+    band in one pass, the band as a mask in FFT order and each time row
+    from its own cos and sin."""
+    phat = state.momentum_amplitudes()
+    t_span, e_span = label_box(state, eps)
+    grid = state.grid
+    p = grid.momenta
+    dp = 2.0 * math.pi / (grid.n * grid.dx)
+    ts = np.linspace(t_span[0], t_span[1], nt)
+    es = np.linspace(e_span[0], e_span[1], ne)
+    wt = np.full(nt, ts[1] - ts[0])
+    wt[[0, -1]] *= 0.5
+    we = np.full(ne, es[1] - es[0])
+    we[[0, -1]] *= 0.5
+    reach = math.sqrt(2.0 * math.log(1e17)) * eps
+    band = (p >= e_span[0] - reach) & (p <= e_span[1] + reach)
+    p_band = p[band]
+    half = nt // 2
+    t_c = 0.5 * (t_span[0] + t_span[1])
+    rows = np.empty((nt, p_band.size))
+    sin_rows = rows[half:2 * half]
+    np.multiply.outer(ts[:half] - t_c, p_band, out=sin_rows)
+    np.cos(sin_rows, out=rows[:half])
+    np.sin(sin_rows, out=sin_rows)
+    rows[2 * half:] = 1.0
+    pair = 2.0 * wt[:half]
+    weights = np.outer(np.concatenate((pair, pair, wt[half:nt - half])),
+                       we / (2.0 * math.pi))
+    g = (math.pi * eps ** 2) ** (-0.25) * np.exp(
+        -((p_band[:, None] - es[None, :]) ** 2) / (2.0 * eps ** 2))
+    centre = np.exp(-1j * t_c * p_band)
+    total_err = 0.0
+    total_ref = 0.0
+    for ch in range(state.channels):
+        psi = phat[ch, band] * centre
+        b = g * (psi * dp)[:, None]
+        amps = (rows @ b.view(np.float64)).view(np.complex128)
+        amps *= weights
+        terms = (rows.T @ amps.view(np.float64)).view(np.complex128)
+        terms *= g
+        total_err += float((np.sum(np.abs(terms.sum(axis=1) - psi) ** 2)
+                            + np.sum(np.abs(phat[ch, ~band]) ** 2)) * dp)
+        total_ref += float(np.sum(np.abs(phat[ch]) ** 2) * dp)
+    return math.sqrt(total_err / total_ref)
+
+
+def _one_and_two_channel_states(eps):
     one = coherent_state(CoherentLabel(0.4, 0.9, eps), GRID)
 
     def on_channel(label, channel):
@@ -139,11 +188,16 @@ def test_identity_resolution_matches_per_energy_reference():
     two = StateVector(GRID, 0.8 * on_channel(CoherentLabel(0.4, 0.9, eps), 0)
                       + 0.6 * on_channel(CoherentLabel(-1.5, 1.6, eps), 1))
     assert abs(two.norm() - 1.0) < 1e-10
+    return one, two
+
+
+def test_identity_resolution_matches_per_energy_reference():
+    eps = 0.6
     # the default lattice resolves to round-off; the coarse ones leave a
     # percent-level defect, and the smallest a defect of order one, so
     # agreement there pins the arithmetic, the odd lattices' middle time
     # and the weights of the mirrored time pairs
-    for state in (one, two):
+    for state in _one_and_two_channel_states(eps):
         box_t, box_e = label_box(state, eps)
         for nt, ne in ((64, 64), (16, 12), (17, 12), (5, 7), (6, 7)):
             got = identity_resolution_residual(state, eps, nt=nt, ne=ne)
@@ -185,6 +239,48 @@ def test_band_limit_at_extreme_labels(eps, e):
         got = identity_resolution_residual(state, eps, nt=nt, ne=ne)
         ref = residual_per_energy(state, eps, box_t, box_e, nt, ne)
         assert abs(got - ref) <= 1e-14
+
+
+def test_blocked_residual_matches_one_pass_on_coherent_props_draws():
+    # the 100 labels of configs/coherent-props.ini at seed 0, eps from 0.3
+    # to 1.2; the blocks drop only Gaussians below 1e-17 of their peak
+    setup = types.SimpleNamespace(seed=0, grid=PROPS_GRID)
+    for label, _, _, _ in experiments._coherent_draws(setup):
+        state = coherent_state(label, PROPS_GRID)
+        got = identity_resolution_residual(state, label.eps)
+        assert abs(got - _residual_one_pass(state, label.eps)) <= 1e-15
+
+
+@pytest.mark.parametrize("nt", [2, 5, 64])
+@pytest.mark.parametrize("ne", [15, 16, 17, 33])
+def test_blocked_residual_matches_one_pass_across_block_edges(ne, nt):
+    # LABEL_BLOCK = 16: one short block, one full block, a full block and
+    # a single energy, and three blocks; nt = 2 has one time pair and no
+    # running product, nt = 5 a middle time
+    assert LABEL_BLOCK == 16
+    eps = 0.6
+    for state in _one_and_two_channel_states(eps):
+        got = identity_resolution_residual(state, eps, nt=nt, ne=ne)
+        ref = _residual_one_pass(state, eps, nt, ne)
+        assert abs(got - ref) <= 1e-15
+
+
+@pytest.mark.parametrize("fill", [0.0, math.nan, math.inf],
+                         ids=["zero", "nan", "inf"])
+def test_label_box_and_residual_reject_a_state_without_a_norm(fill):
+    # a zero state once gave a NaN box with RuntimeWarnings and a
+    # ZeroDivisionError in the residual; NaN amplitudes a silent nan
+    amps = np.zeros(GRID.n, dtype=np.complex128)
+    amps[GRID.n // 2] = fill
+    state = StateVector(GRID, amps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="state norm must be positive "
+                                             "and finite"):
+            label_box(state, 0.6)
+        with pytest.raises(ValueError, match="state norm must be positive "
+                                             "and finite"):
+            identity_resolution_residual(state, 0.6)
 
 
 @pytest.mark.parametrize("eps, nt, ne, message", [
