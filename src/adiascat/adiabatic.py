@@ -302,8 +302,12 @@ def rho_gaussian(center: float = 0.0, width: float = 1.0) -> Callable:
 
 def rho_polynomial(coeffs: tuple = (0.0, 1.0)) -> Callable:
     """Polynomial density, coefficients in ascending order."""
+    # np.polyval takes them descending; its Horner steps are those of
+    # numpy.polynomial's polyval, which this keeps out of every run
+    descending = np.asarray(coeffs)[::-1]
+
     def rho(energies: np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(energies, np.asarray(coeffs))
+        return np.polyval(descending, energies)
     return rho
 
 

@@ -28,9 +28,6 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-# bound for perfbench's tracer, which wraps network.leggauss by name; the
-# package itself reads the stored rules of GAUSS_LEGENDRE_RULES
-from numpy.polynomial.legendre import leggauss  # noqa: F401
 
 from . import _kernels
 from .coherent import StateVector, free_shift
@@ -560,6 +557,18 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
         return read_only(rules[f"x{nodes}"]), read_only(rules[f"w{nodes}"])
 
 
+def __getattr__(name: str):
+    # network.leggauss is numpy's, imported at first access: the package
+    # reads the stored rules, so no run loads numpy.polynomial (0.6 MB).
+    # Only perfbench's tracer reads it, to wrap it by name; unbinding it
+    # means deleting this function.
+    if name == "leggauss":
+        from numpy.polynomial.legendre import leggauss
+        globals()[name] = leggauss
+        return leggauss
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # energies per pass of rankone_resolvent's quadrature: each node array
 # then holds 32 x 800 values (about 200 KB), whatever the call's size
 RESOLVENT_BLOCK = 32
@@ -572,8 +581,10 @@ def rankone_resolvent(form: GaussianMix, energies):
     Gauss-Legendre nodes; the imaginary part is the exact -i pi |chi_hat(E)|^2.
     The energies go through the rule RESOLVENT_BLOCK at a time, so the
     working set stays bounded; each energy's value is the same whatever
-    its block.
+    its block.  An array of energies gives an array, a scalar a complex,
+    as rankone_resolvent_exact does.
     """
+    scalar = np.ndim(energies) == 0
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     band = form.fourier_band(1e-18)
     gl_x, gl_w = gauss_legendre(800)
@@ -581,7 +592,7 @@ def rankone_resolvent(form: GaussianMix, energies):
         _resolvent_block(form, energies[i:i + RESOLVENT_BLOCK], band,
                          gl_x, gl_w)
         for i in range(0, energies.size, RESOLVENT_BLOCK)])
-    return out if out.size > 1 else complex(out[0])
+    return complex(out[0]) if scalar else out
 
 
 def _resolvent_block(form: GaussianMix, energies: np.ndarray, band: float,
@@ -589,8 +600,8 @@ def _resolvent_block(form: GaussianMix, energies: np.ndarray, band: float,
     """rankone_resolvent on one block of energies, over +-(|E| + band + 4)."""
     half = np.abs(energies) + band + 4.0
     k = energies[:, None] + half[:, None] * gl_x[None, :]
-    rho = np.abs(form.fourier(k)) ** 2
-    rho_e = np.abs(form.fourier(energies)) ** 2
+    rho = form.power(k)
+    rho_e = form.power(energies)
     # an even node count puts no node on E: |E - k| >= 4 min|x_i| = 7.8e-3
     integrand = (rho - rho_e[:, None]) / (energies[:, None] - k)
     real_part = np.sum(integrand * (half[:, None] * gl_w[None, :]), axis=1)

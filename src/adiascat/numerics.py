@@ -145,12 +145,20 @@ def _dawson(x):
 
 
 def fit_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x).
+
+    A non-finite x raises ValueError (LAPACK's SVD would not converge);
+    a non-finite y gives a NaN slope, which fails any gate on it.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or np.unique(xs).size < 2:
-        raise ValueError("need two 1-d arrays with at least two distinct "
-                         "x values")
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise ValueError("need two 1-d arrays of equal length")
+    if not np.isfinite(xs).all():
+        raise ValueError("x values must be finite")
+    # min < max, not np.unique: np.unique imports numpy.ma (1.2 MB)
+    if xs.size < 2 or not xs.min() < xs.max():
+        raise ValueError("need at least two distinct x values")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise ValueError("log-log fit needs strictly positive data")
     lx = np.log(xs)

@@ -65,12 +65,26 @@ class GaussianMix:
 
     def fourier(self, k):
         """Unitary-convention transform (2 pi)^{-1/2} int v(x) e^{-ikx} dx."""
-        a, c, w = self._arrays
         k = np.asarray(k, dtype=float)
-        terms = (a * w / math.sqrt(2.0)
-                 * np.exp(-0.25 * (k[..., None] * w) ** 2)
-                 * np.exp(-1j * k[..., None] * c))
-        return np.sum(terms, axis=-1)
+        phases = np.exp(-1j * k[..., None] * self._arrays[1])
+        return np.sum(self._envelopes(k) * phases, axis=-1)
+
+    def power(self, k):
+        """|fourier(k)|^2, bit for bit.
+
+        With every centre at 0 each phase e^{-ik 0} is exactly 1 +- 0j and
+        |x +- 0j| = |x|, so the sum stays real and the complex exponential
+        is skipped.
+        """
+        if any(self.centers):
+            return np.abs(self.fourier(k)) ** 2
+        return np.sum(self._envelopes(np.asarray(k, dtype=float)),
+                      axis=-1) ** 2
+
+    def _envelopes(self, k: np.ndarray) -> np.ndarray:
+        """fourier's terms at k without their phases, along a new last axis."""
+        a, _, w = self._arrays
+        return a * w / math.sqrt(2.0) * np.exp(-0.25 * (k[..., None] * w) ** 2)
 
     def support_radius(self, tol: float = 1e-14) -> float:
         """Radius beyond which the profile is below tol in absolute value."""

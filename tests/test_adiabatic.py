@@ -8,11 +8,13 @@ Gauss-Legendre re-derivations.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
-from adiascat import adiabatic
+from adiascat import adiabatic, cli
 from adiascat.adiabatic import (ErrorReport, adiabatic_tau,
                                 combined_report, energy_shift_operator,
                                 onshell_vs_frozen, outgoing_state_check,
@@ -422,3 +424,17 @@ def test_outgoing_state_check_guards():
     with pytest.raises(ValueError, match="one channel and one matrix term"):
         outgoing_state_check(rankone_model(), 0.4, rho_gaussian(),
                              Grid(-40.0, 40.0, 512))
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0), (0.3, -1.2, 0.05, 0.7)])
+def test_rho_polynomial_is_numpy_polynomial_polyval(coeffs):
+    # np.polyval on the reversed coefficients takes polyval's Horner
+    # steps, on the momenta of the shipped outgoing-state grid
+    path = str(Path(__file__).resolve().parents[1] / "configs"
+               / "outgoing-state.ini")
+    setup, _ = cli._build_setup(
+        cli._parse_ini(path), cli._parser().parse_args(["run", "--config",
+                                                        path]))
+    momenta = setup.grid.momenta
+    assert np.array_equal(rho_polynomial(coeffs)(momenta),
+                          polyval(momenta, np.asarray(coeffs)))

@@ -1096,3 +1096,34 @@ def test_rankone_resolvents_load_no_scipy(subprocess_env):
         env=subprocess_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+FOOTPRINT_SCRIPT = """
+import json, sys
+import adiascat
+bare = 'numpy.polynomial' in sys.modules
+from adiascat import cli, network
+codes = [cli.main(['run', '--config', config, '--out', out])
+         for config, out in zip(sys.argv[1::2], sys.argv[2::2])]
+loaded = sorted({'numpy.ma', 'numpy.polynomial'} & set(sys.modules))
+from numpy.polynomial.legendre import leggauss
+print(json.dumps({'bare': bare, 'codes': codes, 'loaded': loaded,
+                  'leggauss': network.leggauss is leggauss}))
+"""
+
+
+def test_slope_fit_runs_load_neither_numpy_ma_nor_numpy_polynomial(
+        subprocess_env, tmp_path):
+    # np.unique imports numpy.ma (1.2 MB) and numpy.polynomial (0.6 MB)
+    # holds leggauss; the package needs neither, and network still hands
+    # out numpy's leggauss, imported at first access
+    args = []
+    for name in ("epsilon-scaling-rankone", "omega-scaling"):
+        args += [str(CONFIGS / f"{name}.ini"), str(tmp_path / name)]
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, *args],
+        env=subprocess_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report == {"bare": False, "codes": [0, 0], "loaded": [],
+                      "leggauss": True}

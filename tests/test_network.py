@@ -689,6 +689,17 @@ def test_rankone_resolvent_against_faddeeva_closed_form():
         rankone_resolvent_exact(GaussianMix((0.9,), (0.3,), (1.2,)), 0.0)
 
 
+@pytest.mark.parametrize("route", [rankone_resolvent, rankone_resolvent_exact],
+                         ids=["quadrature", "closed-form"])
+def test_rankone_resolvent_routes_follow_the_input_shape(route):
+    # a one-element array gave the quadrature route a Python complex
+    form = GaussianMix((0.9,), (0.0,), (1.2,))
+    one = route(form, np.array([0.5]))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    scalar = route(form, 0.5)
+    assert type(scalar) is complex and scalar == one[0]
+
+
 def one_shot_resolvent(form, energies):
     """rankone_resolvent's quadrature in one pass over every energy, with
     each node array E x 800: the reference the blocked passes keep."""

@@ -182,3 +182,19 @@ def test_dawson_matches_scipy_dawsn():
     scalar = _dawson(0.5)
     assert isinstance(scalar, float)
     assert scalar == pytest.approx(dawsn(0.5), rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_slope_rejects_a_non_finite_x(bad, capfd):
+    # lstsq raised LinAlgError ("SVD did not converge") and LAPACK wrote
+    # DLASCL errors to stderr
+    with pytest.raises(ValueError, match="x values must be finite"):
+        fit_slope([0.1, 0.2, bad], [1.0, 2.0, 3.0])
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_slope_gives_nan_for_a_non_finite_y(bad):
+    # a NaN slope fails its gate through gate_ratio; raising here would
+    # stop the run with a config error instead
+    assert math.isnan(fit_slope([0.1, 0.2, 0.4], [1.0, bad, 3.0]))
