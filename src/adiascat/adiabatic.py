@@ -197,8 +197,6 @@ def _delay_spread(model: ScatterModel, s: float, e: float) -> float:
     A matrix coupling's delay is exactly zero (see wigner_delay), and so
     is the spread.
     """
-    if isinstance(model.coupling, MatrixPotential):
-        return 0.0
     tw = wigner_delay(model, s, e)
 
     def tw_fun(en: float) -> np.ndarray:
@@ -341,8 +339,8 @@ def outgoing_state_check(model: ScatterModel, s: float,
     """
     potential = soluble_potential(model)
     if grid.n > OUTGOING_N_MAX:
-        raise ValueError(f"dense check limited to grids with n <= "
-                         f"{OUTGOING_N_MAX}, not {grid.n}")
+        raise ValueError(f"one dense eigh needs grid n <= {OUTGOING_N_MAX}, "
+                         f"not {grid.n}")
     w, v = _shifted_spectrum(potential, model.schedule, model.omega, s, grid)
     s_diag = dynamical_S_profile(model, s, grid)
     rho_p = rho(grid.momenta)
@@ -362,17 +360,17 @@ def _hermitian_norm(apply: Callable[[np.ndarray], np.ndarray], n: int,
     """Operator norm of the Hermitian map x -> apply(x) on C^n.
 
     Lanczos iteration with full reorthogonalisation (two Gram-Schmidt
-    passes) from a fixed-seed random start, so the value is
-    deterministic.  Stops when both extreme Ritz pairs, the smallest
-    and the largest theta, have residual beta |y_last| <= 2^-52
-    max(|theta|, scale), or after n steps, where the Ritz values are the
-    eigenvalues; returns the largest |theta|.  scale bounds the terms
-    that apply sums, so a map that is zero up to their rounding (beta
-    and theta both noise) stops too.
+    passes) from the chirp q_j = exp(i pi j^2 / n) / sqrt(n), flat in
+    position and, for the even n of every Grid, in momentum, so the
+    value is deterministic and no grid point or Fourier mode is missed.
+    Stops when both extreme Ritz pairs, the smallest and the largest
+    theta, have residual beta |y_last| <= 2^-52 max(|theta|, scale), or
+    after n steps, where the Ritz values are the eigenvalues; returns
+    the largest |theta|.  scale bounds the terms that apply sums, so a
+    map that is zero up to their rounding (beta and theta both noise)
+    stops too.
     """
-    rng = np.random.default_rng(0)
-    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    q /= np.linalg.norm(q)
+    q = np.exp(1j * math.pi / n * np.arange(n) ** 2) / math.sqrt(n)
     # rows are the Lanczos vectors; np.empty commits only the rows used
     basis = np.empty((n, n), dtype=np.complex128)
     tri = np.zeros((n, n))

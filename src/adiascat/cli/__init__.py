@@ -108,7 +108,7 @@ _KEYS = {
     ("sweep", "experiment"): (_one_of(*EXPERIMENTS), None),
     ("sweep", "omega"): (_POSITIVE, "0.2, 0.1, 0.05"),
     ("sweep", "eps"): (_POSITIVE, "0.5"),
-    ("sweep", "s"): (_FLOATS, "0.5"),
+    ("sweep", "s"): (_FLOAT, "0.5"),
     ("sweep", "e"): (_FLOATS, "1.0"),
     ("sweep", "j"): (_INT, "0"),
     ("sweep", "jp"): (_INT, "0"),
@@ -227,15 +227,16 @@ def _row_line(row: Row) -> str:
 
 
 def write_results(out_dir: Path, config: dict, result: ExperimentResult,
-                  wall_s: float) -> None:
-    """results.csv, and summary.json with the resolved config of the run,
-    in out_dir, which main has made before the run."""
+                  wall_s: float, validate_s: float) -> None:
+    """results.csv, and summary.json with the resolved config of the run
+    and the wall times of its driver and of validate_setup before it, in
+    out_dir, which main has made before the run."""
     lines = [CSV_HEADER] + [_row_line(r) for r in result.rows]
     (out_dir / "results.csv").write_text("\n".join(lines) + "\n",
                                          encoding="ascii")
     summary = {"experiment": config["sweep"]["experiment"], "status": "ok",
                "rows": len(result.rows), "seed": config["sweep"]["seed"],
-               "wall_s": wall_s,
+               "wall_s": wall_s, "validate_s": validate_s,
                "checks": [dataclasses.asdict(c) for c in result.checks],
                "info": result.info, "config": config}
     (out_dir / "summary.json").write_text(
@@ -305,7 +306,9 @@ def main(argv: list[str] | None = None) -> int:
 
     experiment = config["sweep"]["experiment"]
     out_dir = Path(config["output"]["dir"])
+    start = time.perf_counter()
     diagnostics = validate_setup(experiment, setup)
+    validate_s = time.perf_counter() - start
     if args.command == "validate":
         diagnostics += _output_problems(out_dir)
         print(json.dumps(diagnostics, indent=2))
@@ -341,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
                        [{"field": "run", "message": str(exc)}])
         return 1
     wall_s = time.perf_counter() - start
-    write_results(out_dir, config, result, wall_s)
+    write_results(out_dir, config, result, wall_s, validate_s)
     for check in result.checks:
         logger.info("%s %s: %s (ratio %.3g)", check.criterion, check.name,
                     "pass" if check.passed else "FAIL", check.ratio)

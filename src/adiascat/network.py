@@ -191,15 +191,12 @@ def _matrix_transport(model: ScatterModel, grid: Grid, amps: np.ndarray,
 
     Rolls them by m lattice steps and applies the characteristic factors
     of the coupling's field and schedule (_apply_characteristic), built
-    in |m| steps of dx.  A schedule that is constantly zero only rolls.
+    in |m| steps of dx.
     """
-    schedule = model.coupling.schedule
-    out = np.roll(amps, m, axis=-1)
-    if schedule.is_constant and schedule.a == 0.0:
-        return out
     tau = m * grid.dx
     return _apply_characteristic(model, grid.points, tau, t0 + tau, abs(m),
-                                 schedule.value, out)
+                                 model.coupling.schedule.value,
+                                 np.roll(amps, m, axis=-1))
 
 
 def _volterra_trapezoid(f: np.ndarray, K: np.ndarray, lam: np.ndarray,

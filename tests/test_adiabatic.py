@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
-from adiascat import adiabatic, cli
+from adiascat import adiabatic, cli, experiments
 from adiascat.adiabatic import (ErrorReport, adiabatic_tau,
                                 combined_report, energy_shift_operator,
                                 onshell_vs_frozen, outgoing_state_check,
@@ -438,3 +438,39 @@ def test_rho_polynomial_is_numpy_polynomial_polyval(coeffs):
     momenta = setup.grid.momenta
     assert np.array_equal(rho_polynomial(coeffs)(momenta),
                           polyval(momenta, np.asarray(coeffs)))
+
+
+def test_outgoing_residuals_do_not_depend_on_the_lanczos_start(monkeypatch):
+    # the iteration stops at a Ritz residual of 2^-52 max(top, scale), so
+    # another start may move a residual by about that much and no more:
+    # conjugating the map by random phases d starts the chirp at d q in
+    # the map's own basis, on each density of the shipped config
+    path = str(Path(__file__).resolve().parents[1] / "configs"
+               / "outgoing-state.ini")
+    setup, _ = cli._build_setup(
+        cli._parse_ini(path), cli._parser().parse_args(["run", "--config",
+                                                        path]))
+    norm, maps = adiabatic._hermitian_norm, []
+
+    def captured(apply, n, scale):
+        maps.append((apply, n, scale))
+        return norm(apply, n, scale)
+
+    monkeypatch.setattr(adiabatic, "_hermitian_norm", captured)
+    phases = np.exp(2j * math.pi * np.random.default_rng(0).uniform(
+        size=setup.grid.n))
+    for rho in experiments.OUTGOING_DENSITIES.values():
+        got = outgoing_state_check(setup.model, setup.s, rho, setup.grid)
+        apply, n, scale = maps[-1]
+        moved = norm(lambda x: np.conj(phases) * apply(phases * x), n, scale)
+        assert abs(moved - got) <= 2.0 * 2.0 ** -52 * max(got, scale)
+
+
+def test_matrix_coupling_smearing_bound_is_exactly_zero():
+    # a matrix coupling's on-shell S does not depend on E, so its Wigner
+    # delay, and with it every predicted smearing bound, is exactly 0
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    model = ScatterModel(2, MatrixPotential((sx,), (MIX,), BUMP), 0.2)
+    for report in onshell_vs_frozen(model, 0.4, 1.0, (0.5, 0.1), 0, 1):
+        assert report.predicted_bound == 0.0
+        assert report.abs_error == 0.0

@@ -543,13 +543,22 @@ def test_validate_predicts_the_outgoing_state_gate(tmp_path, capsys,
         assert float(fermi.split(",")[7]) == residual
 
 
-def test_outgoing_state_run_takes_one_eigh(tmp_path):
-    # validate's dense eigh is cached, and the run's three densities
-    # reuse it
+def test_outgoing_state_run_takes_one_eigh(tmp_path, monkeypatch):
+    # validate takes the one dense eigh, whose time summary.json records
+    # as validate_s, and the run's three densities reuse it
+    validate, validated = cli.validate_setup, []
+
+    def counted(experiment, setup):
+        diagnostics = validate(experiment, setup)
+        validated.append(adiabatic._shifted_spectrum.cache_info().misses)
+        return diagnostics
+
+    monkeypatch.setattr(cli, "validate_setup", counted)
     adiabatic._shifted_spectrum.cache_clear()
     assert main(["run", "--config", str(CONFIGS / "outgoing-state.ini"),
                  "--out", str(tmp_path / "out")]) == 0
     info = adiabatic._shifted_spectrum.cache_info()
+    assert validated == [1]
     assert info.misses == 1 and info.hits >= 1
 
 
@@ -660,20 +669,59 @@ def test_summary_config_reproduces_the_run(tmp_path, shipped_runs, name):
         == (second / "results.csv").read_bytes()
 
 
-@pytest.mark.parametrize("s_values", ["0.5, 4.0", "4.0, 0.5"])
-def test_validate_checks_resonance_at_every_s(tmp_path, capsys, s_values):
-    # amps = 1.6 puts a resonance in the window at s = 0.5 but not at
-    # s = 4.0, where the bump has died out; the run would visit both
+def _resonant_rankone_config(tmp_path, e: str) -> str:
+    # amps = 1.6 puts a resonance, |1 - lambda(0.5) g(E)| = 0.039, within
+    # 6 eps of e = 1.0; about e = -4.0 the gap is 1.40
     text = (CONFIGS / "epsilon-scaling-rankone.ini").read_text(
         encoding="ascii")
     assert "\namps = 1.0\n" in text and "\ns = 0.5\n" in text
+    assert "\ne = 1.0\n" in text
     text = text.replace("\namps = 1.0\n", "\namps = 1.6\n").replace(
-        "\ns = 0.5\n", f"\ns = {s_values}\n")
-    path = write_config(tmp_path, text.replace("n = 2048", "n = 512"))
+        "\ne = 1.0\n", f"\ne = {e}\n")
+    return write_config(tmp_path, text.replace("n = 2048", "n = 512"))
+
+
+def test_validate_refuses_a_resonance_at_the_runs_s_and_e(tmp_path, capsys):
+    path = _resonant_rankone_config(tmp_path, "1.0")
     assert main(["validate", "--config", path]) == 1
     diagnostics = json.loads(capsys.readouterr().out)
     assert [d["field"] for d in diagnostics] == ["model"]
     assert "resonance" in diagnostics[0]["message"]
+
+
+def test_resonance_at_an_e_the_run_never_reads_is_no_problem(tmp_path,
+                                                             capsys):
+    # epsilon-scaling reads only the first e, so the resonance near the
+    # second is none of its run's business: validate prints [] exactly
+    # when run exits 0
+    path = _resonant_rankone_config(tmp_path, "-4.0, 1.0")
+    assert main(["validate", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [(c["criterion"], c["passed"]) for c in summary["checks"]] \
+        == [("criterion-06", True)]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_sweep_s_takes_one_number(tmp_path, capsys, command):
+    # every driver reads one epoch s
+    text = (CONFIGS / "epsilon-scaling-rankone.ini").read_text(
+        encoding="ascii")
+    path = write_config(tmp_path, text.replace("\ns = 0.5\n",
+                                               "\ns = 0.5, 4.0\n"))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    if command == "validate":
+        diagnostics = json.loads(capsys.readouterr().out)
+    else:
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "config-error"
+        diagnostics = summary["diagnostics"]
+    [diagnostic] = diagnostics
+    assert diagnostic["field"] == "config"
+    assert diagnostic["message"].startswith("sweep.s must be ")
 
 
 def _delaying_rankone_config(tmp_path) -> str:
@@ -1127,3 +1175,23 @@ def test_slope_fit_runs_load_neither_numpy_ma_nor_numpy_polynomial(
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report == {"bare": False, "codes": [0, 0], "loaded": [],
                       "leggauss": True}
+
+
+def test_summary_times_validate_on_every_shipped_config(shipped_runs):
+    for name, (_, summary) in shipped_runs.items():
+        assert summary["validate_s"] >= 0.0, name
+
+
+def test_outgoing_state_run_loads_no_numpy_random(subprocess_env, tmp_path):
+    # the Lanczos start of the operator-norm iteration is a chirp built
+    # from numpy core, so a run that draws nothing imports no numpy.random
+    script = ("import sys; from adiascat import cli; "
+              "code = cli.main(['run', '--config', sys.argv[1], "
+              "'--out', sys.argv[2]]); "
+              "print(code, 'numpy.random' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(CONFIGS / "outgoing-state.ini"),
+         str(tmp_path / "out")],
+        env=subprocess_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
