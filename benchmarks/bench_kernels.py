@@ -12,7 +12,7 @@ label build at that of combined.ini (n = 4096), the diagnostics at
 the sizes of the shipped coherent-props (n = 2048) and outgoing-state
 (n = 512) configs, coherent-props' E-row loop over its 100 seed-0
 labels, and validate on the shipped outgoing-state config;
-adiabatic_tau runs on combined.ini's response grid (n = 6144) and on a
+adiabatic_tau runs on combined.ini's grid (n = 4096) and on a
 two-channel grid (n = 1024).
 Throwaway complex GEMMs run before any timing (see ``_warm_blas``):
 best-of-N cannot filter a slow BLAS state that lasts across all of its
@@ -29,8 +29,7 @@ from adiascat import _kernels as K
 from adiascat import adiabatic, cli
 from adiascat.coherent import (CoherentLabel, coherent_state, free_shift,
                                identity_resolution_residual)
-from adiascat.experiments import (OUTGOING_DENSITIES, _coherent_draws,
-                                  _tau_grid)
+from adiascat.experiments import OUTGOING_DENSITIES, _coherent_draws
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
                               gauss_legendre, on_shell_S, propagate,
                               rankone_resolvent, rankone_resolvent_exact)
@@ -229,12 +228,12 @@ def _tau(model, s, e, eps, j, jp, grid):
 
 
 def _tau_case(kind):
-    """combined.ini's response coefficient (its soluble model on the
-    widened grid run_combined gives it), or the (0, 1) element of a
-    two-channel coupling with non-commuting terms."""
+    """combined.ini's response coefficient (its soluble model on its
+    grid), or the (0, 1) element of a two-channel coupling with
+    non-commuting terms."""
     if kind == "soluble":
         return (SOLUBLE, 0.70710678, 1.0, 0.5, 0, 0,
-                _tau_grid(Grid(-160.0, 160.0, 4096)))
+                Grid(-160.0, 160.0, 4096))
     sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
     model = ScatterModel(2, MatrixPotential(
         (0.8 * sz, 0.6 * sx),
@@ -279,7 +278,7 @@ def _cases(sizes, product_steps):
                   _residual_rows, _residual_rows_case()))
     cases.append(("coherent_state n=4096",
                   coherent_state, _label_case(4096)))
-    cases.append(("adiabatic_tau soluble n=6144", _tau, _tau_case("soluble")))
+    cases.append(("adiabatic_tau soluble n=4096", _tau, _tau_case("soluble")))
     cases.append(("adiabatic_tau two-channel n=1024 (0,1)",
                   _tau, _tau_case("two-channel")))
     cases.append(("validate outgoing-state n=512",

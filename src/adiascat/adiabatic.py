@@ -24,8 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coherent import (CoherentLabel, StateVector, braket, coherent_state,
-                       free_shift)
+from .coherent import CoherentLabel, StateVector, braket, coherent_state
 from .numerics import (Grid, NumericalContractError, central_derivative,
                        read_only)
 from .network import (ScatterModel, MatrixPotential, apply_h0,
@@ -73,25 +72,23 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
     """First-order response coefficient.
 
     tau = - integral dt' t' <t',e,j| W_+^* (dH/ds) W_- |t',e,jp>
-    with W_+- the wave operators of the model frozen at s, by the
-    trapezoid rule on the label times of tau_nodes.  On matched
+    with W_+- the wave operators of the model frozen at s.  On matched
     labels the dynamical-minus-frozen remainder is -i omega tau to
     leading order in omega.
 
-    A rank-one coupling sends every label through both wave operators.
-    A matrix coupling's wave operators are characteristic factor fields
-    F_+-(x), the same for every label its window clears, so there
-    tau = - dx sum_x rho(x) (F_+ e_j)^* (dH/ds) (F_- e_jp) with the
-    label density rho = sum_k w_k t_k |psi_k|^2 (see _matrix_tau).
+    A rank-one coupling sends every label through both wave operators,
+    by the trapezoid rule on the label times of tau_nodes.  A matrix
+    coupling's wave operators are characteristic factor fields F_+-(x),
+    and the label density integrates exactly, integral dt' t'
+    |psi_t'(x)|^2 = -x, so there tau = dx sum_x x (F_+ e_j)^* (dH/ds)
+    (F_- e_jp) (see _matrix_tau), which reads neither e nor eps.
     """
     fmodel = frozen(model, s)
-    nodes, weights = tau_nodes(model, eps)
     dh_ds = coupling_map(model, grid, float(model.schedule.derivative(s)))
     if isinstance(model.coupling, MatrixPotential):
-        return _matrix_tau(fmodel, s, e, eps, j, jp, grid, nodes, weights,
-                           dh_ds)
+        return _matrix_tau(fmodel, s, j, jp, grid, dh_ds)
     total = 0.0 + 0.0j
-    for tp, wgt in zip(nodes, weights):
+    for tp, wgt in zip(*tau_nodes(model, eps)):
         label = CoherentLabel(tp, e, eps)
         ket = coherent_state(label, grid, channel=jp,
                              n_channels=model.n_channels)
@@ -120,42 +117,33 @@ def tau_nodes(model: ScatterModel, eps: float
     return nodes[keep], weights[keep]
 
 
-def _matrix_tau(fmodel: ScatterModel, s: float, e: float, eps: float,
-                j: int, jp: int, grid: Grid, nodes: np.ndarray,
-                weights: np.ndarray, dh_ds) -> complex:
-    """adiabatic_tau of a frozen matrix coupling from one label density
-    and two characteristic fields.
+def _matrix_tau(fmodel: ScatterModel, s: float, j: int, jp: int, grid: Grid,
+                dh_ds) -> complex:
+    """adiabatic_tau of a frozen matrix coupling from its two
+    characteristic fields.
 
     W_-|t',e,jp> = F_-(x) psi(x) e_jp, with F_- the characteristic
-    factor over [x - T, x]; once T clears the label, a wider window only
-    adds steps outside the interaction, so F_- over the widest window
-    serves every label (F_+ over [x, x + T] likewise).  Each label still
-    takes its own clearance_T and passes the checks wave_operator makes
-    before it propagates: the shifts by -T and +T keep off the seam and
-    clear the interaction.  propagate's norm-drift check becomes a bound
-    on the fields' column norms, | |F e| - 1 | <= NORM_TOL at every x,
-    which bounds the drift of every label by NORM_TOL.  Memory is O(n):
-    labels are summed into rho one at a time.
+    factor over [x - T, x] (F_+ over [x, x + T]), the same for every
+    label.  The fields are sampled where the coupling reaches, |x| <= r
+    with r = support_radius(1e-16) as _apply_characteristic takes it,
+    and any T >= 2r gives the same fields there; the grid must hold
+    |x| <= r.  propagate's norm-drift check becomes a bound on the
+    fields' column norms, | |F e| - 1 | <= NORM_TOL at every x, which
+    bounds the drift of every label by NORM_TOL.
     """
-    radius = fmodel.interaction_radius()
-    rho = np.zeros(grid.n)
-    t_max = 0.0
-    for tp, wgt in zip(nodes, weights):
-        psi = coherent_state(CoherentLabel(tp, e, eps), grid)
-        T = clearance_T(fmodel, psi)
-        for sign, side in ((-1, "left"), (+1, "right")):
-            _network._check_cleared(free_shift(psi, sign * T), radius, side,
-                                    "wave operator asymptote")
-        t_max = max(t_max, T)
-        rho += wgt * tp * np.abs(psi.amplitudes[0]) ** 2
+    radius = fmodel.coupling.support_radius(1e-16)
+    if grid.x_min > -radius or grid.x_max < radius:
+        raise ValueError(
+            f"grid [{grid.x_min:.3g}, {grid.x_max:.3g}) does not hold the "
+            f"interaction |x| <= {radius:.3g}")
+    m, T = grid.snap(2.0 * radius + 1.0)
     t_c = s / fmodel.omega
     fields = []
     for sign, channel in ((-1, jp), (+1, j)):
-        m, _ = grid.snap(-sign * t_max)
         basis = np.zeros((fmodel.n_channels, grid.n), dtype=np.complex128)
         basis[channel] = 1.0
         field = _network._matrix_transport(fmodel, grid, basis,
-                                           t_c + sign * t_max, m)
+                                           t_c + sign * T, -sign * m)
         drift = np.abs(np.sqrt(np.sum(np.abs(field) ** 2, axis=0)) - 1.0)
         if drift.max() > _network.NORM_TOL:
             raise NumericalContractError(
@@ -164,7 +152,7 @@ def _matrix_tau(fmodel: ScatterModel, s: float, e: float, eps: float,
         fields.append(field)
     w_minus, w_plus = fields
     kernel = np.sum(np.conj(w_plus) * dh_ds(w_minus), axis=0)
-    return -complex(np.dot(rho, kernel)) * grid.dx
+    return complex(np.dot(grid.points, kernel)) * grid.dx
 
 
 def smeared_frozen_element(model: ScatterModel, s: float, e: float, eps: float,

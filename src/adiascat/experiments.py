@@ -20,13 +20,13 @@ import numpy as np
 from .adiabatic import (ErrorReport, adiabatic_tau, combined_report,
                         energy_shift_operator, onshell_vs_frozen,
                         outgoing_state_check, remainder_exact, rho_fermi,
-                        rho_gaussian, rho_polynomial, tau_nodes,
+                        rho_gaussian, rho_polynomial,
                         thawed_energy_shift_report)
 from .coherent import (CoherentLabel, StateVector, braket, coherent_state,
                        free_shift, identity_resolution_residual, overlap,
                        plane_wave_amplitude, require_fit)
 from .network import (MatrixPotential, RankOne, ScatterModel, clearance_T,
-                      dynamical_S, dynamical_S_adjoint, frozen, on_shell_S,
+                      dynamical_S, dynamical_S_adjoint, on_shell_S,
                       rankone_resolvent, wigner_delay)
 from .numerics import (Grid, NumericalContractError, central_derivative,
                        fit_slope)
@@ -350,7 +350,7 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
     grid = setup.grid
     rng = np.random.default_rng(setup.seed)
 
-    tau = adiabatic_tau(setup.model, s, e, eps, grid=_tau_grid(setup.grid))
+    tau = adiabatic_tau(setup.model, s, e, eps, grid=grid)
     for w in setup.omegas:
         rows.add("omega-scaling", remainder_exact(_with_omega(setup.model, w),
                                                   s, e, eps, grid=grid),
@@ -415,32 +415,6 @@ def _one_term(potential: GaussianMix, schedule: Schedule,
     """The soluble model of potential: one channel, the matrix [[1.0]]."""
     return ScatterModel(1, MatrixPotential(([[1.0]],), (potential,),
                                            schedule), w)
-
-
-def _tau_grid(grid: Grid) -> Grid:
-    """adiabatic_tau's grid, with room for its labels over +-8/eps: grid's
-    dx on 3n/2 points rounded up to even, padded alike on both sides."""
-    n = 2 * -(-3 * grid.n // 4)
-    pad = (n - grid.n) // 2 * grid.dx
-    return Grid(grid.x_min - pad, grid.x_max + pad, n)
-
-
-def _tau_labels_clear(experiment: str, setup: Setup) -> list[tuple[str, str]]:
-    """adiabatic_tau's labels at the first eps, s and e fit _tau_grid and
-    clear the model frozen at s.  Each has the same packet width and
-    delayed tail, and less room and more need the farther out it sits, so
-    the outermost kept node on each side binds."""
-    net, eps, s, e = setup.first
-    fmodel, grid = frozen(net, s), _tau_grid(setup.grid)
-    for t in tau_nodes(net, eps)[0][[0, -1]]:
-        try:
-            clearance_T(fmodel, coherent_state(CoherentLabel(t, e, eps), grid,
-                                               n_channels=net.n_channels))
-        except ValueError as exc:
-            return [("sweep.eps", f"adiabatic_tau's label t = {t:.3g} "
-                     f"(eps = {eps:.3g}): {exc}; raising eps brings its "
-                     "labels in")]
-    return []
 
 
 def run_epsilon_scaling(setup: Setup) -> ExperimentResult:
@@ -655,7 +629,7 @@ def run_combined(setup: Setup) -> ExperimentResult:
     net, eps, s, e = setup.first
     rows = _Rows(setup.timing, omega=net.omega, eps=eps, s=s, e=e, j=0, jp=0)
     grid = setup.grid
-    tau_num = adiabatic_tau(net, s, e, eps, grid=_tau_grid(grid))
+    tau_num = adiabatic_tau(net, s, e, eps, grid=grid)
     report = combined_report(net, s, e, eps, tau_num, grid=grid)
     rows.add("combined", report.value_exact, report.value_approx,
              predicted_bound=report.predicted_bound)
@@ -697,7 +671,7 @@ DECLARATIONS: dict[str, Declaration] = {
     "soluble-exact": Declaration(run_soluble_exact, (
         _closed_forms, _labels_clear(_soluble_exact_labels))),
     "omega-scaling": Declaration(run_omega_scaling, (
-        _closed_forms, _driven, _slope_points("omega"), _tau_labels_clear,
+        _closed_forms, _driven, _slope_points("omega"),
         _labels_clear(_matched_labels))),
     "epsilon-scaling": Declaration(run_epsilon_scaling, (
         _on_shell_data, _slope_points("eps"))),
@@ -707,7 +681,7 @@ DECLARATIONS: dict[str, Declaration] = {
     "outgoing-state": Declaration(run_outgoing_state, (
         _closed_forms, _outgoing_grid)),
     "combined": Declaration(run_combined, (
-        _closed_forms, _driven, _tau_labels_clear, _labels_clear(
+        _closed_forms, _driven, _labels_clear(
             lambda setup: _matched_labels(setup)[:1], _joint_labels))),
 }
 
