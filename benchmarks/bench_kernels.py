@@ -11,7 +11,9 @@ multichannel benchmark's form at the energy counts of its callers, the
 label build at that of combined.ini (n = 4096), the diagnostics at
 the sizes of the shipped coherent-props (n = 2048) and outgoing-state
 (n = 512) configs, coherent-props' E-row loop over its 100 seed-0
-labels, and validate on the shipped outgoing-state config;
+labels, coherent-props' 700 seeded draws through the package's stream
+and through numpy's Generator, and validate on the shipped
+outgoing-state config;
 adiabatic_tau runs on combined.ini's grid (n = 4096) and on a
 two-channel grid (n = 1024).
 Throwaway complex GEMMs run before any timing (see ``_warm_blas``):
@@ -27,9 +29,11 @@ import numpy as np
 
 from adiascat import _kernels as K
 from adiascat import adiabatic, cli
+from adiascat._pcg64 import UniformStream
 from adiascat.coherent import (CoherentLabel, coherent_state, free_shift,
                                identity_resolution_residual)
-from adiascat.experiments import OUTGOING_DENSITIES, _coherent_draws
+from adiascat.experiments import (COHERENT_BOUNDS, OUTGOING_DENSITIES,
+                                  _coherent_draws)
 from adiascat.network import (MatrixPotential, RankOne, ScatterModel,
                               gauss_legendre, on_shell_S, propagate,
                               rankone_resolvent, rankone_resolvent_exact)
@@ -184,6 +188,11 @@ def _residual_rows_case():
                   for label, _, _, _ in _coherent_draws(setup)),)
 
 
+def _draws(make_rng, seed):
+    """coherent-props' 700 seeded draws: its 7 bounds over (100, 7)."""
+    make_rng(seed).uniform(*COHERENT_BOUNDS, size=(100, 7))
+
+
 def _label_case(n):
     """Drive-sweep's matched label on the combined.ini grid; repeated
     transforms on one grid reuse its cached phases."""
@@ -276,6 +285,11 @@ def _cases(sizes, product_steps):
                       identity_resolution_residual, _residual_case(eps)))
     cases.append(("coherent-props E rows: 100 labels, n=2048",
                   _residual_rows, _residual_rows_case()))
+    # the package's pure-Python stream, with numpy's Generator beside it
+    cases.append(("coherent-props draws: 700, UniformStream",
+                  _draws, (UniformStream, 0)))
+    cases.append(("coherent-props draws: 700, numpy default_rng",
+                  _draws, (np.random.default_rng, 0)))
     cases.append(("coherent_state n=4096",
                   coherent_state, _label_case(4096)))
     cases.append(("adiabatic_tau soluble n=4096", _tau, _tau_case("soluble")))

@@ -273,9 +273,10 @@ def rho_fermi(mu: float = 0.0, width: float = 0.2,
     scale) to open the occupation softly at the band bottom too.
     """
     def rho(energies: np.ndarray) -> np.ndarray:
-        occ = 1.0 / (1.0 + np.exp((energies - mu) / width))
-        if floor is not None:
-            occ = occ / (1.0 + np.exp(-(energies - floor) / width))
+        with np.errstate(over="ignore"):  # exp -> inf gives exactly 0
+            occ = 1.0 / (1.0 + np.exp((energies - mu) / width))
+            if floor is not None:
+                occ = occ / (1.0 + np.exp(-(energies - floor) / width))
         return occ
     return rho
 

@@ -242,20 +242,24 @@ def run_coherent_props(setup: Setup) -> ExperimentResult:
     return ExperimentResult(rows, checks, info={"labels": len(draws)})
 
 
+# the low and high bounds of coherent-props' draws: per label, one uniform
+# draw each, in this order: t, e, eps, tau, the partner's offsets in t and
+# in e, and the energy offset in units of eps
+COHERENT_BOUNDS = ((-4.0, -2.5, 0.3, -2.0, -1.5, -1.0, -1.0),
+                   (4.0, 2.5, 1.2, 2.0, 1.5, 1.0, 1.0))
+
+
 def _coherent_draws(setup: Setup) -> list[tuple[CoherentLabel, float,
                                                 CoherentLabel, float]]:
     """coherent-props' 100 seeded draws, in the driver's order: each
     label, its free shift tau on the dx lattice, the label its overlap
     is taken with, and the energy of its plane-wave amplitude."""
-    rng = np.random.default_rng(setup.seed)
-    # per label, one uniform draw each, in this order: t, e, eps, tau, the
-    # partner's offsets in t and in e, and the energy offset in units of eps
-    low = (-4.0, -2.5, 0.3, -2.0, -1.5, -1.0, -1.0)
-    high = (4.0, 2.5, 1.2, 2.0, 1.5, 1.0, 1.0)
+    from ._pcg64 import UniformStream
+    rng = UniformStream(setup.seed)
     return [(CoherentLabel(t, e, eps), setup.grid.snap(tau)[1],
              CoherentLabel(t + dt, e + de, eps), e + de_n * eps)
             for t, e, eps, tau, dt, de, de_n
-            in rng.uniform(low, high, size=(100, 7)).tolist()]
+            in rng.uniform(*COHERENT_BOUNDS, size=(100, 7)).tolist()]
 
 
 def _packets_fit(experiment: str, setup: Setup) -> list[tuple[str, str]]:
@@ -348,7 +352,8 @@ def run_omega_scaling(setup: Setup) -> ExperimentResult:
     _, eps, s, e = setup.first
     rows = _Rows(setup.timing, eps=eps, s=s, e=e, j=0, jp=0)
     grid = setup.grid
-    rng = np.random.default_rng(setup.seed)
+    from ._pcg64 import UniformStream
+    rng = UniformStream(setup.seed)
 
     tau = adiabatic_tau(setup.model, s, e, eps, grid=grid)
     for w in setup.omegas:

@@ -8,6 +8,7 @@ Gauss-Legendre re-derivations.
 """
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,16 @@ def test_outgoing_state_check_guards():
     with pytest.raises(ValueError, match="one channel and one matrix term"):
         outgoing_state_check(rankone_model(), 0.4, rho_gaussian(),
                              Grid(-40.0, 40.0, 512))
+
+
+def test_rho_fermi_is_exactly_zero_where_its_exponentials_overflow():
+    # on a fine grid outgoing-state's band reaches |E - mu| and |E - floor|
+    # past 709 widths, where exp overflows to inf and 1 / (1 + inf) = 0
+    # exactly: no RuntimeWarning
+    rho = experiments.OUTGOING_DENSITIES["fermi"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rho(np.array([-200.0, 200.0])).tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("coeffs", [(0.0, 1.0), (0.3, -1.2, 0.05, 0.7)])

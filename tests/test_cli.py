@@ -1103,45 +1103,51 @@ bare = 'numpy.polynomial' in sys.modules
 from adiascat import cli, network
 codes = [cli.main(['run', '--config', config, '--out', out])
          for config, out in zip(sys.argv[1::2], sys.argv[2::2])]
-loaded = sorted({'numpy.ma', 'numpy.polynomial'} & set(sys.modules))
+loaded = sorted({'numpy.ma', 'numpy.polynomial', 'numpy.random'}
+                & set(sys.modules))
 from numpy.polynomial.legendre import leggauss
 print(json.dumps({'bare': bare, 'codes': codes, 'loaded': loaded,
                   'leggauss': network.leggauss is leggauss}))
 """
 
 
-def test_slope_fit_runs_load_neither_numpy_ma_nor_numpy_polynomial(
+def test_no_shipped_run_loads_numpy_ma_polynomial_or_random(
         subprocess_env, tmp_path):
     # np.unique imports numpy.ma (1.2 MB) and numpy.polynomial (0.6 MB)
     # holds leggauss; the package needs neither, and network still hands
-    # out numpy's leggauss, imported at first access
+    # out numpy's leggauss, imported at first access.  The seeded draws
+    # come from _pcg64.UniformStream, so no run imports numpy.random (and
+    # with it secrets, hashlib and OpenSSL)
+    configs = sorted(CONFIGS.glob("*.ini"))
+    assert len(configs) == 8
     args = []
-    for name in ("epsilon-scaling-rankone", "omega-scaling"):
-        args += [str(CONFIGS / f"{name}.ini"), str(tmp_path / name)]
+    for path in configs:
+        args += [str(path), str(tmp_path / path.stem)]
     proc = subprocess.run(
         [sys.executable, "-c", FOOTPRINT_SCRIPT, *args],
         env=subprocess_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report == {"bare": False, "codes": [0, 0], "loaded": [],
+    assert report == {"bare": False, "codes": [0] * 8, "loaded": [],
                       "leggauss": True}
+
+
+def test_runs_that_draw_nothing_leave_the_stream_unimported(subprocess_env,
+                                                            tmp_path):
+    # without cached bytecode every run compiles each module it imports,
+    # so only the two drivers that draw import the stream
+    script = ("import sys; from adiascat import cli; "
+              "code = cli.main(['run', '--config', sys.argv[1], "
+              "'--out', sys.argv[2]]); "
+              "print(code, 'adiascat._pcg64' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(CONFIGS / "combined.ini"),
+         str(tmp_path / "out")],
+        env=subprocess_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
 
 
 def test_summary_times_validate_on_every_shipped_config(shipped_runs):
     for name, (_, summary) in shipped_runs.items():
         assert summary["validate_s"] >= 0.0, name
-
-
-def test_outgoing_state_run_loads_no_numpy_random(subprocess_env, tmp_path):
-    # the Lanczos start of the operator-norm iteration is a chirp built
-    # from numpy core, so a run that draws nothing imports no numpy.random
-    script = ("import sys; from adiascat import cli; "
-              "code = cli.main(['run', '--config', sys.argv[1], "
-              "'--out', sys.argv[2]]); "
-              "print(code, 'numpy.random' in sys.modules)")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(CONFIGS / "outgoing-state.ini"),
-         str(tmp_path / "out")],
-        env=subprocess_env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "0 False"

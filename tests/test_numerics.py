@@ -7,6 +7,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import dawsn
 
+from adiascat._pcg64 import UniformStream
+from adiascat.experiments import COHERENT_BOUNDS, _random_equal_weight_pair
 from adiascat.numerics import (Grid, NumericalContractError, _dawson,
                                central_derivative, fit_slope, hermitize,
                                ordered_exponential)
@@ -198,3 +200,35 @@ def test_fit_slope_gives_nan_for_a_non_finite_y(bad):
     # a NaN slope fails its gate through gate_ratio; raising here would
     # stop the run with a config error instead
     assert math.isnan(fit_slope([0.1, 0.2, 0.4], [1.0, bad, 3.0]))
+
+
+# past 2^128 the seed's entropy runs beyond SeedSequence's 4-word pool
+STREAM_SEEDS = [*range(64), 2**32 - 1, 2**32, 2**64, 2**128, 2**200 + 7]
+
+
+def test_uniform_stream_fills_coherent_props_draws_as_numpy_does():
+    # the 7 bounds of coherent-props' labels, broadcast over (100, 7)
+    for seed in STREAM_SEEDS:
+        want = np.random.default_rng(seed).uniform(*COHERENT_BOUNDS,
+                                                   size=(100, 7))
+        got = UniformStream(seed).uniform(*COHERENT_BOUNDS, size=(100, 7))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), seed
+
+
+def test_uniform_stream_scalar_calls_follow_numpys_stream():
+    # omega-scaling's five potential pairs, each nine interleaved scalar
+    # calls over six different bounds
+    for seed in STREAM_SEEDS:
+        want, got = np.random.default_rng(seed), UniformStream(seed)
+        for _ in range(5):
+            assert (_random_equal_weight_pair(got)
+                    == _random_equal_weight_pair(want)), seed
+        assert got.uniform(-2.0, 2.0) == want.uniform(-2.0, 2.0), seed
+
+
+def test_uniform_stream_rejects_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        UniformStream(-1)
