@@ -14,8 +14,8 @@ the sizes of the shipped coherent-props (n = 2048) and outgoing-state
 labels, coherent-props' 700 seeded draws through the package's stream
 and through numpy's Generator, and validate on the shipped
 outgoing-state config;
-adiabatic_tau runs on combined.ini's grid (n = 4096) and on a
-two-channel grid (n = 1024).
+adiabatic_tau runs on combined.ini's grid (n = 4096), and for a
+two-channel rank-one and a two-channel matrix coupling (n = 1024).
 Throwaway complex GEMMs run before any timing (see ``_warm_blas``):
 best-of-N cannot filter a slow BLAS state that lasts across all of its
 repeats.
@@ -238,11 +238,17 @@ def _tau(model, s, e, eps, j, jp, grid):
 
 def _tau_case(kind):
     """combined.ini's response coefficient (its soluble model on its
-    grid), or the (0, 1) element of a two-channel coupling with
+    grid), the (0, 1) element of a two-channel rank-one coupling with an
+    asymmetric form, or that of a two-channel matrix coupling with
     non-commuting terms."""
     if kind == "soluble":
         return (SOLUBLE, 0.70710678, 1.0, 0.5, 0, 0,
                 Grid(-160.0, 160.0, 4096))
+    if kind == "rank-one":
+        model = ScatterModel(2, RankOne(
+            GaussianMix((0.5, 0.3), (-0.6, 1.1), (1.0, 1.2)), BUMP,
+            (0.8, 0.6)), 0.1)
+        return (model, 0.5, 1.0, 1.0, 0, 1, Grid(-80.0, 80.0, 1024))
     sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
     model = ScatterModel(2, MatrixPotential(
         (0.8 * sz, 0.6 * sx),
@@ -293,6 +299,8 @@ def _cases(sizes, product_steps):
     cases.append(("coherent_state n=4096",
                   coherent_state, _label_case(4096)))
     cases.append(("adiabatic_tau soluble n=4096", _tau, _tau_case("soluble")))
+    cases.append(("adiabatic_tau rank-one n=1024 (0,1)",
+                  _tau, _tau_case("rank-one")))
     cases.append(("adiabatic_tau two-channel n=1024 (0,1)",
                   _tau, _tau_case("two-channel")))
     cases.append(("validate outgoing-state n=512",

@@ -24,14 +24,15 @@ from typing import Callable
 
 import numpy as np
 
-from .coherent import CoherentLabel, StateVector, braket, coherent_state
+from .coherent import (WRAP_TOL, CoherentLabel, StateVector, braket,
+                       coherent_state, free_shift)
 from .numerics import (Grid, NumericalContractError, central_derivative,
                        read_only)
 from .network import (ScatterModel, MatrixPotential, apply_h0,
                       clearance_T, coupling_map, dynamical_S,
                       dynamical_S_adjoint, frozen, frozen_S_apply,
-                      frozen_energy_shift_onshell, on_shell_S,
-                      wave_operator, wigner_delay)
+                      frozen_energy_shift_onshell, on_shell_S, propagate,
+                      wigner_delay)
 from .profiles import GaussianMix, Schedule
 from .soluble import dynamical_S_profile, soluble_potential
 from . import network as _network, soluble as _soluble
@@ -76,45 +77,44 @@ def adiabatic_tau(model: ScatterModel, s: float, e: float, eps: float,
     labels the dynamical-minus-frozen remainder is -i omega tau to
     leading order in omega.
 
-    A rank-one coupling sends every label through both wave operators,
-    by the trapezoid rule on the label times of tau_nodes.  A matrix
+    The label density integrates exactly, integral dt' t' |t',e><t',e|
+    = -G X G, with X the position and G the momentum filter g(p) =
+    (2 sqrt(pi) / eps)^(1/2) exp(-(p - e)^2 / (2 eps^2)).  A matrix
     coupling's wave operators are characteristic factor fields F_+-(x),
-    and the label density integrates exactly, integral dt' t'
-    |psi_t'(x)|^2 = -x, so there tau = dx sum_x x (F_+ e_j)^* (dH/ds)
-    (F_- e_jp) (see _matrix_tau), which reads neither e nor eps.
+    and the diagonal of -G X G in position is -x, so tau = dx sum_x x
+    (F_+ e_j)^* (dH/ds) (F_- e_jp) (see _matrix_tau), which reads
+    neither e nor eps.  A rank-one coupling has dH/ds = lambda'(s)
+    |phi><phi|, phi = u x chi, so tau = lambda'(s) dx sum_x x
+    (G xi_-)_jp^* (G xi_+)_j with xi_+- = W_+-^* phi: phi runs over the
+    clearance window toward the asymptote, must clear the interaction,
+    and shifts freely back.  A filtered state that leaves more than
+    WRAP_TOL of its weight at the grid edge is a ValueError.
     """
     fmodel = frozen(model, s)
-    dh_ds = coupling_map(model, grid, float(model.schedule.derivative(s)))
+    lam_dot = float(model.schedule.derivative(s))
     if isinstance(model.coupling, MatrixPotential):
-        return _matrix_tau(fmodel, s, j, jp, grid, dh_ds)
-    total = 0.0 + 0.0j
-    for tp, wgt in zip(*tau_nodes(model, eps)):
-        label = CoherentLabel(tp, e, eps)
-        ket = coherent_state(label, grid, channel=jp,
-                             n_channels=model.n_channels)
-        bra = ket if j == jp else coherent_state(label, grid, channel=j,
-                                                 n_channels=model.n_channels)
-        T = clearance_T(fmodel, ket)
-        w_minus = wave_operator(fmodel, s, -1, ket, T=T)
-        w_plus = wave_operator(fmodel, s, +1, bra, T=T)
-        drive = StateVector(grid, dh_ds(w_minus.amplitudes))
-        total += wgt * tp * braket(w_plus, drive)
-    return -total
-
-
-def tau_nodes(model: ScatterModel, eps: float
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """adiabatic_tau's label times and trapezoid weights: 49 nodes over
-    |t'| <= 8 / eps, less those whose packet, down to 1e-14 of its peak,
-    stays clear of the interaction."""
-    sigma_x = 1.0 / (math.sqrt(2.0) * eps)
-    reach = model.interaction_radius() + sigma_x * math.sqrt(
-        2.0 * math.log(1e14))
-    nodes = np.linspace(-8.0 / eps, 8.0 / eps, 49)
-    weights = np.full(49, nodes[1] - nodes[0])
-    weights[[0, -1]] *= 0.5
-    keep = np.abs(nodes) <= reach
-    return nodes[keep], weights[keep]
+        return _matrix_tau(fmodel, s, j, jp, grid,
+                           coupling_map(model, grid, lam_dot))
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
+    u, chi = model.coupling.vector, model.coupling.form(grid.points)
+    phi = StateVector(grid, np.outer(u, chi))
+    T, t_c = clearance_T(fmodel, phi), s / model.omega
+    g = (2.0 * math.sqrt(math.pi) / eps) ** 0.5 * np.exp(
+        -((grid.momenta - e) ** 2) / (2.0 * eps ** 2))
+    filtered = []
+    for sign, channel, side in ((-1, jp, "left"), (+1, j, "right")):
+        xi = propagate(fmodel, phi, t_c, t_c + sign * T)
+        _network._check_cleared(xi, model.interaction_radius(), side,
+                                "adjoint wave operator asymptote")
+        xi = free_shift(xi, -sign * T).amplitudes[channel]
+        filtered.append(np.fft.ifft(g * np.fft.fft(xi)))
+        edge = grid.edge_mass(filtered[-1])
+        if not edge <= WRAP_TOL:
+            raise ValueError(f"filtered state leaves {edge:.2e} of its "
+                             f"weight at the grid edge; enlarge the grid")
+    g_minus, g_plus = filtered
+    return lam_dot * complex(np.vdot(g_minus, grid.points * g_plus)) * grid.dx
 
 
 def _matrix_tau(fmodel: ScatterModel, s: float, j: int, jp: int, grid: Grid,
@@ -145,7 +145,7 @@ def _matrix_tau(fmodel: ScatterModel, s: float, j: int, jp: int, grid: Grid,
         field = _network._matrix_transport(fmodel, grid, basis,
                                            t_c + sign * T, -sign * m)
         drift = np.abs(np.sqrt(np.sum(np.abs(field) ** 2, axis=0)) - 1.0)
-        if drift.max() > _network.NORM_TOL:
+        if not drift.max() <= _network.NORM_TOL:
             raise NumericalContractError(
                 f"wave operator field norm drift {drift.max():.2e} "
                 f"exceeds {_network.NORM_TOL:.2e}")

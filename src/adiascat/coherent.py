@@ -72,8 +72,10 @@ class CoherentLabel:
     eps: float
 
     def __post_init__(self):
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:
             raise ValueError("eps must be positive")
+        if not (math.isfinite(self.t) and math.isfinite(self.e)):
+            raise ValueError("label t and e must be finite")
 
     @property
     def position_center(self) -> float:
@@ -157,7 +159,7 @@ def free_shift(state: StateVector, duration: float) -> StateVector:
     out = np.roll(state.amplitudes, m, axis=-1)
     shifted = StateVector(grid, out)
     edge = grid.edge_mass(out)
-    if edge > WRAP_TOL:
+    if not edge <= WRAP_TOL:
         raise NumericalContractError(
             f"free shift by {duration:.3g} leaves {edge:.2e} relative weight "
             "at the window edge (wrap hazard)")

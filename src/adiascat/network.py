@@ -107,6 +107,8 @@ class RankOne:
         nrm = np.linalg.norm(v)
         if nrm == 0.0:
             raise ValueError("channel vector must be nonzero")
+        if not any(self.form.amps):
+            raise ValueError("form factor must be nonzero")
         self.vector = v / nrm
 
     @property
@@ -127,7 +129,7 @@ class ScatterModel:
     omega: float
 
     def __post_init__(self):
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:
             raise ValueError("omega must be positive")
         if self.coupling.n_channels != self.n_channels:
             raise ValueError("coupling channel count disagrees with model")
@@ -270,7 +272,7 @@ def propagate(model: ScatterModel, state: StateVector, t0: float,
         out = _propagate_rankone(model, state, t0, m)
     result = StateVector(grid, out)
     drift = abs(result.norm() - state.norm())
-    if drift > NORM_TOL * max(state.norm(), 1e-30):
+    if not drift <= NORM_TOL * max(state.norm(), 1e-30):
         raise NumericalContractError(
             f"propagation norm drift {drift:.2e} exceeds {NORM_TOL:.2e}")
     return result
@@ -316,6 +318,9 @@ def apply_hamiltonian(model: ScatterModel, t: float, state: StateVector) -> Stat
 
 def _support_bounds(state: StateVector) -> tuple[float, float]:
     mag = np.abs(state.amplitudes).max(axis=0)
+    if not 0.0 < mag.max() < math.inf:
+        raise ValueError("a zero or non-finite state has no support to "
+                         "clear the interaction from")
     live = state.grid.points[mag > 1e-11 * mag.max()]
     return float(live.min()), float(live.max())
 
@@ -408,7 +413,7 @@ def _check_cleared(state: StateVector, radius: float, side: str,
     x = state.grid.points
     behind = x > -radius if side == "left" else x < radius
     mass = float(dens[behind].sum() / dens.sum())
-    if mass > CLEARANCE_TOL:
+    if not mass <= CLEARANCE_TOL:
         raise NumericalContractError(
             f"{what}: {mass:.2e} relative weight has not cleared the "
             f"interaction region (|x| < {radius:.3g})")

@@ -108,7 +108,7 @@ class Grid:
 
 def central_derivative(f: Callable, x0: float, h: float):
     """Fourth-order Richardson central difference; f may return arrays."""
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError("step must be positive")
     d1 = (f(x0 + h) - f(x0 - h)) / (2.0 * h)
     d2 = (f(x0 + 0.5 * h) - f(x0 - 0.5 * h)) / h

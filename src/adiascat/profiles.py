@@ -32,7 +32,7 @@ class GaussianMix:
         widths = tuple(float(w) for w in self.widths)
         if not (len(amps) == len(centers) == len(widths)) or not amps:
             raise ValueError("amps, centers, widths need equal nonzero length")
-        if any(w <= 0.0 for w in widths):
+        if not all(w > 0.0 for w in widths):
             raise ValueError("widths must be positive")
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "centers", centers)
@@ -127,7 +127,7 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise ValueError("schedule width must be positive")
 
     @classmethod

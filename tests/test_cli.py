@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adiascat import adiabatic, cli, experiments
+from adiascat import adiabatic, cli, experiments, network
 from adiascat.cli import CSV_HEADER, ConfigError, _fmt, _parse_ini, main
 from adiascat.coherent import CoherentLabel, coherent_state
 from adiascat.experiments import EXPERIMENTS, Check, ExperimentResult, Row
@@ -84,6 +84,8 @@ def test_parse_ini_rejects_unknown_section(tmp_path):
     lambda text: text.replace("experiment = outgoing-state",
                               "experiment = warp-field"),
     lambda text: text.replace("eps = 0.5", "eps = 0.0"),
+    lambda text: text.replace("kind = soluble", "kind = rankone")
+    .replace("amps = 0.8", "amps = 0.0"),
 ])
 def test_bad_configs_exit_one(tmp_path, mangle):
     path = write_config(tmp_path, mangle(GOOD_CONFIG))
@@ -91,6 +93,7 @@ def test_bad_configs_exit_one(tmp_path, mangle):
     assert rc == 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["status"] == "config-error"
+    assert summary["diagnostics"][0]["field"] == "config"
 
 
 def test_config_error_summary_goes_to_the_config_dir(tmp_path, monkeypatch):
@@ -1033,6 +1036,26 @@ def test_mid_run_failures_exit_two(tmp_path, monkeypatch, boom):
     assert rc == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "numerical-contract"
+
+
+def test_a_nan_amplitude_mid_run_exits_two(tmp_path, monkeypatch):
+    # one NaN out of the transport fails propagate's norm-drift check
+    transport = network._matrix_transport
+
+    def poisoned(*args):
+        amps = transport(*args)
+        amps.flat[0] = np.nan
+        return amps
+
+    monkeypatch.setattr(network, "_matrix_transport", poisoned)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(CONFIGS / "omega-scaling.ini"),
+               "--out", str(out)])
+    assert rc == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "numerical-contract"
+    assert "norm drift" in summary["diagnostics"][0]["message"]
+    assert not (out / "results.csv").exists()
 
 
 def test_mid_run_value_error_exits_one(tmp_path, monkeypatch):

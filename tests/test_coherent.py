@@ -324,8 +324,13 @@ def test_coherent_state_skips_only_exact_zeros(grid, eps, e):
 
 
 def test_labels_states_and_brakets_refuse_mismatches():
-    with pytest.raises(ValueError, match="eps must be positive"):
-        CoherentLabel(0.0, 0.0, 0.0)
+    # a NaN width would give an all-zero state, a NaN time an all-NaN one
+    for eps in (0.0, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            CoherentLabel(0.0, 0.0, eps)
+    for t, e in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="t and e must be finite"):
+            CoherentLabel(t, e, 0.5)
     with pytest.raises(ValueError, match=r"\(channels, grid.n\)"):
         StateVector(GRID, np.zeros(GRID.n - 1))
     state = coherent_state(CoherentLabel(0.0, 0.0, 0.5), GRID)

@@ -324,6 +324,10 @@ def test_coupling_validation_errors():
     with pytest.raises(ValueError):
         soluble_twin(0.2) and ScatterModel(
             1, MatrixPotential((np.array([[1.0]]),), (MIX,), BUMP), -0.1)
+    with pytest.raises(ValueError, match="omega must be positive"):
+        soluble_twin(math.nan)
+    with pytest.raises(ValueError, match="form factor must be nonzero"):
+        RankOne(GaussianMix((0.0,), (0.0,), (1.0,)), BUMP, (0.8, 0.6))
 
 
 def test_clearance_T_rejects_cramped_grid():
@@ -360,6 +364,27 @@ def test_dynamical_S_rejects_reference_of_another_channel_count():
                                     0.1), 0.4)
     with pytest.raises(ValueError, match="reference channel count"):
         dynamical_S(model, 0.4, state, reference=reference)
+
+
+def test_one_nan_amplitude_violates_the_contracts():
+    # NaN fails every "> tol" comparison, so each check reads "not <= tol"
+    grid = Grid(-40.0, 40.0, 1024)
+    state = coherent_state(CoherentLabel(0.0, 0.5, 0.5), grid)
+    state.amplitudes[0, 300] = np.nan
+    rankone = ScatterModel(1, RankOne(MIX, BUMP, (1.0,)), 0.2)
+    for model in (soluble_twin(0.2), rankone):
+        with pytest.raises(NumericalContractError, match="norm drift"):
+            propagate(model, state, 0.0, 1.0)
+    with pytest.raises(NumericalContractError, match="not cleared"):
+        network._check_cleared(state, 1.0, "left", "probe")
+    with pytest.raises(NumericalContractError, match="wrap hazard"):
+        free_shift(state, 0.0)
+
+
+def test_clearance_T_refuses_a_zero_state():
+    zero = StateVector(Grid(-40.0, 40.0, 512), np.zeros(512))
+    with pytest.raises(ValueError, match="zero or non-finite state"):
+        clearance_T(soluble_twin(0.2), zero)
 
 
 def test_propagate_refuses_norm_drift():

@@ -93,8 +93,9 @@ def test_edge_mass_flags_wrapped_weight():
 def test_central_derivative_fourth_order():
     d = central_derivative(np.sin, 0.3, 1e-2)
     assert d == pytest.approx(math.cos(0.3), abs=1e-9)
-    with pytest.raises(ValueError):
-        central_derivative(np.sin, 0.0, 0.0)
+    for h in (0.0, math.nan):
+        with pytest.raises(ValueError, match="step must be positive"):
+            central_derivative(np.sin, 0.0, h)
 
 
 def test_central_derivative_vector_valued():

@@ -43,7 +43,10 @@ def test_schedule_matches_closed_forms(kind):
     (lambda: GaussianMix((1.0,), (0.0,), (0.0,)), "widths must be positive"),
     (lambda: Schedule("ramp", A), "unknown schedule kind"),
     (lambda: Schedule("bump", A, B, 0.0), "width must be positive"),
-], ids=["width", "kind", "c"])
+    (lambda: GaussianMix((1.0,), (0.0,), (math.nan,)),
+     "widths must be positive"),
+    (lambda: Schedule("bump", A, B, math.nan), "width must be positive"),
+], ids=["width", "kind", "c", "nan-width", "nan-c"])
 def test_profiles_and_schedules_refuse_bad_parameters(make, message):
     with pytest.raises(ValueError, match=message):
         make()
